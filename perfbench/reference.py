@@ -1,6 +1,6 @@
 """Reference figures beside the benchmark (not part of a benchmark run).
 
-    python3 perfbench/reference.py [--skip-verify]
+    python3 perfbench/reference.py
 
 Re-measures the per-layer baseline table at N = 64/128/256 on the
 two-mode preset (median of a few repeats, one BLAS thread), the timeloop
@@ -9,7 +9,6 @@ step at N=256 on the seed-1 two-bump density, and the wall time of a full
 perfbench/out/reference.json.
 """
 
-import argparse
 import json
 import os
 import statistics
@@ -88,19 +87,15 @@ def verify_wall():
 
 
 def main():
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--skip-verify", action="store_true")
-    args = p.parse_args()
     ref = {"layers": {}}
     for n in (64, 128, 256):
         ref["layers"][n] = layers(n)
         print(n, json.dumps(ref["layers"][n]), flush=True)
     ref["timeloop_step_256_s"], ref["timeloop_step_256_newton"] = step_256()
     print("timeloop step at N=256:", ref["timeloop_step_256_s"], flush=True)
-    if not args.skip_verify:
-        ref["verify_wall_s"], ref["verify_exit"] = verify_wall()
-        print("sgtorus verify:", ref["verify_wall_s"], "exit",
-              ref["verify_exit"], flush=True)
+    ref["verify_wall_s"], ref["verify_exit"] = verify_wall()
+    print("sgtorus verify:", ref["verify_wall_s"], "exit", ref["verify_exit"],
+          flush=True)
     os.makedirs(os.path.join(HERE, "out"), exist_ok=True)
     with open(os.path.join(HERE, "out", "reference.json"), "w") as fh:
         json.dump(ref, fh, indent=1)

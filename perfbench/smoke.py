@@ -78,11 +78,21 @@ def _lma_corruptions():
         A, b = op["john"][0]
         op["john"][0] = (0.3 * A, b)
 
-    def flat(op):
-        uh = np.zeros_like(op["uh"])
-        inner = op["masks"][-1]
-        uh[inner] = np.where(np.arange(inner.sum()) % 2, 1.0, -1.0)
-        op["uh"] = uh
+    def front(op):
+        # a sharp front through the centre: nested masks keep every ratio
+        # under 1, but the oscillation barely decays down the ladder
+        x1, _ = inputs.centers(N)
+        d = inputs.wrap_delta(x1 - op["center"][0])
+        op["uh"] = np.arctan(d / (0.25 * H))
+
+    def reported(op):
+        op["decay_ratios"][0] += 1e-6
+
+    def bump(op):
+        inner = np.argwhere(op["masks"][-1])
+        i, j = inner[len(inner) // 2]
+        op["uh"] = op["uh"].copy()
+        op["uh"][i, j] += 1e-3 * np.max(np.abs(op["uh"]))
 
     def nudge(op):
         op["u"] = op["u"] + 1e-6 * op["flux_mask"]
@@ -93,7 +103,9 @@ def _lma_corruptions():
         "green_mass_slope": first(steep),
         "area_height_spread": first(tall),
         "john_containment": first(shrink),
-        "oscillation_ratio": first(flat),
+        "oscillation_ratio": first(front),
+        "oscillation_report": first(reported),
+        "homogeneous_residual": first(bump),
         "flux_residual": first(nudge),
     }
 
@@ -119,7 +131,7 @@ def _polar_corruptions():
 def main():
     cases = [
         (workloads.TimeLoop(1, n=N), _timeloop_corruptions()),
-        (workloads.LmaSections(1, n=N, centres=2, top=0.02, rungs=3),
+        (workloads.LmaSections(1, n=N, centres=2, rungs=3),
          _lma_corruptions()),
         (workloads.PolarSeries(1, n=N), _polar_corruptions()),
     ]

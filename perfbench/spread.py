@@ -28,7 +28,6 @@ def main():
                    help="workload to run (repeatable; default all)")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--tag", default="latest")
     args = p.parse_args()
     names = args.workload or [w["name"] for w in bench["workloads"]]
@@ -41,7 +40,7 @@ def main():
             cmd = bench["command"] + [
                 "--workload", name, "--seed", str(seed),
                 "--seconds", str(bench["run_seconds"]),
-                "--trace", str(args.trace)]
+                "--trace", "0"]
             done = subprocess.run(cmd, cwd=ROOT, capture_output=True,
                                   text=True, timeout=600, check=True)
             runs.append(json.loads(done.stdout.strip().splitlines()[-1]))

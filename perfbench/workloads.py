@@ -18,6 +18,19 @@ from sgtorus import dynamics, lma, polar, regularity, sections
 from sgtorus.ma import cofactor, solve_ma_periodic
 from sgtorus.polar import MapTimeSeries
 
+# timeloop: 24 steps of dt = 2.5e-4 keep the warm Newton solve at one
+# iteration per step for every seed (at 1e-3 some seeds take two, which
+# doubles the step).  The report fits 20 centres: about 3% of centres fit
+# with R^2 just under 0.8, so with the library's default of 5 a seed with
+# two such centres would fail the 80% check.
+STEPS = 24
+DT = 2.5e-4
+REPORT_CENTRES = 20
+# lma-sections: height of the top rung of every section ladder
+TOP = 0.02
+# polar-series: the timestamps of the map series
+TIMES = [0.3 + 0.1 * k for k in range(6)]
+
 
 class Workload:
     def __init__(self, seed, n=inputs.N):
@@ -45,29 +58,24 @@ class Workload:
 
 class TimeLoop(Workload):
     """`run` on a seeded two-bump density (pinch ratio 4), then the
-    Holder-in-time report.  An op is one `step`; dt = 2.5e-4 keeps the warm
-    Newton solve at one iteration per step for every seed (at 1e-3 some
-    seeds take two, which doubles the step).  The report fits 20 centres:
-    about 3% of centres fit with R^2 just under 0.8, so with the library's
-    default of 5 a seed with two such centres would fail the 80% check."""
+    Holder-in-time report.  An op is one `step`."""
 
     name = "timeloop"
 
-    def __init__(self, seed, n=inputs.N, steps=24, dt=2.5e-4, report_centres=20):
+    def __init__(self, seed, n=inputs.N):
         super().__init__(seed, n)
-        self.steps, self.dt, self.report_centres = steps, dt, report_centres
         dynamics.step = self.timed(dynamics.step)
 
     def setup(self):
         self.rho0, self.lam, self.Lam = inputs.two_bump(self.n, self.rng())
         state = dynamics.SGState.from_density(self.rho0, self.grid,
                                               lam=self.lam, Lam=self.Lam)
-        dynamics.step(state, self.dt)
+        dynamics.step(state, DT)
 
     def round(self):
-        res = dynamics.run(self.rho0, self.grid, dt=self.dt,
-                           t_end=self.steps * self.dt, lam=self.lam, Lam=self.Lam)
-        rep = dynamics.holder_in_time_report(res, n_centers=self.report_centres,
+        res = dynamics.run(self.rho0, self.grid, dt=DT, t_end=STEPS * DT,
+                           lam=self.lam, Lam=self.Lam)
+        rep = dynamics.holder_in_time_report(res, n_centers=REPORT_CENTRES,
                                              seed=self.seed)
         return {
             "rho": res.rho_history, "q": res.q_history,
@@ -88,9 +96,9 @@ class LmaSections(Workload):
 
     name = "lma-sections"
 
-    def __init__(self, seed, n=inputs.N, centres=16, top=0.02, rungs=4):
+    def __init__(self, seed, n=inputs.N, centres=16, rungs=4):
         super().__init__(seed, n)
-        self.n_centres, self.top, self.rungs = centres, top, rungs
+        self.n_centres, self.rungs = centres, rungs
         self.op = self.timed(self._op)
 
     def setup(self):
@@ -104,7 +112,7 @@ class LmaSections(Workload):
 
     def _op(self, c):
         pot, cof, grid = self.pot, self.cof, self.grid
-        ladder = sections.section_ladder(pot, c, self.top, self.rungs)
+        ladder = sections.section_ladder(pot, c, TOP, self.rungs)
         johns = [sections.john_normalize(s) for s in ladder]
         heights = [s.height for s in ladder]
         green = lma.green_integrability_report(pot, c, heights)
@@ -112,7 +120,7 @@ class LmaSections(Workload):
         op = lma.DivergenceFormOperator(grid, cof, mask=top)
         u, _ = lma.solve_dirichlet_lma(cof, top, grid, F=self.F, operator=op)
         uh = self._homogeneous(c)
-        regularity.oscillation_decay(uh, pot, c, self.top, rungs=self.rungs)
+        decay = regularity.oscillation_decay(uh, pot, c, TOP, rungs=self.rungs)
         return {
             "heights": heights,
             "masks": [s.mask for s in ladder],
@@ -123,7 +131,7 @@ class LmaSections(Workload):
             "positivity_floor": green["positivity_floor"],
             "green_mass": [r["norm"] for r in green["rows"] if r["p"] == 1.0],
             "F": self.F, "flux_mask": top, "u": u, "matrix": op.matrix,
-            "uh": uh,
+            "uh": uh, "decay_ratios": [r.ratio for r in decay.rows],
         }
 
     def _homogeneous(self, c):
@@ -135,7 +143,7 @@ class LmaSections(Workload):
         across the array seam it drops ring cells and, on some seeds,
         fails its own maximum-principle check.
         """
-        outer = sections.extract_section(self.pot, c, 2.0 * self.top)
+        outer = sections.extract_section(self.pot, c, 2.0 * TOP)
         far = np.argmax(np.hypot(outer.offsets[:, 0], outer.offsets[:, 1]))
         pole = tuple(np.argwhere(outer.mask)[far])
         green = lma.green_function(self.cof, outer.mask, pole, self.grid)
@@ -154,22 +162,20 @@ class LmaSections(Workload):
 
 
 class PolarSeries(Workload):
-    """`polar_time_regularity` on X_t = grad phi_t o s_t at 6 timestamps;
+    """`polar_time_regularity` on X_t = grad phi_t o s_t at the TIMES;
     an op is one timestamp's `factorize` (a cold MA solve, Legendre,
     pushforward)."""
 
     name = "polar-series"
 
-    def __init__(self, seed, n=inputs.N, timestamps=6):
+    def __init__(self, seed, n=inputs.N):
         super().__init__(seed, n)
-        self.times = [0.3 + 0.1 * k for k in range(timestamps)]
         polar.factorize = self.timed(polar.factorize)
 
     def setup(self):
         self.family = inputs.PolarFamily(self.rng())
         self.series = MapTimeSeries.from_displacements(
-            self.grid, self.times,
-            [self.family.displacement(self.n, t) for t in self.times])
+            self.grid, TIMES, [self.family.displacement(self.n, t) for t in TIMES])
         polar.factorize(self.series.maps[0])
 
     def round(self):
@@ -177,7 +183,7 @@ class PolarSeries(Workload):
         facts = out["factorizations"]
         grad_p = [f.leg.gradient_displacement() for f in facts]
         return {
-            "family": self.family, "times": self.times,
+            "family": self.family, "times": TIMES,
             "g": [(f.g.d1, f.g.d2) for f in facts],
             "grad_p": [(d.d1, d.d2) for d in grad_p],
             "gamma_min": out["summary"]["gamma_min"],
