@@ -13,7 +13,6 @@ from .errors import (
     InsufficientSamples,
     InvariantViolation,
     LostConvexity,
-    NegativeInput,
     NonConvergence,
     NonConvexInput,
     ResidualTooLarge,
@@ -21,7 +20,6 @@ from .errors import (
     SGTorusError,
     SolverError,
     SolverStall,
-    ZeroEnergy,
 )
 from .grid import (
     PeriodicDisplacement,
@@ -46,9 +44,7 @@ from .sections import (
     Section,
     extract_section,
     john_normalize,
-    rescale_problem,
     section_ladder,
-    section_w21_norm,
 )
 from .lma import (
     DivergenceFormOperator,
@@ -56,12 +52,10 @@ from .lma import (
     green_function,
     green_integrability_report,
     level_set_decay,
-    sobolev_ratio,
     solve_dirichlet_lma,
     solve_periodic_lma,
 )
 from .regularity import (
-    harnack_quotient,
     holder_fit,
     oscillation,
     oscillation_decay,
@@ -70,7 +64,6 @@ from .dynamics import (
     RunResult,
     SGState,
     holder_in_time_report,
-    recover_eulerian,
     run,
     step,
     transport_step,

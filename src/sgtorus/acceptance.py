@@ -3,8 +3,8 @@
 Each check runs a scaled-down experiment with frozen parameters and a
 quantitative pass bound; together they cover the conservation laws, the
 solver's convergence order, the elliptic machinery (Green's functions,
-section geometry, oscillation decay, Harnack-type bounds), the regularity
-fits, and the polar factorization pipeline.  `quick` shrinks grids and
+section geometry, oscillation decay, the maximum principle), the
+regularity fits, and the polar factorization pipeline.  `quick` shrinks grids and
 step counts for smoke runs and relaxes bounds that scale with resolution.
 """
 

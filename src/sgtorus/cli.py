@@ -378,15 +378,53 @@ def cmd_verify(args, cfg):
     return 0
 
 
+# every flag a command can declare, with its argparse keywords; dests
+# follow the flag names (--t-end -> t_end, --Lambda -> Lambda), which are
+# also the config keys
+FLAGS = {
+    "--config": dict(help="key=value config file"),
+    "--out": dict(help="output directory (default sgtorus_out)"),
+    "--n": dict(type=int, help="grid cells per axis"),
+    "--dt": dict(type=float, help="time step"),
+    "--t-end": dict(type=float, help="final time"),
+    "--tol": dict(type=float, help="solver tolerance"),
+    "--seed": dict(type=int, help="RNG seed (reports are byte-identical "
+                   "for a fixed seed)"),
+    "--preset": dict(help="density or potential preset name"),
+    "--center": dict(help="section center as 'x1,x2'"),
+    "--h0": dict(type=float, help="top section height"),
+    "--rungs": dict(type=int, help="dyadic ladder length"),
+    "--centers": dict(type=int, help="number of sampled centers"),
+    "--lambda": dict(type=float, help="certified lower density bound"),
+    "--Lambda": dict(type=float, help="certified upper density bound"),
+    "--report-every": dict(type=int,
+                           help="thin certificate rows by this factor"),
+    "--series": dict(help="directory with a map-series manifest"),
+    "--steps": dict(type=int, help="timestamps in the preset family"),
+    "--soft": dict(action="store_true",
+                   help="downgrade invariant violations to warnings"),
+    "--quick": dict(action="store_true",
+                    help="smaller grids and step counts, scaled bounds"),
+}
+
+# command -> (handler, the flags it reads besides --config and --out)
 COMMANDS = {
-    "ma-solve": cmd_ma_solve,
-    "sg-run": cmd_sg_run,
-    "lma-dirichlet": cmd_lma_dirichlet,
-    "green-report": cmd_green_report,
-    "sections-report": cmd_sections_report,
-    "regularity-report": cmd_regularity_report,
-    "polar-run": cmd_polar_run,
-    "verify": cmd_verify,
+    "ma-solve": (cmd_ma_solve, ("--n", "--tol", "--preset")),
+    "sg-run": (cmd_sg_run, ("--n", "--dt", "--t-end", "--tol", "--preset",
+                            "--lambda", "--Lambda", "--report-every",
+                            "--soft")),
+    "lma-dirichlet": (cmd_lma_dirichlet,
+                      ("--n", "--h0", "--center", "--preset", "--seed")),
+    "green-report": (cmd_green_report,
+                     ("--n", "--h0", "--rungs", "--center", "--preset")),
+    "sections-report": (cmd_sections_report,
+                        ("--n", "--h0", "--rungs", "--centers", "--seed",
+                         "--preset")),
+    "regularity-report": (cmd_regularity_report,
+                          ("--n", "--h0", "--rungs", "--center", "--preset")),
+    "polar-run": (cmd_polar_run, ("--n", "--seed", "--lambda", "--Lambda",
+                                  "--series", "--steps", "--t-end")),
+    "verify": (cmd_verify, ("--quick", "--soft")),
 }
 
 
@@ -395,54 +433,19 @@ def build_parser():
                      description="Dual semigeostrophic laboratory on the torus")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--n", type=int, help="grid cells per axis")
-        p.add_argument("--dt", type=float, help="time step")
-        p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-        p.add_argument("--tol", type=float, help="solver tolerance")
-        p.add_argument("--seed", type=int, help="RNG seed (reports are "
-                       "byte-identical for a fixed seed)")
-        p.add_argument("--out", help="output directory (default sgtorus_out)")
-        p.add_argument("--preset", help="density or potential preset name")
-        p.add_argument("--center", help="section center as 'x1,x2'")
-        p.add_argument("--h0", type=float, help="top section height")
-        p.add_argument("--rungs", type=int, help="dyadic ladder length")
-        p.add_argument("--soft", action="store_true",
-                       help="downgrade invariant violations to warnings")
-        p.add_argument("--quick", action="store_true",
-                       help="smaller grids and step counts, scaled bounds")
-        if name == "polar-run":
-            p.add_argument("--series", help="directory with a map-series manifest")
-            p.add_argument("--steps", type=int, help="timestamps in the preset family")
-        if name == "sections-report":
-            p.add_argument("--centers", type=int, help="number of sampled centers")
-        if name == "sg-run":
-            p.add_argument("--lambda", dest="lam", type=float,
-                           help="certified lower density bound")
-            p.add_argument("--Lambda", dest="Lam", type=float,
-                           help="certified upper density bound")
-            p.add_argument("--report-every", dest="report_every", type=int,
-                           help="thin certificate rows by this factor")
+        for flag in ("--config", "--out") + flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def _merge_flag_aliases(args):
-    # argparse dests for --lambda/--Lambda differ from the config keys
-    if getattr(args, "lam", None) is not None:
-        args.__dict__["lambda"] = args.lam
-    if getattr(args, "Lam", None) is not None:
-        args.__dict__["Lambda"] = args.Lam
 
 
 def main(argv=None):
     started = time.time()
     try:
         args = build_parser().parse_args(argv)
-        _merge_flag_aliases(args)
         cfg = load_config(args.config) if args.config else {}
-        code = COMMANDS[args.command](args, cfg)
+        code = COMMANDS[args.command][0](args, cfg)
         if args.out or args.command != "verify":
             _write_metadata(_out_dir(args), args, started,
                             round(time.time() - started, 3))

@@ -9,8 +9,7 @@ potential in time, check the linearized identity
 
     div(Phi grad dP*/dt) = div(-rho U),
 
-and recover the Eulerian pressure and velocity by composition with the
-Legendre gradient map.
+and fit the spatial Holder regularity of dP*/dt.
 """
 
 import dataclasses
@@ -20,10 +19,10 @@ import csv
 import numpy as np
 
 from . import grid as gridmod
-from .errors import CFLViolation, GridMismatch, InsufficientSamples
+from .errors import CFLViolation, InsufficientSamples, InvariantViolation
 from .grid import PeriodicDisplacement, TorusField, mean_zero
 from .lma import DivergenceFormOperator
-from .ma import ConvexPotential, cofactor, legendre, solve_ma_periodic
+from .ma import ConvexPotential, cofactor, solve_ma_periodic
 from .regularity import holder_fit
 
 CFL_NUMBER = 0.5
@@ -72,9 +71,12 @@ def transport_step(rho, velocity, dt, grid):
 
     lo, hi = float(np.min(rho)), float(np.max(rho))
     slack = 1e-13 * max(1.0, hi)
-    assert np.min(advected) >= lo - slack and np.max(advected) <= hi + slack, (
-        "monotone interpolation escaped the input range"
-    )
+    if not (np.min(advected) >= lo - slack and np.max(advected) <= hi + slack):
+        raise InvariantViolation(
+            "transport_range",
+            f"advected range [{np.min(advected):.6e}, {np.max(advected):.6e}] "
+            f"escapes the input range [{lo:.6e}, {hi:.6e}]",
+        )
 
     factor = 1.0 / float(np.mean(advected))
     return advected * factor, factor
@@ -189,20 +191,13 @@ class RunResult:
             return mean_zero((q[1] - q[0]) / self.dt)
         return mean_zero((q[-1] - q[-2]) / self.dt)
 
-    def dt_gradient(self, k):
-        """d(grad P*)/dt at record k (gradient of the time derivative)."""
-        g1, g2 = gridmod.periodic_gradient(TorusField(self.grid, self.dtp_field(k)))
-        return g1, g2
 
-
-def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None,
-        check_invariants=True):
+def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
     """Integrate the dual system from rho0 until t_end.
 
-    Records every step.  With check_invariants, a failed certificate
-    raises InvariantViolation through SGState.check_certificates upstream
-    consumers; here failures are collected into the certificate dicts as
-    'violations' so callers decide hard/soft handling.
+    Records every step.  Failed certificates (SGState.check_certificates)
+    are collected into each certificate dict as 'violations', so callers
+    decide hard/soft handling.
     """
     if isinstance(rho0, TorusField):
         grid, rho0 = rho0.grid, rho0.values
@@ -211,47 +206,35 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None,
     state = SGState.from_density(rho0, grid, lam=lam, Lam=Lam, tol=tol)
     n_steps = int(round(t_end / dt))
 
-    times = [0.0]
-    rho_history = [state.rho.copy()]
-    q_history = [state.pot.q.copy()]
-    certificates = [dict(state.certificates)]
-    if check_invariants:
-        certificates[-1]["violations"] = [
-            name for name, ok, _ in state.check_certificates(0) if not ok
-        ]
-    for k in range(n_steps):
-        state = step(state, dt, tol=tol)
+    times, rho_history, q_history, certificates = [], [], [], []
+
+    def record(state, steps_taken):
         times.append(state.t)
         rho_history.append(state.rho.copy())
         q_history.append(state.pot.q.copy())
         certificates.append(dict(state.certificates))
-        if check_invariants:
-            certificates[-1]["violations"] = [
-                name for name, ok, _ in state.check_certificates(k + 1) if not ok
-            ]
+        certificates[-1]["violations"] = [
+            name for name, ok, _ in state.check_certificates(steps_taken) if not ok
+        ]
+
+    record(state, 0)
+    for k in range(1, n_steps + 1):
+        state = step(state, dt, tol=tol)
+        record(state, k)
     result = RunResult(grid, dt, state.lam_env, state.Lam_env, times,
                        rho_history, q_history, certificates, state)
     fill_lma_residuals(result)
     return result
 
 
-def time_derivative_potential(prev, next_state):
-    """(q_next - q_prev) / dt as a mean-zero field; quadratic parts cancel."""
-    gridmod.check_same_grid(prev.grid, next_state.grid)
-    dt = next_state.t - prev.t
-    if dt <= 0.0:
-        raise ValueError("states must be in increasing time order")
-    return mean_zero((next_state.pot.q - prev.pot.q) / dt)
-
-
-def lma_residual(pot, rho, velocity, dtp, operator=None):
+def lma_residual(pot, rho, velocity, dtp):
     """Relative L2 residual of div(Phi grad dtp) = div(-rho U).
 
     The assembled operator computes -div(Phi grad .), so the identity
     reads  L dtp = div(rho U).
     """
-    op = operator or DivergenceFormOperator(pot.grid, cofactor(pot),
-                                            probe_definiteness=False)
+    op = DivergenceFormOperator(pot.grid, cofactor(pot),
+                                probe_definiteness=False)
     rhs = op.divergence_rhs(rho * velocity.d1, rho * velocity.d2)
     lhs = op.apply(dtp)
     scale = float(np.linalg.norm(rhs.ravel())) or 1.0
@@ -272,38 +255,6 @@ def fill_lma_residuals(result):
     return result
 
 
-def legendre_time_derivative(dtp, leg):
-    """dP/dt from dP*/dt by composition: dP/dt(x) = -dP*/dt(grad P(x))."""
-    pts = leg.gradient_displacement().apply()
-    return -gridmod.sample_bilinear(np.asarray(dtp, dtype=float), pts, leg.grid)
-
-
-def recover_eulerian(state, dt_g1, dt_g2, leg=None):
-    """Eulerian pressure and velocity from the dual solution.
-
-    u(x) = (d grad P*/dt)(grad P(x)) + D^2 P*(grad P(x)) (grad P(x) - x)^perp
-    and p = periodic part of P.  Also returns the geostrophic wind
-    u_g = (grad p)^perp.  dt_g1, dt_g2 are the components of d(grad P*)/dt
-    on the grid (time differences of the dual gradient).
-    """
-    pot, grid = state.pot, state.grid
-    leg = leg or legendre(pot)
-    disp = leg.gradient_displacement()
-    pts = disp.apply()
-
-    a1, a2 = gridmod.sample_vector_bilinear(dt_g1, dt_g2, pts, grid)
-    h11 = gridmod.sample_bilinear(pot.p11, pts, grid)
-    h12 = gridmod.sample_bilinear(pot.p12, pts, grid)
-    h22 = gridmod.sample_bilinear(pot.p22, pts, grid)
-    w1, w2 = -disp.d2, disp.d1  # (grad P - x)^perp
-    u1 = a1 + h11 * w1 + h12 * w2
-    u2 = a2 + h12 * w1 + h22 * w2
-
-    p = leg.q.copy()
-    gp1, gp2 = gridmod.periodic_gradient(TorusField(grid, p))
-    return p, (u1, u2), (-gp2, gp1)
-
-
 # --- time-regularity reporting ------------------------------------------------
 
 @dataclasses.dataclass
@@ -313,6 +264,23 @@ class TimeSeriesDiagnostics:
     rows: list  # per (step, center) fit dicts
     step_rows: list  # per-step aggregates
     summary: dict
+
+
+def dtp_regularity(dtp, rho, centers, grid, kappas):
+    """Holder fits of dP*/dt at the centers, and the rho-weighted
+    L^(1+kappa) norms of its gradient d(grad P*)/dt keyed l<1+kappa>_dt_grad.
+
+    Returns (fits, norms).
+    """
+    g1, g2 = gridmod.periodic_gradient(TorusField(grid, dtp))
+    mag = np.hypot(g1, g2)
+    norms = {
+        f"l{1.0 + kappa:g}_dt_grad":
+        float(gridmod.integral(rho * mag ** (1.0 + kappa), grid))
+        ** (1.0 / (1.0 + kappa))
+        for kappa in kappas
+    }
+    return [holder_fit(dtp, c, grid) for c in centers], norms
 
 
 def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
@@ -335,19 +303,11 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
 
     rows, step_rows = [], []
     for k in range(1, n_records - 1):
-        dtp = result.dtp_field(k)
-        g1, g2 = result.dt_gradient(k)
-        mag = np.hypot(g1, g2)
-        rho = result.rho_history[k]
-        lebesgue = {
-            kappa: float(gridmod.integral(rho * mag ** (1.0 + kappa), grid))
-            ** (1.0 / (1.0 + kappa))
-            for kappa in kappas
-        }
+        fits, norms = dtp_regularity(result.dtp_field(k), result.rho_history[k],
+                                     centers, grid, kappas)
         gammas, prefs, n_ok = [], [], 0
         constant_step = True
-        for c in centers:
-            fit = holder_fit(dtp, c, grid)
+        for c, fit in zip(centers, fits):
             rows.append({
                 "step": k, "t": result.times[k],
                 "center": (float(c[0]), float(c[1])),
@@ -368,7 +328,7 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
             "C_hat": float(np.median(prefs)) if prefs else 0.0,
             "constant": constant_step,
             "r2_ok": n_ok,
-            **{f"l{1.0 + kappa:g}_dt_grad": lebesgue[kappa] for kappa in kappas},
+            **norms,
         })
 
     active = [r for r in step_rows if not r["constant"]]
@@ -391,10 +351,11 @@ CERTIFICATE_COLUMNS = ("t", "mass", "min_rho", "max_rho", "u_inf",
                        "ma_residual", "lma_residual")
 
 
-def certificates_csv(result, columns=CERTIFICATE_COLUMNS):
+def certificates_csv(result):
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(columns)
+    writer.writerow(CERTIFICATE_COLUMNS)
     for c in result.certificates:
-        writer.writerow([repr(float(c.get(col, float("nan")))) for col in columns])
+        writer.writerow([repr(float(c.get(col, float("nan"))))
+                         for col in CERTIFICATE_COLUMNS])
     return buf.getvalue()

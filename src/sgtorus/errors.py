@@ -72,16 +72,8 @@ class FactorizationResidualTooLarge(ResidualTooLarge):
     """Polar factors fail to compose back to the input map."""
 
 
-class NegativeInput(SGTorusError):
-    """Field that must be nonnegative has a genuinely negative value."""
-
-
 class InsufficientSamples(SGTorusError):
     """Not enough usable points to fit an exponent."""
-
-
-class ZeroEnergy(SGTorusError):
-    """Quadratic form vanished on a nonzero field."""
 
 
 class DegenerateMap(SGTorusError):

@@ -44,21 +44,7 @@ def loglog_fit(x, y, min_points=4):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (x > 0) & (y > 0) & np.isfinite(x) & np.isfinite(y)
-    x, y = x[keep], y[keep]
-    if x.size < min_points:
-        raise InsufficientSamples(
-            f"power-law fit needs {min_points} positive samples, got {x.size}"
-        )
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    dof = max(x.size - 2, 1)
-    sxx = float(np.sum((lx - lx.mean()) ** 2))
-    stderr = float(np.sqrt(ss_res / dof / sxx)) if sxx > 0 else float("nan")
-    return PowerLawFit(float(slope), float(intercept), r2, int(x.size), stderr)
+    return linear_fit(np.log(x[keep]), np.log(y[keep]), min_points=min_points)
 
 
 def linear_fit(x, y, min_points=4):
@@ -69,7 +55,7 @@ def linear_fit(x, y, min_points=4):
     x, y = x[keep], y[keep]
     if x.size < min_points:
         raise InsufficientSamples(
-            f"linear fit needs {min_points} samples, got {x.size}"
+            f"fit needs {min_points} usable samples, got {x.size}"
         )
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept

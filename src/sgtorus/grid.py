@@ -14,7 +14,7 @@ import io
 import numpy as np
 from scipy import ndimage
 
-from .errors import GridMismatch
+from .errors import GridMismatch, InvariantViolation
 
 # Tight bound for a wrapped displacement: both components live in
 # [-1/2, 1/2), so the Euclidean norm never exceeds sqrt(2)/2.
@@ -80,11 +80,6 @@ class TorusField:
                 f"field shape {self.values.shape} does not match grid {self.grid.n}"
             )
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        x1, x2 = grid.centers()
-        return cls(grid, fn(x1, x2))
-
     def copy(self):
         return TorusField(self.grid, self.values.copy())
 
@@ -115,8 +110,9 @@ class PeriodicDisplacement:
     """Vector field of shortest-representative displacements.
 
     Components are wrapped into [-1/2, 1/2) at construction, which caps the
-    pointwise Euclidean norm at sqrt(2)/2; that bound is asserted because
-    every consumer (velocities, transport maps) relies on it.
+    pointwise Euclidean norm at sqrt(2)/2; that bound is checked (it fails
+    only on non-finite input) because every consumer (velocities,
+    transport maps) relies on it.
     """
 
     grid: TorusGrid
@@ -129,7 +125,12 @@ class PeriodicDisplacement:
         for d in (self.d1, self.d2):
             if d.shape != (self.grid.n, self.grid.n):
                 raise GridMismatch("displacement shape does not match grid")
-        assert float(np.max(self.norm())) <= MAX_DISPLACEMENT_NORM + 1e-15
+        sup = float(np.max(self.norm()))
+        if not sup <= MAX_DISPLACEMENT_NORM + 1e-15:
+            raise InvariantViolation(
+                "displacement_bound",
+                f"wrapped displacement norm {sup!r} exceeds sqrt(2)/2",
+            )
 
     def norm(self):
         return np.hypot(self.d1, self.d2)

@@ -25,7 +25,6 @@ from .errors import (
     IndefiniteOperator,
     InvariantViolation,
     SolverStall,
-    ZeroEnergy,
 )
 from .fitting import PowerLawFit, linear_fit, loglog_fit
 
@@ -178,19 +177,13 @@ class DivergenceFormOperator:
             return (self.matrix @ u.ravel()).reshape(self.grid.n, self.grid.n)
         return self.matrix @ np.asarray(u, dtype=float)
 
-    def apply_full(self, u_full):
-        """L u for a full-grid field, restricted to the mask cells."""
-        if self.mask is None:
-            return self.apply(u_full)
-        return self._full_matrix[self.cells] @ np.asarray(u_full, float).ravel()
-
     def energy(self, u, v=None):
         """Discrete Dirichlet energy integral Phi grad u . grad v."""
         uv = np.asarray(u, dtype=float).ravel()
         vv = uv if v is None else np.asarray(v, dtype=float).ravel()
         return float(vv @ (self.matrix @ uv)) * self.grid.cell_area
 
-    def solve(self, rhs, tol=DEFAULT_CG_TOL, x0=None):
+    def solve(self, rhs, tol=DEFAULT_CG_TOL):
         """Conjugate gradients with diagonal preconditioning.
 
         Periodic mode solves in the mean-zero complement of the kernel.
@@ -202,7 +195,7 @@ class DivergenceFormOperator:
         diag = self.matrix.diagonal().copy()
         diag[diag <= 0] = 1.0
         precond = LinearOperator(self.matrix.shape, matvec=lambda v: v / diag)
-        x, info = cg(self.matrix, b, x0=x0, rtol=tol, atol=0.0, M=precond)
+        x, info = cg(self.matrix, b, rtol=tol, atol=0.0, M=precond)
         if info != 0:
             raise SolverStall(f"CG failed to reach rtol={tol} (info={info})")
         if self.mask is None:
@@ -212,22 +205,16 @@ class DivergenceFormOperator:
 
     # -- right-hand sides --------------------------------------------------
 
-    def divergence_rhs(self, F1, F2, faces=False):
-        """Discrete div F for cell-centered F (averaged to faces) or for
-        face-sampled F (F1 on faces normal to x1, F2 normal to x2)."""
-        h = self.grid.spacing
+    def divergence_rhs(self, F1, F2):
+        """Centered discrete div F of a cell-centered flux; in Dirichlet
+        mode F is zeroed outside the mask and div F restricted to it."""
         F1 = np.asarray(F1, dtype=float)
         F2 = np.asarray(F2, dtype=float)
-        if self.mask is not None and not faces:
-            F1 = np.where(self.mask, F1, 0.0)
-            F2 = np.where(self.mask, F2, 0.0)
-        if faces:
-            div = (F1 - np.roll(F1, 1, 0)) / h + (F2 - np.roll(F2, 1, 1)) / h
-        else:
-            div = gridmod.periodic_divergence(F1, F2, self.grid)
-        if self.mask is not None:
-            return div.ravel()[self.cells]
-        return div
+        if self.mask is None:
+            return gridmod.periodic_divergence(F1, F2, self.grid)
+        F1 = np.where(self.mask, F1, 0.0)
+        F2 = np.where(self.mask, F2, 0.0)
+        return gridmod.periodic_divergence(F1, F2, self.grid).ravel()[self.cells]
 
     def point_source(self, pole_index):
         """Discrete delta at a cell: 1/h^2 scaled unit vector."""
@@ -253,19 +240,19 @@ class DivergenceFormOperator:
 
 
 def boundary_ring(mask):
-    """One-cell ring outside the mask (8-connected, matching the stencil)."""
-    grown = ndimage.binary_dilation(np.asarray(mask, bool), structure=np.ones((3, 3)))
-    return grown & ~np.asarray(mask, bool)
+    """One-cell ring outside the mask (8-connected, matching the stencil),
+    wrapping across the periodic seam as the operator does."""
+    mask = np.asarray(mask, bool)
+    return ndimage.maximum_filter(mask, size=3, mode="wrap") & ~mask
 
 
-def solve_periodic_lma(coeffs, F, grid, tol=DEFAULT_CG_TOL, faces=False,
-                       operator=None):
+def solve_periodic_lma(coeffs, F, grid, tol=DEFAULT_CG_TOL):
     """Solve div(Phi grad u) = div F on the torus, mean-zero u.
 
     Returns (u, info) with info carrying the relative residual.
     """
-    op = operator or DivergenceFormOperator(grid, coeffs)
-    div = op.divergence_rhs(F[0], F[1], faces=faces)
+    op = DivergenceFormOperator(grid, coeffs)
+    div = op.divergence_rhs(F[0], F[1])
     rhs = -np.asarray(div, dtype=float)
     rhs = rhs - rhs.mean()  # compatibility with the constant kernel
     u = op.solve(rhs, tol=tol)
@@ -323,8 +310,7 @@ def solve_dirichlet_lma(coeffs, mask, grid, F=None, rhs=None,
             )
     full = op.scatter(u)
     if boundary_values is not None:
-        ring = boundary_ring(mask)
-        full = np.where(ring, np.asarray(boundary_values, dtype=float), full)
+        full = np.where(ring, bvals, full)
     return full, info
 
 
@@ -399,26 +385,6 @@ def level_set_decay(green, n_taus=30, refit_span=5.0):
     }
 
 
-def sobolev_ratio(coeffs, mask, w, p, grid, operator=None):
-    """Ratio ||w||_{L^p(S)} / (integral Phi grad w . grad w)^(1/2).
-
-    The numerator uses midpoint quadrature, the denominator the assembled
-    operator's energy (w is zero-extended outside the mask).  Raises
-    ZeroEnergy when the energy vanishes for a nonzero w.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    op = operator or DivergenceFormOperator(grid, coeffs, mask=mask)
-    wfull = np.where(mask, np.asarray(w, dtype=float), 0.0)
-    wvec = wfull.ravel()[op.cells]
-    num = float(np.sum(np.abs(wvec) ** p) * grid.cell_area) ** (1.0 / p)
-    energy = float(wvec @ (op.matrix @ wvec)) * grid.cell_area
-    if energy <= 0.0:
-        if num == 0.0:
-            return 0.0
-        raise ZeroEnergy(f"vanishing energy for nonzero field (||w||={num:.3e})")
-    return num / np.sqrt(energy)
-
-
 def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
                                kappas=(0.1, 0.2), tol=1e-12):
     """Green's-function integrability ladder on sections of a potential.
@@ -434,13 +400,13 @@ def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
 
     cof = cofactor(pot)
     grid = pot.grid
-    greens, masks = [], []
-    for h in heights:
-        sec = sectionsmod.extract_section(pot, x0, h)
-        pole = sec.center_index
-        g = green_function(cof, sec.mask, pole, grid, tol=tol)
-        greens.append(g)
-        masks.append(sec)
+    secs = [sectionsmod.extract_section(pot, x0, h) for h in heights]
+    sec = secs[0]
+    # the top rung's operator also serves the symmetry probe below
+    top_op = DivergenceFormOperator(grid, cof, mask=sec.mask)
+    greens = [green_function(cof, s.mask, s.center_index, grid, tol=tol,
+                             operator=top_op if s is sec else None)
+              for s in secs]
 
     def ladder_fit(norms):
         # a single rung carries no slope information
@@ -464,7 +430,6 @@ def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
                          "slope": fit.slope, "r2": fit.r2})
 
     top = greens[0]
-    sec = masks[0]
     # symmetry: swap pole with an interior cell a few cells away
     offset = max(2, int(np.sqrt(np.count_nonzero(sec.mask)) / 4))
     i0, j0 = sec.center_index
@@ -473,7 +438,7 @@ def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
         inside = np.argwhere(sec.mask)
         k = len(inside) // 3
         cand = tuple(inside[k])
-    other = green_function(cofactor(pot), sec.mask, cand, grid, tol=tol)
+    other = green_function(cof, sec.mask, cand, grid, tol=tol, operator=top_op)
     sym_defect = abs(top.values[cand] - other.values[i0, j0])
     positivity_floor = min(g.min_value() for g in greens)
     decay = level_set_decay(top)

@@ -26,13 +26,15 @@ from scipy.sparse.linalg import spsolve
 from . import grid as gridmod
 from .errors import (
     BadDensity,
+    InvariantViolation,
     LostConvexity,
     NonConvergence,
     NonConvexInput,
 )
 from .grid import TorusGrid, PeriodicDisplacement, mean_zero, second_differences
 
-DEFAULT_MASS_TOL = 1e-8
+MASS_TOL = 1e-8
+MAX_NEWTON_ITERS = 60
 # cellwise determinant floor used by the Newton damping
 DET_FLOOR = 1e-6
 
@@ -57,6 +59,8 @@ class ConvexPotential:
         self.g1, self.g2 = gridmod.periodic_gradient(
             gridmod.TorusField(grid, self.q)
         )
+        # grad P* - id as sampled by gradient_displacement / sample_gradient
+        self.displacement = (self.g1, self.g2)
         q11, q12, q22 = second_differences(self.q, grid.spacing)
         self.p11 = 1.0 + q11
         self.p12 = q12
@@ -100,26 +104,23 @@ class ConvexPotential:
     # -- fields --------------------------------------------------------------
 
     def gradient_displacement(self):
-        """Displacement grad P* - id = grad q as a wrapped field."""
-        assert max(np.max(np.abs(self.g1)), np.max(np.abs(self.g2))) < 0.5, (
-            "gradient displacement component reached half a period"
-        )
-        return PeriodicDisplacement(self.grid, self.g1, self.g2)
+        """Displacement grad P* - id as a wrapped field."""
+        d1, d2 = self.displacement
+        reach = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
+        if not reach < 0.5:
+            raise InvariantViolation(
+                "displacement_bound",
+                f"gradient displacement component {reach!r} reached half a period",
+            )
+        return PeriodicDisplacement(self.grid, d1, d2)
 
     def sample_gradient(self, points):
-        """grad P* at arbitrary points: p + (interpolated grad q)(p)."""
+        """grad P* at arbitrary points: p + (interpolated displacement)(p)."""
         pts = np.asarray(points, dtype=float)
-        s1, s2 = gridmod.sample_vector_bilinear(self.g1, self.g2, pts, self.grid)
+        s1, s2 = gridmod.sample_vector_bilinear(*self.displacement, pts, self.grid)
         return np.stack([pts[..., 0] + s1, pts[..., 1] + s2], axis=-1)
 
-    def value_at_cells(self, i, j):
-        """P* at cell centers given by index arrays (lifted value, k = 0)."""
-        h = self.grid.spacing
-        x1 = (np.asarray(i) + 0.5) * h
-        x2 = (np.asarray(j) + 0.5) * h
-        return 0.5 * (x1**2 + x2**2) + self.q[i, j]
-
-    def header_dict(self, n_digits=None):
+    def header_dict(self):
         return {
             "n": self.grid.n,
             "lambda": self.lam,
@@ -133,27 +134,16 @@ class ConvexPotential:
 class LegendrePotential(ConvexPotential):
     """Legendre transform of a ConvexPotential, same representation.
 
-    Additionally stores the argmax gradient map (grad P as a displacement
-    from the identity) and the inversion residual
-    max_x dist(grad P*(grad P(x)), x).
+    Its displacement is the refined argmax gradient map (grad P as a
+    displacement from the identity), not the stencil gradient of q; the
+    diagnostics carry the inversion residual max_x dist(grad P*(grad P(x)), x).
     """
 
-    def __init__(self, grid, q, grad_d1, grad_d2, lam=None, Lam=None,
-                 diagnostics=None):
-        super().__init__(grid, q, lam=lam, Lam=Lam, diagnostics=diagnostics,
-                         strict=False)
+    def __init__(self, grid, q, grad_d1, grad_d2, diagnostics=None):
+        super().__init__(grid, q, diagnostics=diagnostics, strict=False)
         self.grad_d1 = np.asarray(grad_d1, dtype=float)
         self.grad_d2 = np.asarray(grad_d2, dtype=float)
-
-    def gradient_displacement(self):
-        return PeriodicDisplacement(self.grid, self.grad_d1, self.grad_d2)
-
-    def sample_gradient(self, points):
-        pts = np.asarray(points, dtype=float)
-        s1, s2 = gridmod.sample_vector_bilinear(
-            self.grad_d1, self.grad_d2, pts, self.grid
-        )
-        return np.stack([pts[..., 0] + s1, pts[..., 1] + s2], axis=-1)
+        self.displacement = (self.grad_d1, self.grad_d2)
 
 
 @dataclasses.dataclass
@@ -206,9 +196,6 @@ class CofactorField:
         hi = 0.5 * (tr + disc)
         return float(np.min(lo)), float(np.max(hi))
 
-    def quadratic_form(self, v1, v2):
-        return self.c11 * v1 * v1 + 2.0 * self.c12 * v1 * v2 + self.c22 * v2 * v2
-
 
 def cofactor(pot):
     """Cofactor field of a potential's discrete Hessian."""
@@ -258,15 +245,15 @@ def _linearization(p11, p12, p22, n):
     ).tocsc()
 
 
-def validate_density(rho, lam=None, Lam=None, mass_tol=DEFAULT_MASS_TOL):
+def validate_density(rho, lam=None, Lam=None):
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise BadDensity("density has non-finite entries")
     if np.min(rho) <= 0.0:
         raise BadDensity(f"density must be positive, min={np.min(rho):.3e}")
     mass = float(np.mean(rho))
-    if abs(mass - 1.0) > mass_tol:
-        raise BadDensity(f"density mass {mass!r} deviates from 1 beyond {mass_tol}")
+    if abs(mass - 1.0) > MASS_TOL:
+        raise BadDensity(f"density mass {mass!r} deviates from 1 beyond {MASS_TOL}")
     slack = 1e-12 * max(1.0, float(np.max(rho)))
     if lam is not None and np.min(rho) < lam - slack:
         raise BadDensity(f"density drops below lambda={lam}")
@@ -276,7 +263,7 @@ def validate_density(rho, lam=None, Lam=None, mass_tol=DEFAULT_MASS_TOL):
 
 
 def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
-                      initial=None, max_iter=60, mass_tol=DEFAULT_MASS_TOL):
+                      initial=None):
     """Solve det D^2 P* = rho on the torus for a convex potential.
 
     Damped Newton iteration: the update solves the linearized equation
@@ -284,12 +271,13 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     (one pinned cell removes the constant null direction), and the step is
     halved until the trial Hessian determinant stays above
     max(1e-6, lambda/10) cellwise and P11 stays positive.  A halving floor
-    of 2^-20 or an exhausted iteration budget raises NonConvergence.
+    of 2^-20 or MAX_NEWTON_ITERS iterations without convergence raise
+    NonConvergence.
 
     Parameters
     ----------
     rho : TorusField or (N, N) array
-        Target density; positive, unit mass within mass_tol.
+        Target density; positive, unit mass within MASS_TOL.
     lam, Lam : float, optional
         Certified pinch bounds of rho (default: its min/max).
     tol : float, optional
@@ -307,7 +295,7 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         rho = rho.values
     if grid is None:
         raise ValueError("grid required when rho is a bare array")
-    rho = validate_density(rho, lam=lam, Lam=Lam, mass_tol=mass_tol)
+    rho = validate_density(rho, lam=lam, Lam=Lam)
     lam = float(lam) if lam is not None else float(np.min(rho))
     Lam = float(Lam) if Lam is not None else float(np.max(rho))
     if tol is None:
@@ -333,9 +321,9 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     iters = 0
     residual = float(np.max(np.abs(det - rho - mu)))
     while residual > tol:
-        if iters >= max_iter:
+        if iters >= MAX_NEWTON_ITERS:
             raise NonConvergence(
-                f"no convergence in {max_iter} Newton iterations "
+                f"no convergence in {MAX_NEWTON_ITERS} Newton iterations "
                 f"(residual {residual:.3e}, tol {tol:.3e})"
             )
         jac = _linearization(p11, p12, p22, n)
@@ -384,7 +372,7 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
 
 # --- Legendre transform -----------------------------------------------------
 
-def legendre(pot, refine=True):
+def legendre(pot):
     """Discrete Legendre transform P(x) = sup_y (x.y - P*(y)).
 
     The sup runs over the 3x3 block of periodic copies (enough because
@@ -427,15 +415,14 @@ def legendre(pot, refine=True):
     y1 = y[arg1]
     y2 = y[arg2]
 
-    if refine:
-        i = arg1 % n
-        j = arg2 % n
-        r1 = grid.axis_centers()[:, None] - (y1 + pot.g1[i, j])
-        r2 = grid.axis_centers()[None, :] - (y2 + pot.g2[i, j])
-        a, b, c = pot.p11[i, j], pot.p12[i, j], pot.p22[i, j]
-        det = a * c - b * b
-        y1 = y1 + (c * r1 - b * r2) / det
-        y2 = y2 + (-b * r1 + a * r2) / det
+    i = arg1 % n
+    j = arg2 % n
+    r1 = x[:, None] - (y1 + pot.g1[i, j])
+    r2 = x[None, :] - (y2 + pot.g2[i, j])
+    a, b, c = pot.p11[i, j], pot.p12[i, j], pot.p22[i, j]
+    det = a * c - b * b
+    y1 = y1 + (c * r1 - b * r2) / det
+    y2 = y2 + (-b * r1 + a * r2) / det
 
     x1, x2 = grid.centers()
     r = mean_zero(p_vals - 0.5 * (x1**2 + x2**2))
@@ -448,9 +435,5 @@ def legendre(pot, refine=True):
     dist = gridmod.periodic_distance(back, np.stack([x1, x2], axis=-1))
     inversion = float(np.max(dist))
 
-    diagnostics = {
-        "inversion_residual": inversion,
-        "tol_inv": 5.0 * h,
-        "refined": bool(refine),
-    }
+    diagnostics = {"inversion_residual": inversion, "tol_inv": 5.0 * h}
     return LegendrePotential(grid, r, d1, d2, diagnostics=diagnostics)

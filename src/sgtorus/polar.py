@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from . import grid as gridmod
+from .dynamics import dtp_regularity
 from .errors import (
     DegenerateMap,
     FactorizationResidualTooLarge,
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .grid import PeriodicDisplacement, TorusField, TorusGrid, mean_zero
 from .ma import legendre, solve_ma_periodic
-from .regularity import holder_fit
 
 
 def pushforward_density(mapping, grid=None):
@@ -207,15 +207,8 @@ def polar_time_regularity(series, lam=None, Lam=None, tol=None, n_centers=3,
     for k in range(1, len(series.times) - 1):
         span = series.times[k + 1] - series.times[k - 1]
         dtp = mean_zero((facts[k + 1].pot.q - facts[k - 1].pot.q) / span)
-        g1, g2 = gridmod.periodic_gradient(TorusField(grid, dtp))
-        mag = np.hypot(g1, g2)
-        rho = facts[k].density.values
-        lebesgue = {
-            kappa: float(gridmod.integral(rho * mag ** (1.0 + kappa), grid))
-            ** (1.0 / (1.0 + kappa))
-            for kappa in kappas
-        }
-        fits = [holder_fit(dtp, c, grid) for c in centers]
+        fits, norms = dtp_regularity(dtp, facts[k].density.values, centers,
+                                     grid, kappas)
         live = [f for f in fits if not f.constant]
         rows.append({
             "t": series.times[k],
@@ -227,7 +220,7 @@ def polar_time_regularity(series, lam=None, Lam=None, tol=None, n_centers=3,
             "C_hat": float(np.median([f.prefactor for f in live]))
             if live else 0.0,
             "r2_min": min((f.r2 for f in live), default=1.0),
-            **{f"l{1.0 + kappa:g}_dt_grad": lebesgue[kappa] for kappa in kappas},
+            **norms,
         })
     active = [r for r in rows if not r["constant"]]
     summary = {

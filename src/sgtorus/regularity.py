@@ -1,9 +1,9 @@
-"""Oscillation decay, pointwise Holder fits, and Harnack quotients.
+"""Oscillation decay and pointwise Holder fits.
 
 These diagnostics quantify interior regularity of solutions of the
 linearized operator on section ladders: geometric decay of oscillations
-down a dyadic ladder, power-law growth of |u - u(x0)| in shells around a
-point, and sup/inf quotients of nonnegative solutions.
+down a dyadic ladder, and power-law growth of |u - u(x0)| in shells
+around a point.
 """
 
 import dataclasses
@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import grid as gridmod
-from .errors import NegativeInput, ResidualTooLarge
+from .errors import ResidualTooLarge
 from .fitting import CONSTANT_SENTINEL, loglog_fit
 from .lma import DivergenceFormOperator
 from .ma import cofactor
@@ -24,9 +24,9 @@ _CONSTANT_FLOOR = 1e-13
 
 
 def interior_cells(mask):
-    """Cells whose full 9-point stencil stays inside the mask."""
-    return ndimage.binary_erosion(np.asarray(mask, bool),
-                                  structure=np.ones((3, 3)))
+    """Cells whose full 9-point stencil stays inside the mask, wrapping
+    across the periodic seam."""
+    return ndimage.minimum_filter(np.asarray(mask, bool), size=3, mode="wrap")
 
 
 def oscillation(values, mask):
@@ -37,9 +37,9 @@ def oscillation(values, mask):
     return float(np.max(v) - np.min(v))
 
 
-def homogeneity_residual(u, pot, mask, operator=None):
+def homogeneity_residual(u, pot, mask):
     """Sup norm of L u over the interior of the mask (L from pot)."""
-    op = operator or DivergenceFormOperator(pot.grid, cofactor(pot))
+    op = DivergenceFormOperator(pot.grid, cofactor(pot))
     res = op.apply(np.asarray(u, dtype=float))
     core = interior_cells(mask)
     if not np.any(core):
@@ -47,8 +47,8 @@ def homogeneity_residual(u, pot, mask, operator=None):
     return float(np.max(np.abs(res[core])))
 
 
-def _require_homogeneous(u, pot, mask, tol, operator=None):
-    res = homogeneity_residual(u, pot, mask, operator=operator)
+def _require_homogeneous(u, pot, mask, tol):
+    res = homogeneity_residual(u, pot, mask)
     scale = max(1.0, float(np.max(np.abs(np.asarray(u)[mask]))))
     bound = tol * scale / pot.grid.spacing**2
     if res > bound:
@@ -78,8 +78,7 @@ class DecayReport:
         return [r.ratio for r in self.rows if np.isfinite(r.ratio)]
 
 
-def oscillation_decay(u, pot, x0, h0, rungs=4, residual_tol=1e-6,
-                      operator=None):
+def oscillation_decay(u, pot, x0, h0, rungs=4, residual_tol=1e-6):
     """Oscillation of a homogeneous solution down a dyadic section ladder.
 
     Requires L u = 0 on the interior of S(x0, h0) up to residual_tol
@@ -90,8 +89,7 @@ def oscillation_decay(u, pot, x0, h0, rungs=4, residual_tol=1e-6,
     """
     u = np.asarray(u, dtype=float)
     sections = [extract_section(pot, x0, h0 * 0.5**k) for k in range(rungs)]
-    res = _require_homogeneous(u, pot, sections[0].mask, residual_tol,
-                               operator=operator)
+    res = _require_homogeneous(u, pot, sections[0].mask, residual_tol)
     oscs = [oscillation(u, s.mask) for s in sections]
     scale = max(float(np.max(np.abs(u[sections[0].mask]))), 1.0)
     rows, constant = [], False
@@ -165,49 +163,3 @@ def holder_fit(u, x0, grid, radii=None, min_points=4):
     fit = loglog_fit([r for r, _ in shells], [m for _, m in shells],
                      min_points=min_points)
     return HolderFit(fit.slope, fit.prefactor, fit.r2, shells, False)
-
-
-def harnack_quotient(u, pot, x0, h, residual_tol=1e-6, operator=None):
-    """sup/inf of a nonnegative homogeneous solution over S(x0, h).
-
-    Preconditions are checked on the double section S(x0, 2h): u >= 0
-    there (NegativeInput otherwise) and L u = 0 on its interior
-    (ResidualTooLarge otherwise).  Returns a dict with sup, inf, center
-    value, and the quotient (inf result gives quotient = inf).
-    """
-    u = np.asarray(u, dtype=float)
-    outer = extract_section(pot, x0, 2.0 * h)
-    floor = -1e-12 * max(1.0, float(np.max(np.abs(u[outer.mask]))))
-    if float(np.min(u[outer.mask])) < floor:
-        raise NegativeInput(
-            f"field dips to {np.min(u[outer.mask]):.3e} on the double section"
-        )
-    _require_homogeneous(u, pot, outer.mask, residual_tol, operator=operator)
-    inner = extract_section(pot, x0, h)
-    vals = u[inner.mask]
-    sup, inf = float(np.max(vals)), float(np.min(vals))
-    center = float(u[inner.center_index])
-    quotient = sup / inf if inf > 0 else float("inf")
-    return {"sup": sup, "inf": inf, "center": center, "quotient": quotient}
-
-
-# --- report containers --------------------------------------------------------
-
-@dataclasses.dataclass
-class RegularityReport:
-    """Bundle of decay rows, shell fits, and summary exponents."""
-
-    decay_rows: list  # DecayRow
-    shell_rows: list  # (r, m) pairs
-    gamma_hat: float
-    c_hat: float
-    r2: float
-    beta_hat_max: float
-
-    def summary_dict(self):
-        return {
-            "gamma_hat": self.gamma_hat,
-            "C_hat": self.c_hat,
-            "r2": self.r2,
-            "beta_hat_max": self.beta_hat_max,
-        }

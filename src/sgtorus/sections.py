@@ -150,16 +150,6 @@ class JohnNormalization:
     inner_ok: bool
     method: str
 
-    def to_dict(self):
-        return {
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "det_A": self.det_A,
-            "semi_axes": self.semi_axes.tolist(),
-            "containment_ok": self.containment_ok,
-            "method": self.method,
-        }
-
 
 def verify_containment(section, A, b, n_angles=64):
     """Constructive sandwich check with one-cell tolerance.
@@ -280,103 +270,3 @@ def john_normalize(section):
         inner_ok=bool(inner_ok),
         method=method,
     )
-
-
-# --- rescaling ---------------------------------------------------------------
-
-@dataclasses.dataclass
-class RescaledSection:
-    """Fields pulled back to normalized coordinates z in [-box, box]^2.
-
-    phi is the tilted potential divided by det A (2D normalization), so
-    det D^2 phi_tilde keeps the original pinch bounds; u is composed with
-    T unchanged; F picks up the factor det A * A^{-1}.
-    """
-
-    box: float
-    m: int
-    z_spacing: float
-    phi: np.ndarray
-    mask: np.ndarray
-    u: np.ndarray = None
-    F1: np.ndarray = None
-    F2: np.ndarray = None
-    det_A: float = 0.0
-
-    def det_hessian_range(self):
-        """(min, max) of det D^2 phi_tilde over interior mask points."""
-        p11, p12, p22 = gridmod.second_differences(self.phi, self.z_spacing)
-        det = p11 * p22 - p12**2
-        core = ndimage.binary_erosion(self.mask, structure=np.ones((3, 3)))
-        if not np.any(core):
-            raise DegenerateSection("no interior points after rescaling")
-        return float(np.min(det[core])), float(np.max(det[core]))
-
-    def lq_norm_u(self, qexp):
-        vals = np.abs(self.u[self.mask]) ** qexp
-        return float(np.sum(vals) * self.z_spacing**2) ** (1.0 / qexp)
-
-    def sup_F(self):
-        return float(np.max(np.hypot(self.F1, self.F2)[self.mask]))
-
-
-def rescale_problem(pot, section, john, u=None, F=None, resolution=None,
-                    box=2.2):
-    """Pull a potential (and optionally a field u and flux F) back by T.
-
-    Samples are taken on a uniform local grid covering [-box, box]^2 with
-    bilinear interpolation of the periodic parts; the quadratic part of
-    the potential is evaluated analytically on the lift, so no wrap
-    artifacts enter.
-    """
-    grid = pot.grid
-    h = grid.spacing
-    if resolution is None:
-        resolution = int(np.clip(2 * box * np.max(john.semi_axes) / h, 48, 256))
-    zs = np.linspace(-box, box, resolution)
-    dz = zs[1] - zs[0]
-    z1, z2 = np.meshgrid(zs, zs, indexing="ij")
-    zpts = np.stack([z1, z2], axis=-1)
-    y = zpts @ john.A.T + john.b  # lifted offsets from the section center
-    pts_abs = section.center + y  # lifted absolute coordinates
-    pts_torus = gridmod.wrap(pts_abs)
-
-    qv = gridmod.sample_bilinear(pot.q, pts_torus, grid)
-    phi_lift = 0.5 * np.sum(pts_abs**2, axis=-1) + qv
-    i0, j0 = section.center_index
-    phi0 = 0.5 * np.sum(section.center**2) + pot.q[i0, j0]
-    grad0 = section.center + np.array([pot.g1[i0, j0], pot.g2[i0, j0]])
-    tilted = phi_lift - phi0 - y @ grad0 - section.height
-    phi = tilted / john.det_A
-
-    member = np.empty(z1.shape, dtype=bool)
-    ii, jj = grid.index_of(pts_torus)
-    member = section.mask[ii, jj]
-
-    out = RescaledSection(box=box, m=resolution, z_spacing=float(dz),
-                          phi=phi, mask=member, det_A=john.det_A)
-    if u is not None:
-        out.u = gridmod.sample_bilinear(np.asarray(u, float), pts_torus, grid)
-    if F is not None:
-        f1 = gridmod.sample_bilinear(np.asarray(F[0], float), pts_torus, grid)
-        f2 = gridmod.sample_bilinear(np.asarray(F[1], float), pts_torus, grid)
-        ainv = np.linalg.inv(john.A)
-        out.F1 = john.det_A * (ainv[0, 0] * f1 + ainv[0, 1] * f2)
-        out.F2 = john.det_A * (ainv[1, 0] * f1 + ainv[1, 1] * f2)
-    return out
-
-
-def lq_norm_on_mask(values, mask, qexp, grid):
-    vals = np.abs(np.asarray(values)[mask]) ** qexp
-    return float(np.sum(vals) * grid.cell_area) ** (1.0 / qexp)
-
-
-def section_w21_norm(pot, section, eps):
-    """L^(1+eps) norm of the potential Laplacian over the section.
-
-    The Laplacian of the split potential is 2 + Delta q; for the exact
-    quadratic it is identically 2, so the norm reduces to
-    2 * area^(1/(1+eps)).
-    """
-    lap = pot.p11 + pot.p22
-    return lq_norm_on_mask(lap, section.mask, 1.0 + eps, pot.grid)

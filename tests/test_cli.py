@@ -45,6 +45,39 @@ class TestParsing:
         assert summary["steps"] == 4  # config dt and t_end
 
 
+# a flag each command does not read
+FOREIGN_FLAGS = {
+    "ma-solve": ("--dt", "1e-3"),
+    "sg-run": ("--h0", "0.1"),
+    "lma-dirichlet": ("--rungs", "3"),
+    "green-report": ("--dt", "1"),
+    "sections-report": ("--center", "0.5,0.5"),
+    "regularity-report": ("--seed", "1"),
+    "polar-run": ("--preset", "two-mode"),
+    "verify": ("--n", "32"),
+}
+
+
+class TestFlagTables:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_foreign_flag_is_config_error(self, command, tmp_path, capsys):
+        flag, value = FOREIGN_FLAGS[command]
+        out = tmp_path / "o"
+        assert run_cli(command, flag, value, "--out", str(out)) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value",
+                             [("--lambda", "0.75"), ("--Lambda", "1.25")])
+    def test_sg_run_density_bounds_reach_solver(self, flag, value, tmp_path,
+                                                capsys):
+        # two-mode spans [0.7, 1.3], outside either declared bound
+        code = run_cli("sg-run", "--n", "16", "--preset", "two-mode",
+                       flag, value, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "BadDensity" in capsys.readouterr().err
+
+
 class TestMaSolve:
     def test_writes_solution_files(self, tmp_path):
         out = tmp_path / "ma"

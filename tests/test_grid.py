@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgtorus import grid as gridmod
-from sgtorus.errors import GridMismatch
+from sgtorus.errors import GridMismatch, InvariantViolation
 from sgtorus.grid import PeriodicDisplacement, TorusField, TorusGrid
 
 TWO_PI = 2.0 * np.pi
@@ -180,6 +180,14 @@ class TestDisplacement:
         assert np.all(pts >= 0.0) and np.all(pts < 1.0)
         x1, _ = grid.centers()
         assert np.allclose(pts[..., 0], (x1 + 0.4) % 1.0)
+
+    def test_nonfinite_component_is_typed_error(self):
+        grid = TorusGrid(8)
+        d1 = np.zeros((8, 8))
+        d1[2, 3] = np.nan
+        with pytest.raises(InvariantViolation) as exc:
+            PeriodicDisplacement(grid, d1, np.zeros((8, 8)))
+        assert exc.value.name == "displacement_bound"
 
     def test_perp_rotation(self, rng):
         grid = TorusGrid(8)

@@ -12,9 +12,8 @@ from sgtorus.lma import (
     level_set_decay,
     solve_dirichlet_lma,
     solve_periodic_lma,
-    sobolev_ratio,
 )
-from sgtorus.ma import CofactorField, cofactor
+from sgtorus.ma import CofactorField, cofactor, solve_ma_periodic
 from sgtorus.sections import extract_section
 
 TWO_PI = 2.0 * np.pi
@@ -211,21 +210,6 @@ class TestGreenFunction:
         assert all(n > 0 for n in grads)
 
 
-class TestSobolevRatio:
-    def test_finite_and_stable(self):
-        vals = []
-        for n in (32, 64):
-            grid = TorusGrid(n)
-            pot = presets.perturbed_potential(grid, 0.01)
-            sec = extract_section(pot, (0.5, 0.5), 0.02)
-            x1, x2 = grid.centers()
-            w = np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2)
-            w = np.where(sec.mask, w, 0.0)
-            vals.append(sobolev_ratio(cofactor(pot), sec.mask, w, 2.0, grid))
-        assert all(np.isfinite(v) and v > 0 for v in vals)
-        assert 0.5 < vals[0] / vals[1] < 2.0
-
-
 class TestBoundaryRing:
     def test_ring_is_disjoint_and_adjacent(self):
         mask = np.zeros((16, 16), dtype=bool)
@@ -234,3 +218,32 @@ class TestBoundaryRing:
         assert not np.any(ring & mask)
         # 4x4 block dilates to 6x6, leaving a 20-cell 8-connected ring
         assert np.count_nonzero(ring) == 20
+
+    def test_ring_wraps_across_seam(self):
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[5:9, 0:2] = True  # touches column 0
+        ring = boundary_ring(mask)
+        # the ring of a translate is the translate of the ring
+        assert np.array_equal(np.roll(ring, 4, axis=1),
+                              boundary_ring(np.roll(mask, 4, axis=1)))
+        assert np.count_nonzero(ring) == 16
+        assert np.all(ring[4:10, 15])
+
+    def test_seam_section_keeps_maximum_principle(self):
+        # regression: a non-periodic ring dropped the ring cells across
+        # the seam and held them at 0, so one-signed boundary data broke
+        # the maximum principle (InvariantViolation "maximum_principle")
+        grid = TorusGrid(64)
+        rho, lam, Lam = presets.two_bump_density(grid)
+        pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        sec = extract_section(pot, (0.3, 0.98), 0.02)
+        assert sec.mask[:, 0].any() and sec.mask[:, -1].any()
+        _, x2 = grid.centers()
+        bdata = -(0.1 + 0.05 * np.cos(TWO_PI * x2))
+        u, info = solve_dirichlet_lma(cofactor(pot), sec.mask, grid,
+                                      boundary_values=bdata, tol=1e-12)
+        assert info["relative_residual"] <= 1e-10
+        ring = boundary_ring(sec.mask)
+        assert np.array_equal(u[ring], bdata[ring])
+        assert bdata[ring].min() <= u[sec.mask].min()
+        assert u[sec.mask].max() <= bdata[ring].max()

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from sgtorus import presets
-from sgtorus.errors import BadDensity, ConfigError, LostConvexity, NonConvexInput
-from sgtorus.grid import TorusField, TorusGrid, second_differences
+from sgtorus.errors import (
+    BadDensity,
+    ConfigError,
+    InvariantViolation,
+    LostConvexity,
+    NonConvexInput,
+)
+from sgtorus.grid import TorusField, TorusGrid
 from sgtorus.ma import (
     CofactorField,
     ConvexPotential,
@@ -43,6 +49,15 @@ class TestConvexPotential:
             pot = ConvexPotential(grid, q)
             errs.append(np.max(np.abs(pot.det - rho.values)))
         assert 3.4 < errs[0] / errs[1] < 4.6
+
+    def test_half_period_gradient_is_typed_error(self):
+        grid = TorusGrid(32)
+        x1, _ = grid.centers()
+        # the stencil gradient of 0.1 cos(2 pi x1) peaks near 0.63
+        pot = ConvexPotential(grid, 0.1 * np.cos(TWO_PI * x1), strict=False)
+        with pytest.raises(InvariantViolation) as exc:
+            pot.gradient_displacement()
+        assert exc.value.name == "displacement_bound"
 
     def test_header_dict_plain_types(self):
         pot = presets.quadratic_potential(TorusGrid(8))

@@ -128,30 +128,3 @@ class TestJohnNormalization:
         john = sections.john_normalize(sec)
         ratio = np.max(john.semi_axes) / np.min(john.semi_axes)
         assert 1.05 < ratio < (half2 / half1) * 1.05
-
-
-class TestRescaledProblems:
-    def test_pinch_bounds_survive_normalization(self):
-        grid = TorusGrid(128)
-        pot = presets.perturbed_potential(grid, 0.01)
-        sec = sections.extract_section(pot, (0.5, 0.5), 0.02)
-        john = sections.john_normalize(sec)
-        scaled = sections.rescale_problem(pot, sec, john)
-        lo, hi = scaled.det_hessian_range()
-        assert lo >= pot.lam - 0.15
-        assert hi <= pot.Lam + 0.15
-
-    def test_lq_norm_of_indicator(self):
-        grid = TorusGrid(64)
-        mask = np.zeros((64, 64), dtype=bool)
-        mask[10:20, 30:40] = True
-        norm = sections.lq_norm_on_mask(np.ones((64, 64)), mask, 2.0, grid)
-        assert norm == pytest.approx(np.sqrt(100 * grid.cell_area))
-
-    def test_w21_norm_of_quadratic(self):
-        # Laplacian of the exact quadratic is 2 everywhere
-        grid = TorusGrid(64)
-        pot = presets.quadratic_potential(grid)
-        sec = sections.extract_section(pot, (0.5, 0.5), 0.02)
-        norm = sections.section_w21_norm(pot, sec, 0.1)
-        assert norm == pytest.approx(2.0 * sec.area ** (1 / 1.1), rel=1e-6)
