@@ -1,0 +1,75 @@
+"""Cold Monge-Ampere solve and warm time-loop step times against N.
+
+    python3 scripts/ma_scaling.py --n 64 128 256 512 [--src DIR] [--steps 5]
+
+For each N, in a fresh process with one BLAS thread: the cold solve of
+the two-bump preset density, then --steps time-loop steps (dt = 2.5e-4)
+warm-started from it.  Prints one JSON object per N: cold_s, the median
+step_s, Newton and Krylov iteration counts, and the child's peak RSS.
+--src points at the src/ directory of the checkout to measure (default:
+this one), so two versions can be timed with the same script.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def measure(n, steps):
+    import resource
+    import statistics
+    import time
+
+    from sgtorus import dynamics, presets
+    from sgtorus.grid import TorusGrid
+
+    grid = TorusGrid(n)
+    rho, lam, Lam = presets.two_bump_density(grid)
+    t = time.perf_counter()
+    state = dynamics.SGState.from_density(rho, grid, lam=lam, Lam=Lam)
+    cold_s = time.perf_counter() - t
+    cold = state.pot
+    step_s, newton, krylov = [], 0, 0
+    for _ in range(steps):
+        t = time.perf_counter()
+        state = dynamics.step(state, 2.5e-4)
+        step_s.append(time.perf_counter() - t)
+        newton += state.pot.newton_iters
+        krylov += state.pot.diagnostics.get("linear_iters", 0)
+    return {
+        "n": n, "cold_s": cold_s, "step_s": statistics.median(step_s),
+        "steps": steps, "cold_newton_iters": cold.newton_iters,
+        "cold_linear_iters": cold.diagnostics.get("linear_iters"),
+        "step_newton_iters": newton, "step_linear_iters": krylov or None,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--n", type=int, nargs="+", required=True)
+    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--src", default=os.path.join(ROOT, "src"))
+    p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.child:
+        sys.path.insert(0, os.path.abspath(args.src))
+        print(json.dumps(measure(args.n[0], args.steps)))
+        return 0
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    for n in args.n:
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", "--n", str(n),
+             "--steps", str(args.steps), "--src", args.src],
+            env=env, capture_output=True, text=True, check=True)
+        print(done.stdout.strip(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

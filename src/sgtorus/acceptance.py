@@ -2,9 +2,10 @@
 
 Each check runs a scaled-down experiment with frozen parameters and a
 quantitative pass bound; together they cover the conservation laws, the
-solver's convergence order, the elliptic machinery (Green's functions,
-section geometry, oscillation decay, the maximum principle), the
-regularity fits, and the polar factorization pipeline.  `quick` shrinks grids and
+solver's convergence order, the time loop's space-time convergence order,
+the elliptic machinery (Green's functions, section geometry, oscillation
+decay, the maximum principle), the regularity fits, and the polar
+factorization pipeline.  `quick` shrinks grids and
 step counts for smoke runs and relaxes bounds that scale with resolution.
 """
 
@@ -124,6 +125,37 @@ def check_linearized_identity(quick=False):
     return _result("linearized_identity_residual", passed,
                    {"residual_coarse": residuals[0],
                     "residual_fine": residuals[1], "bound": bound}, t0)
+
+
+def _restrict(values):
+    """2x2 block means: a cell-centred field onto the grid of half the size."""
+    n = values.shape[0] // 2
+    return values.reshape(n, 2, n, 2).mean(axis=(1, 3))
+
+
+def check_space_time_convergence(quick=False):
+    """The time loop converges at second order in space and time together:
+    successive sup differences shrink by 4 when N doubles and dt halves."""
+    t0 = time.perf_counter()
+    sizes = (16, 32, 64) if quick else (32, 64, 128)
+    t_end = 0.1
+    finals = []
+    for n in sizes:
+        grid = TorusGrid(n)
+        dt = 0.128 / n
+        rho0, lam, Lam = presets.two_mode_density(grid)
+        state = dynamics.SGState.from_density(rho0, grid, lam=lam, Lam=Lam)
+        for _ in range(int(round(t_end / dt))):
+            state = dynamics.step(state, dt)
+        finals.append((state.pot.q, state.rho))
+    ratios = {}
+    for k, name in enumerate(("q", "rho")):
+        diffs = [float(np.max(np.abs(_restrict(fine[k]) - coarse[k])))
+                 for coarse, fine in zip(finals, finals[1:])]
+        ratios[f"ratio_{name}"] = diffs[0] / diffs[1]
+    passed = all(3.0 <= r <= 5.0 for r in ratios.values())
+    return _result("space_time_convergence", passed,
+                   {**ratios, "t_end": t_end, "n_max": sizes[-1]}, t0)
 
 
 def check_green_integrability(quick=False):
@@ -339,6 +371,7 @@ ALL_CHECKS = (
     check_time_regularity,
     check_polar_factorization,
     check_operator_algebra,
+    check_space_time_convergence,
 )
 
 

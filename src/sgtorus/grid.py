@@ -9,6 +9,7 @@ exact adjoints and every gradient integrates to zero exactly.
 
 import csv
 import dataclasses
+import functools
 import io
 
 import numpy as np
@@ -187,6 +188,39 @@ def second_differences(values, spacing):
         - np.roll(values, (1, -1), (0, 1))
     ) / (4.0 * h2)
     return f11, f12, f22
+
+
+@functools.lru_cache(maxsize=8)
+def _second_difference_symbols(n):
+    """Fourier symbols of second_differences on the rfft2 half-spectrum:
+    -4 sin^2(t1/2)/h^2, -sin t1 sin t2/h^2, -4 sin^2(t2/2)/h^2."""
+    t1 = 2.0 * np.pi * np.fft.fftfreq(n)[:, None]
+    t2 = 2.0 * np.pi * np.fft.rfftfreq(n)[None, :]
+    h2 = (1.0 / n) ** 2
+    symbols = (-4.0 * np.sin(t1 / 2.0) ** 2 / h2,
+               -np.sin(t1) * np.sin(t2) / h2,
+               -4.0 * np.sin(t2 / 2.0) ** 2 / h2)
+    for s in symbols:
+        s.flags.writeable = False
+    return symbols
+
+
+def spectral_inverse(c11, c12, c22, n):
+    """Exact inverse of u -> c11 u11 + 2 c12 u12 + c22 u22 on mean-zero fields.
+
+    The coefficients are constants of a positive definite tensor and the
+    derivatives the second_differences stencils, so the operator is a
+    Fourier multiplier whose symbol vanishes only at the zero mode.
+    Returns r -> the mean-zero u solving the equation for r - mean(r).
+    """
+    s11, s12, s22 = _second_difference_symbols(n)
+    symbol = c11 * s11 + 2.0 * c12 * s12 + c22 * s22
+    symbol[0, 0] = np.inf  # drops the mean of r
+
+    def inverse(r):
+        return np.fft.irfft2(np.fft.rfft2(r) / symbol, s=(n, n))
+
+    return inverse
 
 
 def integral(field, grid=None):

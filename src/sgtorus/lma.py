@@ -14,6 +14,7 @@ one-cell ring outside held at zero (or at supplied boundary values).
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -51,56 +52,61 @@ def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
 
 
-def _assemble_full(grid, c11, c12, c22):
-    n, h = grid.n, grid.spacing
+# (di, dj) of the nine stencil entries of a row, in _assemble_full's order
+_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+            (1, 1), (-1, -1), (-1, 1), (1, -1))
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_layout(n):
+    """CSR layout of the periodic 9-point stencil: each row's column
+    indices in ascending order, and the flat permutation that takes
+    entries stacked in _OFFSETS order to that order.  Read-only, so the
+    cached arrays cannot be altered through a matrix built on them."""
     ids = np.arange(n * n).reshape(n, n)
-    rows, cols, vals = [], [], []
+    cols = np.stack([np.roll(ids, (-di, -dj), (0, 1)) for di, dj in _OFFSETS],
+                    axis=-1).reshape(n * n, 9)
+    order = np.argsort(cols, axis=1)
+    columns = np.take_along_axis(cols, order, axis=1).ravel()
+    perm = (order + 9 * np.arange(n * n)[:, None]).ravel()
+    for a in (columns, perm):
+        a.flags.writeable = False
+    return columns, perm
 
-    def add(r, c, w):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(w.ravel())
 
-    # faces normal to x1: cells (i,j) and (i+1,j)
-    a, b = ids, np.roll(ids, -1, 0)
-    w = _harmonic(c11, np.roll(c11, -1, 0)) / h**2
-    add(a, a, w)
-    add(b, b, w)
-    add(a, b, -w)
-    add(b, a, -w)
+def _assemble_full(grid, c11, c12, c22):
+    """Periodic 9-point matrix of the energy, built directly in CSR with
+    nine entries per row (no COO triplets to sort and sum).
 
-    # faces normal to x2: cells (i,j) and (i,j+1)
-    a, b = ids, np.roll(ids, -1, 1)
-    w = _harmonic(c22, np.roll(c22, -1, 1)) / h**2
-    add(a, a, w)
-    add(b, b, w)
-    add(a, b, -w)
-    add(b, a, -w)
+    Faces: cells (i,j),(i+1,j) with harmonic c11 weight wx, cells
+    (i,j),(i,j+1) with harmonic c22 weight wy.  Corners: cells a=(i,j),
+    b=(i+1,j), c=(i,j+1), d=(i+1,j+1) with the averaged c12 weight wc,
+    which adds +wc on a-a, d-d, b-c and -wc on b-b, c-c, a-d.
+    """
+    n, h = grid.n, grid.spacing
 
-    # corners: cells a=(i,j), b=(i+1,j), c=(i,j+1), d=(i+1,j+1)
-    ca, cb = ids, np.roll(ids, -1, 0)
-    cc, cd = np.roll(ids, -1, 1), np.roll(ids, (-1, -1), (0, 1))
+    def at(a, di, dj):  # a sampled at (i - di, j - dj)
+        return np.roll(a, (di, dj), (0, 1))
+
+    wx = _harmonic(c11, np.roll(c11, -1, 0)) / h**2
+    wy = _harmonic(c22, np.roll(c22, -1, 1)) / h**2
     p12c = (
         c12
         + np.roll(c12, -1, 0)
         + np.roll(c12, -1, 1)
         + np.roll(c12, (-1, -1), (0, 1))
     ) / 4.0
-    w = p12c / (2.0 * h**2)
-    add(ca, ca, w)
-    add(cd, cd, w)
-    add(cb, cb, -w)
-    add(cc, cc, -w)
-    add(ca, cd, -w)
-    add(cd, ca, -w)
-    add(cb, cc, w)
-    add(cc, cb, w)
-
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    wc = p12c / (2.0 * h**2)
+    wx_m, wy_m = at(wx, 1, 0), at(wy, 0, 1)
+    wc_mm, wc_m0, wc_0m = at(wc, 1, 1), at(wc, 1, 0), at(wc, 0, 1)
+    diag = wx + wx_m + wy + wy_m + wc + wc_mm - wc_m0 - wc_0m
+    data = np.stack([diag, -wx, -wx_m, -wy, -wy_m, -wc, -wc_mm, wc_m0, wc_0m],
+                    axis=-1)
+    columns, perm = _stencil_layout(n)
+    return sparse.csr_matrix(
+        (data.ravel()[perm], columns, np.arange(0, 9 * n * n + 1, 9)),
         shape=(n * n, n * n),
     )
-    return mat.tocsr()
 
 
 class DivergenceFormOperator:
@@ -130,6 +136,8 @@ class DivergenceFormOperator:
                 f"min det {np.min(det):.3e})"
             )
         full = _assemble_full(grid, c11, c12, c22)
+        # coefficients of the constant-coefficient periodic preconditioner
+        self.mean_coefficients = (c11.mean(), c12.mean(), c22.mean())
         self.mask = None
         self.cells = None
         if mask is not None:
@@ -184,23 +192,33 @@ class DivergenceFormOperator:
         return float(vv @ (self.matrix @ uv)) * self.grid.cell_area
 
     def solve(self, rhs, tol=DEFAULT_CG_TOL):
-        """Conjugate gradients with diagonal preconditioning.
+        """Preconditioned conjugate gradients.
 
-        Periodic mode solves in the mean-zero complement of the kernel.
-        Raises SolverStall if the Krylov iteration does not converge.
+        Periodic mode solves in the mean-zero complement of the kernel,
+        preconditioned by the exact FFT inverse of the operator with its
+        coefficients replaced by their grid means; Dirichlet mode uses
+        diagonal (Jacobi) preconditioning.  Raises SolverStall if the
+        Krylov iteration does not converge.
         """
         b = np.asarray(rhs, dtype=float).ravel()
+        n = self.grid.n
         if self.mask is None:
             b = b - b.mean()
-        diag = self.matrix.diagonal().copy()
-        diag[diag <= 0] = 1.0
-        precond = LinearOperator(self.matrix.shape, matvec=lambda v: v / diag)
+            # the constant-coefficient operator is minus the spectral one
+            inverse = gridmod.spectral_inverse(*self.mean_coefficients, n)
+            precond = LinearOperator(
+                self.matrix.shape,
+                matvec=lambda v: -inverse(v.reshape(n, n)).ravel())
+        else:
+            diag = self.matrix.diagonal().copy()
+            diag[diag <= 0] = 1.0
+            precond = LinearOperator(self.matrix.shape, matvec=lambda v: v / diag)
         x, info = cg(self.matrix, b, rtol=tol, atol=0.0, M=precond)
         if info != 0:
             raise SolverStall(f"CG failed to reach rtol={tol} (info={info})")
         if self.mask is None:
             x = x - x.mean()
-            return x.reshape(self.grid.n, self.grid.n)
+            return x.reshape(n, n)
         return x
 
     # -- right-hand sides --------------------------------------------------

@@ -14,14 +14,19 @@ q), so the plain equation det = rho is overdetermined by one dimension and
 no iterate can push the full residual to solver tolerance.  mu absorbs
 that defect and is reported; the convergence test applies to
 det - rho - mu.
+
+Each Newton update is found matrix-free (Loeper and Rapetti's periodic
+Newton with Fourier inversion): GMRES on the bordered system of the
+linearization and the gauge column, whose extra row mean(delta) = 0
+removes the constant null direction of the stencils.  The preconditioner
+is the exact FFT inverse of the same system with the cofactor replaced by
+its grid mean, which keeps the Krylov iteration count independent of N.
 """
 
 import dataclasses
-import functools
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import grid as gridmod
 from .errors import (
@@ -35,6 +40,11 @@ from .grid import TorusGrid, PeriodicDisplacement, mean_zero, second_differences
 
 MASS_TOL = 1e-8
 MAX_NEWTON_ITERS = 60
+# GMRES on the Newton update: relative residual, Krylov dimension per
+# restart cycle, and restart cycles before NonConvergence
+GMRES_RTOL = 1e-10
+GMRES_RESTART = 30
+GMRES_MAX_CYCLES = 10
 # cellwise determinant floor used by the Newton damping
 DET_FLOOR = 1e-6
 
@@ -204,28 +214,6 @@ def cofactor(pot):
 
 # --- Newton solver ----------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _stencil_matrices(n):
-    """Sparse periodic stencils S11, S12, S22 acting on raveled fields."""
-    h2 = (1.0 / n) ** 2
-    eye = sparse.identity(n, format="csr")
-    idx = np.arange(n)
-    shift_up = sparse.csr_matrix(
-        (np.ones(n), (idx, (idx + 1) % n)), shape=(n, n)
-    )  # (S v)[i] = v[i+1]
-    shift_dn = shift_up.T.tocsr()
-    d2 = (shift_up + shift_dn - 2.0 * eye) / h2
-    s11 = sparse.kron(d2, eye, format="csr")
-    s22 = sparse.kron(eye, d2, format="csr")
-    s12 = (
-        sparse.kron(shift_up, shift_up)
-        + sparse.kron(shift_dn, shift_dn)
-        - sparse.kron(shift_up, shift_dn)
-        - sparse.kron(shift_dn, shift_up)
-    ) / (4.0 * h2)
-    return s11, s12.tocsr(), s22
-
-
 def _hessian_and_det(q, h):
     q11, q12, q22 = second_differences(q, h)
     p11 = 1.0 + q11
@@ -234,15 +222,56 @@ def _hessian_and_det(q, h):
     return p11, q12, p22, det
 
 
-def _linearization(p11, p12, p22, n):
-    """Exact derivative of q -> det(I + D^2 q): u -> Phi^{ij} u_ij."""
-    s11, s12, s22 = _stencil_matrices(n)
-    d = sparse.diags
-    return (
-        d(p22.ravel()) @ s11
-        + d(p11.ravel()) @ s22
-        - 2.0 * d(p12.ravel()) @ s12
-    ).tocsc()
+def _newton_update(p11, p12, p22, rhs, h):
+    """Solve the bordered Newton system for (delta, dmu) by GMRES.
+
+    Rows: p22 d11 + p11 d22 - 2 p12 d12 - dmu = rhs cellwise, with the
+    d's the second differences of delta, and mean(delta) = 0.  Both the
+    operator and the preconditioner are applied matrix-free; the
+    preconditioner is the exact inverse of the same bordered operator
+    with the cofactor replaced by its grid mean.  Returns
+    (delta, dmu, krylov_iterations); raises NonConvergence if GMRES stops
+    short of GMRES_RTOL.
+    """
+    n = rhs.shape[0]
+    size = n * n
+    inverse = gridmod.spectral_inverse(float(np.mean(p22)), -float(np.mean(p12)),
+                                       float(np.mean(p11)), n)
+
+    def apply(x):
+        delta = x[:size].reshape(n, n)
+        d11, d12, d22 = second_differences(delta, h)
+        out = np.empty(size + 1)
+        out[:size] = (p22 * d11 + p11 * d22 - 2.0 * p12 * d12).ravel() - x[size]
+        out[size] = delta.mean()
+        return out
+
+    def precondition(r):
+        field = r[:size].reshape(n, n)
+        out = np.empty(size + 1)
+        out[:size] = (inverse(field) + r[size]).ravel()
+        out[size] = -field.mean()
+        return out
+
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    shape = (size + 1, size + 1)
+    b = np.append(rhs.ravel(), 0.0)
+    sol, info = gmres(LinearOperator(shape, matvec=apply), b,
+                      rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+                      maxiter=GMRES_MAX_CYCLES,
+                      M=LinearOperator(shape, matvec=precondition),
+                      callback=count, callback_type="pr_norm")
+    if info != 0:
+        raise NonConvergence(
+            f"GMRES missed rtol={GMRES_RTOL} on the Newton update "
+            f"(info={info}, {iters} iterations)"
+        )
+    return sol[:size].reshape(n, n), float(sol[size]), iters
 
 
 def validate_density(rho, lam=None, Lam=None):
@@ -266,13 +295,15 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
                       initial=None):
     """Solve det D^2 P* = rho on the torus for a convex potential.
 
-    Damped Newton iteration: the update solves the linearized equation
-    Phi^{ij} u_ij = -(det - rho - mu) together with the gauge unknown mu
-    (one pinned cell removes the constant null direction), and the step is
-    halved until the trial Hessian determinant stays above
-    max(1e-6, lambda/10) cellwise and P11 stays positive.  A halving floor
-    of 2^-20 or MAX_NEWTON_ITERS iterations without convergence raise
-    NonConvergence.
+    Damped Newton iteration: the update (u, dmu) solves the linearized
+    equation Phi^{ij} u_ij - dmu = -(det - rho - mu) with mean(u) = 0 (the
+    row that removes the constant null direction), by GMRES applied
+    matrix-free through second_differences and preconditioned by the FFT
+    inverse of the mean-cofactor operator.  The step is halved until the
+    trial Hessian determinant stays above max(1e-6, lambda/10) cellwise
+    and P11 stays positive.  A GMRES run that misses GMRES_RTOL within
+    GMRES_MAX_CYCLES restarts, a halving floor of 2^-20, or
+    MAX_NEWTON_ITERS iterations without convergence raise NonConvergence.
 
     Parameters
     ----------
@@ -288,7 +319,8 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     Returns
     -------
     ConvexPotential
-        With diagnostics: residual, gauge, newton_iters, tol.
+        With diagnostics: residual, gauge, newton_iters, linear_iters (the
+        GMRES iterations summed over the Newton iterations), tol.
     """
     if isinstance(rho, gridmod.TorusField):
         grid = rho.grid
@@ -310,15 +342,13 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         q = mean_zero(np.asarray(initial, dtype=float).copy())
 
     det_floor = max(DET_FLOOR, lam / 10.0)
-    keep = np.ones(n * n, dtype=bool)
-    keep[0] = False  # pin one cell: removes the additive null direction
 
     p11, p12, p22, det = _hessian_and_det(q, h)
     if np.min(det) <= 0.0 or np.min(p11) <= 0.0:
         raise LostConvexity("initial guess is not discretely convex")
     mu = float(np.mean(det - rho))
 
-    iters = 0
+    iters = linear_iters = 0
     residual = float(np.max(np.abs(det - rho - mu)))
     while residual > tol:
         if iters >= MAX_NEWTON_ITERS:
@@ -326,16 +356,8 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
                 f"no convergence in {MAX_NEWTON_ITERS} Newton iterations "
                 f"(residual {residual:.3e}, tol {tol:.3e})"
             )
-        jac = _linearization(p11, p12, p22, n)
-        gauge_col = -np.ones((n * n, 1))
-        system = sparse.hstack([jac[:, keep], sparse.csc_matrix(gauge_col)],
-                               format="csc")
-        rhs = -(det - rho - mu).ravel()
-        sol = spsolve(system, rhs)
-        delta = np.zeros(n * n)
-        delta[keep] = sol[:-1]
-        delta = delta.reshape(n, n)
-        dmu = float(sol[-1])
+        delta, dmu, krylov = _newton_update(p11, p12, p22, -(det - rho - mu), h)
+        linear_iters += krylov
 
         step = 1.0
         while True:
@@ -358,6 +380,7 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         "residual": residual,
         "gauge": mu,
         "newton_iters": iters,
+        "linear_iters": linear_iters,
         "tol": tol,
     }
     pot = ConvexPotential(grid, q, lam=lam, Lam=Lam, diagnostics=diagnostics)

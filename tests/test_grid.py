@@ -117,6 +117,15 @@ class TestDifferenceOperators:
         expected = factor * np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2)
         assert np.max(np.abs(f12 - expected)) <= 1e-11
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_spectral_inverse_inverts_constant_coefficients(self, n, rng):
+        c11, c12, c22 = 1.3, -0.4, 0.8
+        u = gridmod.mean_zero(rng.standard_normal((n, n)))
+        f11, f12, f22 = gridmod.second_differences(u, 1.0 / n)
+        r = c11 * f11 + 2.0 * c12 * f12 + c22 * f22 + 5.0  # mean is dropped
+        back = gridmod.spectral_inverse(c11, c12, c22, n)(r)
+        assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
+
 
 class TestQuadrature:
     def test_integral_and_mean(self):

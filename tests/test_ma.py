@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from sgtorus import presets
+from sgtorus import dynamics, ma, presets
 from sgtorus.errors import (
     BadDensity,
     ConfigError,
     InvariantViolation,
     LostConvexity,
+    NonConvergence,
     NonConvexInput,
 )
 from sgtorus.grid import TorusField, TorusGrid
 from sgtorus.ma import (
     CofactorField,
     ConvexPotential,
+    _hessian_and_det,
+    _newton_update,
     cofactor,
     legendre,
     solve_ma_periodic,
@@ -128,6 +131,68 @@ class TestSolver:
         rho[1, 0] = 2.5
         with pytest.raises(BadDensity):
             solve_ma_periodic(rho, grid)
+
+    def test_newton_update_matches_dense_oracle(self, rng, monkeypatch):
+        # det(I + D^2 q) is quadratic in q, so central differences along
+        # unit vectors give its Jacobian exactly up to rounding
+        n = 8
+        grid = TorusGrid(n)
+        h = grid.spacing
+        q = 1e-3 * rng.standard_normal((n, n))
+        rho = 1.0 + 0.2 * rng.random((n, n))
+        rho /= rho.mean()
+
+        def det_of(v):
+            return _hessian_and_det(v, h)[3].ravel()
+
+        step = h * h
+        jac = np.empty((n * n, n * n))
+        for k in range(n * n):
+            e = np.zeros(n * n)
+            e[k] = step
+            e = e.reshape(n, n)
+            jac[:, k] = (det_of(q + e) - det_of(q - e)) / (2.0 * step)
+        bordered = np.zeros((n * n + 1, n * n + 1))
+        bordered[:-1, :-1] = jac
+        bordered[:-1, -1] = -1.0  # gauge column
+        bordered[-1, :-1] = 1.0 / (n * n)  # mean(delta) = 0
+        p11, p12, p22, det = _hessian_and_det(q, h)
+        mu = float(np.mean(det - rho))
+        rhs = -(det - rho - mu)
+
+        b = np.append(rhs.ravel(), 0.0)
+        oracle = np.linalg.solve(bordered, b)
+
+        # at the production tolerance the update satisfies the dense system
+        delta, dmu, iters = _newton_update(p11, p12, p22, rhs, h)
+        assert iters >= 1
+        update = np.append(delta.ravel(), dmu)
+        assert (np.linalg.norm(bordered @ update - b)
+                <= ma.GMRES_RTOL * np.linalg.norm(b))
+        # solved to rounding it is the dense solution
+        monkeypatch.setattr(ma, "GMRES_RTOL", 1e-14)
+        delta, dmu, _ = _newton_update(p11, p12, p22, rhs, h)
+        update = np.append(delta.ravel(), dmu)
+        assert np.max(np.abs(update - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+    def test_gmres_failure_raises(self, monkeypatch):
+        def failing_gmres(A, b, **kwargs):
+            return np.zeros_like(b), 1
+
+        monkeypatch.setattr(ma, "gmres", failing_gmres)
+        rho, lam, Lam = presets.two_bump_density(TorusGrid(16))
+        with pytest.raises(NonConvergence):
+            solve_ma_periodic(rho, lam=lam, Lam=Lam)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_krylov_iterations_mesh_independent(self, n):
+        grid = TorusGrid(n)
+        rho, lam, Lam = presets.two_bump_density(grid)
+        state = dynamics.SGState.from_density(rho, grid, lam=lam, Lam=Lam)
+        warm = dynamics.step(state, 2.5e-4).pot
+        assert warm.newton_iters >= 1
+        assert warm.diagnostics["linear_iters"] <= 30 * warm.newton_iters
+        assert "linear_iters" not in warm.header_dict()
 
     def test_solution_respects_declared_bounds(self):
         grid = TorusGrid(32)
