@@ -1,11 +1,13 @@
-"""Cold Monge-Ampere solve and warm time-loop step times against N.
+"""Cold Monge-Ampere solve, warm time-loop step and Legendre times against N.
 
     python3 scripts/ma_scaling.py --n 64 128 256 512 [--src DIR] [--steps 5]
 
 For each N, in a fresh process with one BLAS thread: the cold solve of
 the two-bump preset density, then --steps time-loop steps (dt = 2.5e-4)
-warm-started from it.  Prints one JSON object per N: cold_s, the median
-step_s, Newton and Krylov iteration counts, and the child's peak RSS.
+warm-started from it, then LEGENDRE_REPS Legendre transforms of the cold
+potential.  Prints one JSON object per N: cold_s, the median step_s, the
+median legendre_s, Newton and Krylov iteration counts, and the child's
+peak RSS.
 --src points at the src/ directory of the checkout to measure (default:
 this one), so two versions can be timed with the same script.
 """
@@ -17,6 +19,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LEGENDRE_REPS = 3
 
 
 def measure(n, steps):
@@ -24,7 +27,7 @@ def measure(n, steps):
     import statistics
     import time
 
-    from sgtorus import dynamics, presets
+    from sgtorus import dynamics, ma, presets
     from sgtorus.grid import TorusGrid
 
     grid = TorusGrid(n)
@@ -40,8 +43,14 @@ def measure(n, steps):
         step_s.append(time.perf_counter() - t)
         newton += state.pot.newton_iters
         krylov += state.pot.diagnostics.get("linear_iters", 0)
+    legendre_s = []
+    for _ in range(LEGENDRE_REPS):
+        t = time.perf_counter()
+        ma.legendre(cold)
+        legendre_s.append(time.perf_counter() - t)
     return {
         "n": n, "cold_s": cold_s, "step_s": statistics.median(step_s),
+        "legendre_s": statistics.median(legendre_s),
         "steps": steps, "cold_newton_iters": cold.newton_iters,
         "cold_linear_iters": cold.diagnostics.get("linear_iters"),
         "step_newton_iters": newton, "step_linear_iters": krylov or None,

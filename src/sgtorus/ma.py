@@ -395,13 +395,92 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
 
 # --- Legendre transform -----------------------------------------------------
 
+# rows per block of _conjugate_rows
+CONJUGATE_BLOCK = 32
+
+
+def _conjugate_rows(x, y, f):
+    """Discrete conjugate of each row of f: max_m (x_i * y_m - f[r, m]).
+
+    x is sorted and y strictly increasing.  Returns (arg, val), both of
+    shape (rows, len(x)): the first maximizer m (the brute-force argmax
+    tie rule) and the value x_i * y_m - f[r, m] there.
+
+    Each row is first cut down to the vertices of its lower convex hull,
+    which hold every first maximizer: points on or above the chord of
+    their neighbours are dropped, pass after pass, until none is left (one
+    pass for a convex row).  A vertex is the first maximizer for the x
+    between the slopes of its two hull edges, so one searchsorted of the
+    edge slopes into x and a running count place every x_i.  The candidate
+    and its two hull neighbours are then re-scored with
+    x_i * y_m - f[r, m], so rounding in the slopes cannot move the result.
+    Rows go in blocks of CONJUGATE_BLOCK, which bounds the temporaries.
+    """
+    rows = f.shape[0]
+    arg = np.empty((rows, x.size), dtype=np.intp)
+    val = np.empty((rows, x.size))
+    for lo in range(0, rows, CONJUGATE_BLOCK):
+        block = slice(lo, lo + CONJUGATE_BLOCK)
+        arg[block], val[block] = _conjugate_block(x, y, f[block])
+    return arg, val
+
+
+def _conjugate_block(x, y, f):
+    rows, size = f.shape
+    n = x.size
+    # the points still on the lower hull of their row, flattened row-major
+    row = np.repeat(np.arange(rows), size)
+    col = np.tile(np.arange(size), rows)
+    fv, yv = f.ravel(), y[col]
+    while True:
+        slope = np.diff(fv) / np.diff(yv)
+        edge = row[1:] == row[:-1]
+        # a point on or above the chord of its neighbours is no vertex;
+        # a vertex never is, so all such points go at once
+        drop = edge[:-1] & edge[1:] & (slope[:-1] >= slope[1:])
+        if not drop.any():
+            break
+        keep = np.ones(row.size, dtype=bool)
+        keep[1:-1] = ~drop
+        row, col, fv, yv = row[keep], col[keep], fv[keep], yv[keep]
+
+    # flat index of the first maximizer: the row's first vertex plus the
+    # number of its edges with slope < x_i, which edge e joins from
+    # i = #(x <= slope_e) on
+    start = np.searchsorted(row, np.arange(rows + 1))
+    since = np.searchsorted(x, slope[edge], side="right")
+    since = np.bincount(row[1:][edge] * (n + 1) + since, minlength=rows * (n + 1))
+    at = start[:-1, None] + np.cumsum(since.reshape(rows, n + 1)[:, :n], axis=1)
+
+    # re-score it and its hull neighbours; ties keep the earlier point
+    rr = np.arange(rows)[:, None]
+    arg = col[np.maximum(at - 1, start[:-1, None])]
+    val = x * y[arg] - f[rr, arg]
+    for cand in (col[at], col[np.minimum(at + 1, start[1:, None] - 1)]):
+        score = x * y[cand] - f[rr, cand]
+        up = score > val
+        arg = np.where(up, cand, arg)
+        val = np.where(up, score, val)
+    return arg, val
+
+
 def legendre(pot):
     """Discrete Legendre transform P(x) = sup_y (x.y - P*(y)).
 
     The sup runs over the 3x3 block of periodic copies (enough because
-    optimal displacements are at most half a period), evaluated exactly by
-    two separable 1D passes; the gradient map is the argmax refined by one
-    Newton step on the inner objective.  The result is re-expressed in the
+    optimal displacements are at most half a period) and is separable:
+    stage 1 conjugates each tiled row y1_k in the second variable,
+    H[k, j] = max_m (x2_j y_m - P*(y_k, y_m)), and stage 2 conjugates each
+    column of -H in the first variable.  Each 1D conjugate is a lower
+    envelope (Lucet, Numer. Algorithms 16, 1997; Felzenszwalb and
+    Huttenlocher, Theory Comput. 8, 2012): the queries x are placed among
+    the slopes of the row's lower convex hull, O(N) per row up to a log
+    factor and O(N^2) in all, instead of scanning all 3N candidates for
+    each of N queries.  Ties go to the first maximizer in y, and every
+    value is the score x_i y_m - P*(y_k, y_m) (stage 1) or
+    x_i y_k + H[k, j] (stage 2) at it, so the result is bitwise that of
+    the full scan.  The gradient map is the argmax refined by one Newton
+    step on the inner objective.  The result is re-expressed in the
     quadratic-plus-periodic split and mean-normalized.
 
     Raises NonConvexInput if the input is not discretely convex.
@@ -412,27 +491,16 @@ def legendre(pot):
     n, h = grid.n, grid.spacing
     x = grid.axis_centers()
     y = (np.arange(3 * n) + 0.5) / n - 1.0  # tiled centers in [-1, 2)
-    q3 = np.tile(pot.q, (3, 3))
 
-    # stage 1: for each tiled row y1_k, conjugate in the second variable:
-    # H[k, j] = max_m (x2_j * y_m - P*(y_k, y_m))
-    stage1_vals = np.empty((3 * n, n))
-    stage1_arg = np.empty((3 * n, n), dtype=int)
-    p_row = 0.5 * y[None, :] ** 2 + q3  # |y2|^2/2 + q along a row, (3n, 3n)
-    for k in range(3 * n):
-        scores = np.outer(x, y) - (0.5 * y[k] ** 2 + p_row[k])[None, :]
-        arg = np.argmax(scores, axis=1)
-        stage1_arg[k] = arg
-        stage1_vals[k] = scores[np.arange(n), arg]
-
-    # stage 2: conjugate in the first variable
-    p_vals = np.empty((n, n))
-    arg1 = np.empty((n, n), dtype=int)
-    for j in range(n):
-        scores = np.outer(x, y) + stage1_vals[:, j][None, :]
-        arg = np.argmax(scores, axis=1)
-        arg1[:, j] = arg
-        p_vals[:, j] = scores[np.arange(n), arg]
+    # P*(y_k, y_m) = |y_k|^2/2 + (|y_m|^2/2 + q); the rounding, and so the
+    # first maximizer, depends on this order of the sums
+    p_star = np.tile(pot.q, (3, 3))
+    p_star += 0.5 * y[None, :] ** 2
+    p_star += 0.5 * y[:, None] ** 2
+    stage1_arg, stage1_vals = _conjugate_rows(x, y, p_star)
+    del p_star
+    arg1, p_vals = _conjugate_rows(x, y, -stage1_vals.T)
+    arg1, p_vals = arg1.T, p_vals.T
 
     arg2 = stage1_arg[arg1, np.arange(n)[None, :]]
     y1 = y[arg1]

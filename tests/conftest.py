@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from sgtorus import dynamics, presets
-from sgtorus.grid import TorusGrid
+# one BLAS/OpenMP thread: scipy's GMRES sends its dot products to the BLAS,
+# whose second thread only adds contention on a small machine; must be set
+# before numpy is first imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from sgtorus import dynamics, presets  # noqa: E402
+from sgtorus.grid import TorusGrid  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgtorus import grid as gridmod
 from sgtorus.errors import GridMismatch, InvariantViolation
 from sgtorus.grid import PeriodicDisplacement, TorusField, TorusGrid
 
 TWO_PI = 2.0 * np.pi
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
 
 
 def trig_field(grid):
@@ -79,14 +83,18 @@ class TestDifferenceOperators:
             errs.append(max(e1, e2))
         assert 3.5 < errs[0] / errs[1] < 4.5
 
-    def test_gradient_divergence_adjoint(self, rng):
-        grid = TorusGrid(16)
-        u = rng.standard_normal((16, 16))
-        v1, v2 = rng.standard_normal((2, 16, 16))
+    @PROPERTY
+    @given(st.integers(4, 40), seeds)
+    def test_gradient_divergence_adjoint(self, n, seed):
+        # <grad u, v> = -<u, div v> in the midpoint inner product
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(n)
+        u, v1, v2 = rng.standard_normal((3, n, n))
         g1, g2 = gridmod.periodic_gradient(TorusField(grid, u))
-        lhs = np.sum(g1 * v1 + g2 * v2)
-        rhs = -np.sum(u * gridmod.periodic_divergence(v1, v2, grid))
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+        lhs = gridmod.integral(g1 * v1 + g2 * v2, grid)
+        rhs = -gridmod.integral(u * gridmod.periodic_divergence(v1, v2, grid), grid)
+        scale = np.sqrt(np.sum(g1**2 + g2**2) * np.sum(v1**2 + v2**2)) * grid.cell_area
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_perp_gradient_is_divergence_free(self):
         # centered stencils commute, so the rotated gradient has exactly
@@ -149,13 +157,18 @@ class TestSampling:
         out = gridmod.sample_bilinear(vals, pts, grid)
         assert np.max(np.abs(out - vals)) <= 1e-13
 
-    def test_convex_combination_bounds(self, rng):
-        grid = TorusGrid(16)
-        vals = rng.standard_normal((16, 16))
-        pts = rng.random((200, 2))
-        out = gridmod.sample_bilinear(vals, pts, grid)
-        assert np.min(out) >= vals.min() - 1e-12
-        assert np.max(out) <= vals.max() + 1e-12
+    @PROPERTY
+    @given(st.integers(4, 40), seeds, st.floats(1e-3, 1e3))
+    def test_convex_combination_bounds(self, n, seed, scale):
+        # anywhere in the plane, seam and far copies included
+        rng = np.random.default_rng(seed)
+        vals = scale * rng.standard_normal((n, n))
+        pts = rng.uniform(-3.0, 4.0, (300, 2))
+        pts[:20] = rng.integers(-3, 4, (20, 2))  # exactly on the seam
+        out = gridmod.sample_bilinear(vals, pts, TorusGrid(n))
+        slack = 1e-14 * np.max(np.abs(vals))
+        assert np.min(out) >= vals.min() - slack
+        assert np.max(out) <= vals.max() + slack
 
     def test_linear_reproduction_away_from_seam(self, rng):
         grid = TorusGrid(32)

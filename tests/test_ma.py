@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgtorus import dynamics, ma, presets
 from sgtorus.errors import (
@@ -10,10 +12,12 @@ from sgtorus.errors import (
     NonConvergence,
     NonConvexInput,
 )
-from sgtorus.grid import TorusField, TorusGrid
+from sgtorus.grid import TorusField, TorusGrid, mean_zero, periodic_distance, wrap_delta
 from sgtorus.ma import (
     CofactorField,
     ConvexPotential,
+    LegendrePotential,
+    _conjugate_rows,
     _hessian_and_det,
     _newton_update,
     cofactor,
@@ -23,6 +27,69 @@ from sgtorus.ma import (
 )
 
 TWO_PI = 2.0 * np.pi
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def brute_legendre(pot):
+    """Oracle for legendre: both conjugate passes scan every tiled candidate
+    for every x, then the same refinement and certificate."""
+    grid = pot.grid
+    n, h = grid.n, grid.spacing
+    x = grid.axis_centers()
+    y = (np.arange(3 * n) + 0.5) / n - 1.0
+    q3 = np.tile(pot.q, (3, 3))
+
+    stage1_vals = np.empty((3 * n, n))
+    stage1_arg = np.empty((3 * n, n), dtype=int)
+    p_row = 0.5 * y[None, :] ** 2 + q3
+    for k in range(3 * n):
+        scores = np.outer(x, y) - (0.5 * y[k] ** 2 + p_row[k])[None, :]
+        arg = np.argmax(scores, axis=1)
+        stage1_arg[k] = arg
+        stage1_vals[k] = scores[np.arange(n), arg]
+
+    p_vals = np.empty((n, n))
+    arg1 = np.empty((n, n), dtype=int)
+    for j in range(n):
+        scores = np.outer(x, y) + stage1_vals[:, j][None, :]
+        arg = np.argmax(scores, axis=1)
+        arg1[:, j] = arg
+        p_vals[:, j] = scores[np.arange(n), arg]
+
+    arg2 = stage1_arg[arg1, np.arange(n)[None, :]]
+    y1, y2 = y[arg1], y[arg2]
+    i, j = arg1 % n, arg2 % n
+    r1 = x[:, None] - (y1 + pot.g1[i, j])
+    r2 = x[None, :] - (y2 + pot.g2[i, j])
+    a, b, c = pot.p11[i, j], pot.p12[i, j], pot.p22[i, j]
+    det = a * c - b * b
+    y1 = y1 + (c * r1 - b * r2) / det
+    y2 = y2 + (-b * r1 + a * r2) / det
+
+    x1, x2 = grid.centers()
+    r = mean_zero(p_vals - 0.5 * (x1**2 + x2**2))
+    d1, d2 = wrap_delta(y1 - x1), wrap_delta(y2 - x2)
+    back = pot.sample_gradient(np.stack([x1 + d1, x2 + d2], axis=-1))
+    inversion = float(np.max(periodic_distance(back, np.stack([x1, x2], axis=-1))))
+    diagnostics = {"inversion_residual": inversion, "tol_inv": 5.0 * h}
+    return LegendrePotential(grid, r, d1, d2, diagnostics=diagnostics)
+
+
+@st.composite
+def trig_potentials(draw, sizes):
+    """Discretely convex P* = |x|^2/2 + q, q a sum of up to three small
+    Fourier modes of wavenumber at most 2 per axis."""
+    grid = TorusGrid(draw(sizes))
+    x1, x2 = grid.centers()
+    q = np.zeros((grid.n, grid.n))
+    for _ in range(draw(st.integers(1, 3))):
+        k1, k2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        amp = draw(st.floats(-0.004, 0.004))
+        phase = draw(st.floats(0.0, TWO_PI))
+        q += amp * np.cos(TWO_PI * (k1 * x1 + k2 * x2) + phase)
+    pot = ConvexPotential(grid, q, strict=False)
+    assume(pot.convexity_margin > 0.0)
+    return pot
 
 
 class TestConvexPotential:
@@ -265,6 +332,78 @@ class TestLegendre:
         pot = ConvexPotential(grid, 0.1 * np.cos(TWO_PI * x1), strict=False)
         with pytest.raises(NonConvexInput):
             legendre(pot)
+
+    @PROPERTY
+    @given(trig_potentials(st.integers(8, 32)))
+    def test_matches_brute_force_bitwise(self, pot):
+        leg, ref = legendre(pot), brute_legendre(pot)
+        assert np.array_equal(leg.q, ref.q)
+        assert np.array_equal(leg.grad_d1, ref.grad_d1)
+        assert np.array_equal(leg.grad_d2, ref.grad_d2)
+        assert (leg.diagnostics["inversion_residual"]
+                == ref.diagnostics["inversion_residual"])
+
+    def test_solved_potential_matches_brute_force_bitwise(self):
+        grid = TorusGrid(48)
+        rho, lam, Lam = presets.two_bump_density(grid)
+        pot = solve_ma_periodic(rho, grid, lam=lam, Lam=Lam)
+        leg, ref = legendre(pot), brute_legendre(pot)
+        for name in ("q", "grad_d1", "grad_d2"):
+            assert np.array_equal(getattr(leg, name), getattr(ref, name)), name
+        assert leg.diagnostics == ref.diagnostics
+
+    @PROPERTY
+    @given(trig_potentials(st.integers(32, 64)))
+    def test_involution_on_random_potentials(self, pot):
+        # the grid sup misses the true one by O(h^2 / lambda_min), so the
+        # Hessian is kept well inside the convex cone
+        lo, hi = cofactor(pot).eigen_range()
+        assume(lo >= 0.5 and hi <= 2.0)
+        back = legendre(legendre(pot))
+        assert np.max(np.abs(back.q - pot.q)) <= 5e-4
+
+
+class TestConjugateRows:
+    @staticmethod
+    def brute(x, y, f):
+        scores = x[None, :, None] * y[None, None, :] - f[:, None, :]
+        return np.argmax(scores, axis=2), np.max(scores, axis=2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nonconvex_rows_match_argmax(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 80))
+        y = np.sort(rng.choice(np.linspace(-3.0, 3.0, 2001), size, replace=False))
+        x = np.sort(rng.uniform(-6.0, 6.0, int(rng.integers(1, 50))))
+        rows = int(rng.integers(1, 3 * ma.CONJUGATE_BLOCK))
+        f = [rng.standard_normal((rows, size)),  # no structure
+             -y**2 + 0.1 * rng.standard_normal((rows, size)),  # near concave
+             y**2 + rng.standard_normal((rows, size))
+             * (rng.random((rows, size)) < 0.1)]  # convex with dents
+        for fk in f:
+            arg, val = _conjugate_rows(x, y, fk)
+            ref_arg, ref_val = self.brute(x, y, fk)
+            assert np.array_equal(arg, ref_arg)
+            assert np.array_equal(val, ref_val)
+
+    def test_hull_needing_many_passes(self):
+        # a convex row whose last point dips far down: the vertices before
+        # it fall off the hull one per pass, from the right
+        y = np.linspace(-1.0, 1.0, 40)
+        f = np.stack([y**2, y**2])
+        f[0, -1] = -50.0
+        x = np.linspace(-30.0, 30.0, 121)
+        arg, val = _conjugate_rows(x, y, f)
+        ref_arg, ref_val = self.brute(x, y, f)
+        assert np.array_equal(arg, ref_arg)
+        assert np.array_equal(val, ref_val)
+
+    def test_ties_resolve_to_first_maximizer(self):
+        y = np.arange(6.0)
+        f = np.zeros((1, 6))  # every point is on one line of slope 0
+        arg, val = _conjugate_rows(np.array([-1.0, 0.0, 1.0]), y, f)
+        assert arg.tolist() == [[0, 0, 5]]
+        assert val.tolist() == [[0.0, 0.0, 5.0]]
 
 
 class TestPresets:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgtorus import polar, presets
 from sgtorus.errors import (
@@ -52,6 +54,26 @@ class TestPushforward:
         rho, factor = polar.pushforward_density(presets.shear_map(grid, 0.05))
         assert abs(factor - 1.0) <= 1e-12
         assert np.mean(rho.values) == pytest.approx(1.0, abs=1e-14)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(8, 48), st.integers(0, 2**32 - 1))
+    def test_unit_mass_for_smooth_displacements(self, n, seed):
+        # up to three modes per component, each with gradient at most
+        # 0.05 sqrt 2, so the map stays a small perturbation of the identity
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(n)
+        x1, x2 = grid.centers()
+        d = []
+        for _ in range(2):
+            comp = np.zeros((n, n))
+            for _ in range(rng.integers(1, 4)):
+                k = rng.integers(-2, 3, 2)
+                amp = 0.05 * rng.uniform(-1.0, 1.0) / (TWO_PI * max(1, np.abs(k).max()))
+                comp += amp * np.sin(TWO_PI * (k[0] * x1 + k[1] * x2) + TWO_PI * rng.random())
+            d.append(comp + rng.uniform(-0.5, 0.5))  # plus a translation
+        rho, factor = polar.pushforward_density(PeriodicDisplacement(grid, *d))
+        assert np.mean(rho.values) == pytest.approx(1.0, abs=1e-13)
+        assert abs(factor - 1.0) <= 1e-12
 
     def test_collapsing_map_rejected(self):
         grid = TorusGrid(32)
