@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from . import dynamics, polar, presets, regularity
+from .errors import SGTorusError
 from .fitting import dyadic_ladder
 from .grid import (
     MAX_DISPLACEMENT_NORM,
@@ -347,7 +348,7 @@ def check_operator_algebra(quick=False):
     try:
         solve_dirichlet_lma(cofactor(pot), sec.mask, grid,
                             boundary_values=bdata, tol=1e-12)
-    except Exception:
+    except SGTorusError:
         max_principle_ok = False
 
     passed = (adjoint_defect <= 1e-12 and trace_defect <= 1e-12

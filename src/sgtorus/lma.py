@@ -11,6 +11,8 @@ The matrix is symmetric by construction, has exactly the constants in its
 periodic kernel, and collapses to the standard 5-point Laplacian when
 Phi is the identity.  Dirichlet problems live on a cell mask with the
 one-cell ring outside held at zero (or at supplied boundary values).
+Every operator and residual assembles only the rows it reads
+(stencil_rows).
 """
 
 import dataclasses
@@ -52,7 +54,7 @@ def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
 
 
-# (di, dj) of the nine stencil entries of a row, in _assemble_full's order
+# (di, dj) of the nine stencil entries of a row, in stencil_rows' order
 _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
             (1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -74,15 +76,28 @@ def _stencil_layout(n):
     return columns, perm
 
 
-def _assemble_full(grid, c11, c12, c22):
-    """Periodic 9-point matrix of the energy, built directly in CSR with
-    nine entries per row (no COO triplets to sort and sum).
+def stencil_rows(grid, coeffs, cells):
+    """Rows `cells` (flat indices) of the periodic 9-point matrix of the
+    energy, in CSR with global column indices and nine entries per row.
+    Raises IndefiniteOperator unless the coefficient tensor is positive
+    definite in every cell.
 
     Faces: cells (i,j),(i+1,j) with harmonic c11 weight wx, cells
     (i,j),(i,j+1) with harmonic c22 weight wy.  Corners: cells a=(i,j),
     b=(i+1,j), c=(i,j+1), d=(i+1,j+1) with the averaged c12 weight wc,
     which adds +wc on a-a, d-d, b-c and -wc on b-b, c-c, a-d.
     """
+    c11, c12, c22 = _coeff_arrays(coeffs)
+    for c in (c11, c12, c22):
+        if c.shape != (grid.n, grid.n):
+            raise GridMismatch("coefficient shape does not match grid")
+    det = c11 * c22 - c12**2
+    if min(np.min(c11), np.min(c22)) <= 0.0 or np.min(det) <= 0.0:
+        raise IndefiniteOperator(
+            f"coefficient tensor is not positive definite cellwise "
+            f"(min diag {min(np.min(c11), np.min(c22)):.3e}, "
+            f"min det {np.min(det):.3e})"
+        )
     n, h = grid.n, grid.spacing
 
     def at(a, di, dj):  # a sampled at (i - di, j - dj)
@@ -102,15 +117,20 @@ def _assemble_full(grid, c11, c12, c22):
     diag = wx + wx_m + wy + wy_m + wc + wc_mm - wc_m0 - wc_0m
     data = np.stack([diag, -wx, -wx_m, -wy, -wy_m, -wc, -wc_mm, wc_m0, wc_0m],
                     axis=-1)
-    columns, perm = _stencil_layout(n)
+    # the layout's nine entries per row of `cells`, flattened
+    columns, perm = (np.take(a.reshape(-1, 9), cells, axis=0).ravel()
+                     for a in _stencil_layout(n))
     return sparse.csr_matrix(
-        (data.ravel()[perm], columns, np.arange(0, 9 * n * n + 1, 9)),
-        shape=(n * n, n * n),
+        (data.ravel()[perm], columns, np.arange(0, 9 * cells.size + 1, 9)),
+        shape=(cells.size, n * n),
     )
 
 
 class DivergenceFormOperator:
     """Sparse symmetric assembly of L u = -div(Phi grad u).
+
+    Only the operator's own rows are assembled (stencil_rows): all N^2 in
+    periodic mode, the masked cells' rows in Dirichlet mode.
 
     Parameters
     ----------
@@ -122,37 +142,25 @@ class DivergenceFormOperator:
         Dirichlet operator on the masked cells with u = 0 outside.
     """
 
-    def __init__(self, grid, coeffs, mask=None, probe_definiteness=True, rng=None):
+    def __init__(self, grid, coeffs, mask=None):
         self.grid = grid
-        c11, c12, c22 = _coeff_arrays(coeffs)
-        for c in (c11, c12, c22):
-            if c.shape != (grid.n, grid.n):
-                raise GridMismatch("coefficient shape does not match grid")
-        det = c11 * c22 - c12**2
-        if min(np.min(c11), np.min(c22)) <= 0.0 or np.min(det) <= 0.0:
-            raise IndefiniteOperator(
-                f"coefficient tensor is not positive definite cellwise "
-                f"(min diag {min(np.min(c11), np.min(c22)):.3e}, "
-                f"min det {np.min(det):.3e})"
-            )
-        full = _assemble_full(grid, c11, c12, c22)
-        # coefficients of the constant-coefficient periodic preconditioner
-        self.mean_coefficients = (c11.mean(), c12.mean(), c22.mean())
         self.mask = None
-        self.cells = None
+        self.cells = np.arange(grid.n**2)
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (grid.n, grid.n):
                 raise GridMismatch("mask shape does not match grid")
             self.mask = mask
             self.cells = np.flatnonzero(mask.ravel())
-            self._full_matrix = full
-            self.matrix = full[self.cells][:, self.cells].tocsr()
-        else:
-            self.matrix = full
+        # the cells' rows with every column; Dirichlet solves lift the
+        # boundary ring's data with them
+        self.rows = stencil_rows(grid, coeffs, self.cells)
+        self.matrix = (self.rows if mask is None
+                       else self.rows[:, self.cells].tocsr())
+        # coefficients of the constant-coefficient periodic preconditioner
+        self.mean_coefficients = tuple(c.mean() for c in _coeff_arrays(coeffs))
         self.symmetry_defect = self._symmetry_defect()
-        if probe_definiteness:
-            self._probe_definiteness(rng)
+        self.min_ritz = self._min_ritz()
 
     # -- structure checks ----------------------------------------------------
 
@@ -160,21 +168,23 @@ class DivergenceFormOperator:
         d = self.matrix - self.matrix.T
         return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
-    def _probe_definiteness(self, rng, n_probes=4):
-        rng = rng or np.random.default_rng(0)
+    def _min_ritz(self, n_probes=4):
+        """Smallest Ritz value on seeded random probes, none negative."""
+        rng = np.random.default_rng(0)
         size = self.matrix.shape[0]
         scale = float(np.max(np.abs(self.matrix.diagonal()))) or 1.0
-        self.min_ritz = np.inf
+        min_ritz = np.inf
         for _ in range(n_probes):
             x = rng.standard_normal(size)
             if self.mask is None:
                 x -= x.mean()  # probe orthogonal to the periodic kernel
             ritz = float(x @ (self.matrix @ x)) / float(x @ x)
-            self.min_ritz = min(self.min_ritz, ritz)
+            min_ritz = min(min_ritz, ritz)
             if ritz < -1e-10 * scale:
                 raise IndefiniteOperator(
                     f"negative Ritz value {ritz:.3e} on random probe"
                 )
+        return min_ritz
 
     # -- actions ---------------------------------------------------------
 
@@ -184,12 +194,6 @@ class DivergenceFormOperator:
             u = np.asarray(u, dtype=float)
             return (self.matrix @ u.ravel()).reshape(self.grid.n, self.grid.n)
         return self.matrix @ np.asarray(u, dtype=float)
-
-    def energy(self, u, v=None):
-        """Discrete Dirichlet energy integral Phi grad u . grad v."""
-        uv = np.asarray(u, dtype=float).ravel()
-        vv = uv if v is None else np.asarray(v, dtype=float).ravel()
-        return float(vv @ (self.matrix @ uv)) * self.grid.cell_area
 
     def solve(self, rhs, tol=DEFAULT_CG_TOL):
         """Preconditioned conjugate gradients.
@@ -237,10 +241,6 @@ class DivergenceFormOperator:
     def point_source(self, pole_index):
         """Discrete delta at a cell: 1/h^2 scaled unit vector."""
         flat = pole_index[0] * self.grid.n + pole_index[1]
-        if self.mask is None:
-            b = np.zeros(self.grid.n**2)
-            b[flat] = 1.0 / self.grid.cell_area
-            return b.reshape(self.grid.n, self.grid.n)
         b = np.zeros(self.cells.size)
         where = np.nonzero(self.cells == flat)[0]
         if where.size == 0:
@@ -250,8 +250,6 @@ class DivergenceFormOperator:
 
     def scatter(self, vec):
         """Mask vector -> full grid array with zeros outside."""
-        if self.mask is None:
-            return np.asarray(vec, dtype=float).reshape(self.grid.n, self.grid.n)
         out = np.zeros(self.grid.n**2)
         out[self.cells] = vec
         return out.reshape(self.grid.n, self.grid.n)
@@ -310,7 +308,7 @@ def solve_dirichlet_lma(coeffs, mask, grid, F=None, rhs=None,
         bvals = np.where(ring, np.asarray(boundary_values, dtype=float), 0.0)
         bring = bvals[ring]
         # lift: move known ring values to the right-hand side
-        b = b - op._full_matrix[op.cells] @ bvals.ravel()
+        b = b - op.rows @ bvals.ravel()
 
     u = op.solve(b, tol=tol)
     res = float(np.linalg.norm(op.matrix @ u - b))

@@ -9,7 +9,8 @@ from sgtorus.grid import (
     mean_zero,
     periodic_divergence,
 )
-from sgtorus.ma import solve_ma_periodic
+from sgtorus.lma import DivergenceFormOperator
+from sgtorus.ma import cofactor, solve_ma_periodic
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,6 +134,17 @@ class TestRun:
         lmas = [c["lma_residual"] for c in short_run.certificates[1:-1]]
         assert all(np.isfinite(r) for r in lmas)
         assert max(lmas) <= 0.6
+
+    def test_lma_residual_matches_periodic_operator(self, short_run):
+        # the row-built residual against the periodic operator, bitwise
+        res, k = short_run, 5
+        pot = res.potential_at(k)
+        vel = dynamics.velocity_from_potential(pot)
+        rho, dtp = res.rho_history[k], res.dtp_field(k)
+        op = DivergenceFormOperator(pot.grid, cofactor(pot))
+        rhs = op.divergence_rhs(rho * vel.d1, rho * vel.d2)
+        ref = np.linalg.norm((op.apply(dtp) - rhs).ravel()) / np.linalg.norm(rhs)
+        assert dynamics.lma_residual(pot, rho, vel, dtp) == ref
 
     def test_dtp_field_matches_centered_difference(self, short_run):
         res = short_run

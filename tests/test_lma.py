@@ -12,6 +12,7 @@ from sgtorus.lma import (
     level_set_decay,
     solve_dirichlet_lma,
     solve_periodic_lma,
+    stencil_rows,
 )
 from sgtorus.ma import CofactorField, cofactor, solve_ma_periodic
 from sgtorus.sections import extract_section
@@ -42,21 +43,13 @@ class TestOperator:
     def test_symmetry_and_semidefiniteness(self, rng):
         grid = TorusGrid(32)
         pot = presets.perturbed_potential(grid, 0.01)
-        op = DivergenceFormOperator(grid, cofactor(pot), rng=rng)
+        op = DivergenceFormOperator(grid, cofactor(pot))
         assert op.symmetry_defect == 0.0
         assert op.min_ritz >= -1e-12
         u, v = rng.standard_normal((2, 32, 32))
         lhs = np.sum(v * op.apply(u))
         rhs = np.sum(u * op.apply(v))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
-
-    def test_energy_matches_quadratic_form(self, rng):
-        grid, op = identity_operator(16)
-        u = rng.standard_normal((16, 16))
-        assert op.energy(u) >= 0.0
-        assert op.energy(u) == pytest.approx(
-            float(np.sum(u * op.apply(u))) * grid.cell_area
-        )
 
     def test_rejects_indefinite_coefficients(self):
         grid = TorusGrid(16)
@@ -65,6 +58,9 @@ class TestOperator:
         c12 = np.full((16, 16), 1.5)  # det = 1 - 2.25 < 0
         with pytest.raises(IndefiniteOperator):
             DivergenceFormOperator(grid, (c11, c12, c22))
+        # the residual paths assemble rows without an operator
+        with pytest.raises(IndefiniteOperator):
+            stencil_rows(grid, (c11, c12, c22), np.arange(16 * 16))
 
     def test_divergence_of_rotated_gradient_vanishes(self):
         grid, op = identity_operator(32)
@@ -247,3 +243,48 @@ class TestBoundaryRing:
         assert np.array_equal(u[ring], bdata[ring])
         assert bdata[ring].min() <= u[sec.mask].min()
         assert u[sec.mask].max() <= bdata[ring].max()
+
+
+@pytest.fixture(scope="module")
+def two_bump():
+    grid = TorusGrid(64)
+    rho, lam, Lam = presets.two_bump_density(grid)
+    pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+    return grid, pot, cofactor(pot)
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.indptr, b.indptr)
+
+
+class TestRowAssembly:
+    """Masked operators assemble only their own rows; the periodic
+    operator's matrix is the bitwise reference."""
+
+    @pytest.mark.parametrize("center", [(0.3, 0.3), (0.3, 0.98)],
+                             ids=["interior", "seam"])
+    def test_masked_matrix_is_periodic_submatrix(self, two_bump, center):
+        grid, pot, cof = two_bump
+        sec = extract_section(pot, center, 0.02)
+        op = DivergenceFormOperator(grid, cof, mask=sec.mask)
+        full = DivergenceFormOperator(grid, cof).matrix
+        assert_same_csr(op.rows, full[op.cells])
+        assert_same_csr(op.matrix, full[op.cells][:, op.cells])
+
+    def test_seam_lift_matches_periodic_rows(self, two_bump):
+        grid, pot, cof = two_bump
+        sec = extract_section(pot, (0.3, 0.98), 0.02)
+        assert sec.mask[:, 0].any() and sec.mask[:, -1].any()
+        _, x2 = grid.centers()
+        bdata = -(0.1 + 0.05 * np.cos(TWO_PI * x2))
+        op = DivergenceFormOperator(grid, cof, mask=sec.mask)
+        u, _ = solve_dirichlet_lma(cof, sec.mask, grid, boundary_values=bdata,
+                                   tol=1e-12, operator=op)
+        ring = boundary_ring(sec.mask)
+        bvals = np.where(ring, bdata, 0.0)
+        full = DivergenceFormOperator(grid, cof).matrix
+        lifted = op.solve(-(full[op.cells] @ bvals.ravel()), tol=1e-12)
+        assert np.array_equal(u, np.where(ring, bvals, op.scatter(lifted)))
