@@ -1,13 +1,16 @@
-"""Cold Monge-Ampere solve, warm time-loop step and Legendre times against N.
+"""Cold Monge-Ampere solve, warm step, Legendre and Holder-report times against N.
 
     python3 scripts/ma_scaling.py --n 64 128 256 512 [--src DIR] [--steps 5]
 
 For each N, in a fresh process with one BLAS thread: the cold solve of
 the two-bump preset density, then --steps time-loop steps (dt = 2.5e-4)
 warm-started from it, then LEGENDRE_REPS Legendre transforms of the cold
-potential.  Prints one JSON object per N: cold_s, the median step_s, the
-median legendre_s, Newton and Krylov iteration counts, and the child's
-peak RSS.
+potential, then dynamics.dtp_regularity at HOLDER_CENTRES seeded centres
+on the centred dP*/dt of the warm steps: once on the first (holder_first_s,
+which builds any per-centre tables) and HOLDER_REPS times on the next ones
+in turn (their median is holder_s).  Prints one JSON object per N: cold_s,
+the median step_s, legendre_s and holder_s, holder_first_s, Newton and
+Krylov iteration counts, and the child's peak RSS.
 --src points at the src/ directory of the checkout to measure (default:
 this one), so two versions can be timed with the same script.
 """
@@ -20,6 +23,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEGENDRE_REPS = 3
+HOLDER_CENTRES = 20
+HOLDER_REPS = 3
+DT = 2.5e-4
 
 
 def measure(n, steps):
@@ -27,8 +33,10 @@ def measure(n, steps):
     import statistics
     import time
 
+    import numpy as np
+
     from sgtorus import dynamics, ma, presets
-    from sgtorus.grid import TorusGrid
+    from sgtorus.grid import TorusGrid, mean_zero
 
     grid = TorusGrid(n)
     rho, lam, Lam = presets.two_bump_density(grid)
@@ -37,20 +45,36 @@ def measure(n, steps):
     cold_s = time.perf_counter() - t
     cold = state.pot
     step_s, newton, krylov = [], 0, 0
+    history = [state]
     for _ in range(steps):
         t = time.perf_counter()
-        state = dynamics.step(state, 2.5e-4)
+        state = dynamics.step(state, DT)
         step_s.append(time.perf_counter() - t)
         newton += state.pot.newton_iters
         krylov += state.pot.diagnostics.get("linear_iters", 0)
+        history.append(state)
     legendre_s = []
     for _ in range(LEGENDRE_REPS):
         t = time.perf_counter()
         ma.legendre(cold)
         legendre_s.append(time.perf_counter() - t)
+    # (rho, dP*/dt) at the interior records, centred as RunResult.dtp_field
+    records = [(history[k].rho,
+                mean_zero((history[k + 1].pot.q - history[k - 1].pot.q)
+                          / (2.0 * DT)))
+               for k in range(1, len(history) - 1)]
+    centers = np.random.default_rng(0).random((HOLDER_CENTRES, 2))
+    holder_s = []
+    for r in range(HOLDER_REPS + 1):
+        rho, dtp = records[r % len(records)]
+        t = time.perf_counter()
+        dynamics.dtp_regularity(dtp, rho, centers, grid, (0.1, 0.2))
+        holder_s.append(time.perf_counter() - t)
     return {
         "n": n, "cold_s": cold_s, "step_s": statistics.median(step_s),
         "legendre_s": statistics.median(legendre_s),
+        "holder_first_s": holder_s[0],
+        "holder_s": statistics.median(holder_s[1:]),
         "steps": steps, "cold_newton_iters": cold.newton_iters,
         "cold_linear_iters": cold.diagnostics.get("linear_iters"),
         "step_newton_iters": newton, "step_linear_iters": krylov or None,
@@ -65,6 +89,8 @@ def main():
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
     p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args()
+    if args.steps < 2:
+        p.error("--steps must be at least 2 for a centred dP*/dt")
     if args.child:
         sys.path.insert(0, os.path.abspath(args.src))
         print(json.dumps(measure(args.n[0], args.steps)))

@@ -48,6 +48,20 @@ class TorusGrid:
         c = self.axis_centers()
         return np.meshgrid(c, c, indexing="ij")
 
+    def offsets_from(self, i0, j0):
+        """Wrapped offsets of every cell center from the center of cell
+        (i0, j0): d1 of shape (N, 1) and d2 of shape (1, N).
+
+        Broadcast together they are wrap_delta(centers() - center) bit for
+        bit, since every element goes through the same subtraction and
+        wrap; only N values per axis are computed instead of N^2.
+        """
+        c = self.axis_centers()
+        h = self.spacing
+        d1 = wrap_delta(c - (i0 + 0.5) * h)
+        d2 = wrap_delta(c - (j0 + 0.5) * h)
+        return d1[:, None], d2[None, :]
+
     def index_of(self, points):
         """Indices (i, j) of the cells containing ``points`` (..., 2)."""
         pts = np.asarray(points, dtype=float)
@@ -86,13 +100,24 @@ class TorusField:
 
 
 def wrap(points):
-    """Map points back to the fundamental domain [0,1)^2."""
-    return np.asarray(points, dtype=float) % 1.0
+    """Map points back to the fundamental domain: every coordinate lands in
+    [0, 1], 1.0 only for negative inputs that round up (wrap(-1e-20) is 1.0).
+
+    x - floor(x) is numpy's x % 1.0 bit for bit: the float modulo is fmod
+    plus a +1 correction for negative x, which rounds the same exact value
+    x - floor(x) once, at several times the cost.
+    """
+    x = np.asarray(points, dtype=float)
+    return x - np.floor(x)
 
 
 def wrap_delta(delta):
-    """Reduce coordinate differences to the representative in [-1/2, 1/2)."""
-    return (np.asarray(delta, dtype=float) + 0.5) % 1.0 - 0.5
+    """Reduce coordinate differences to the representative in [-1/2, 1/2),
+    1/2 only where the wrap rounds up as in wrap.
+
+    Equal bit for bit to (delta + 0.5) % 1.0 - 0.5, through wrap.
+    """
+    return wrap(np.asarray(delta, dtype=float) + 0.5) - 0.5
 
 
 def periodic_delta(a, b):

@@ -159,14 +159,9 @@ class DivergenceFormOperator:
                        else self.rows[:, self.cells].tocsr())
         # coefficients of the constant-coefficient periodic preconditioner
         self.mean_coefficients = tuple(c.mean() for c in _coeff_arrays(coeffs))
-        self.symmetry_defect = self._symmetry_defect()
         self.min_ritz = self._min_ritz()
 
     # -- structure checks ----------------------------------------------------
-
-    def _symmetry_defect(self):
-        d = self.matrix - self.matrix.T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
     def _min_ritz(self, n_probes=4):
         """Smallest Ritz value on seeded random probes, none negative."""

@@ -7,11 +7,11 @@ around a point.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 from scipy import ndimage
 
-from . import grid as gridmod
 from .errors import ResidualTooLarge
 from .fitting import CONSTANT_SENTINEL, loglog_fit
 from .lma import stencil_rows
@@ -123,31 +123,53 @@ class HolderFit:
     constant: bool
 
 
+@functools.lru_cache(maxsize=64)
+def _shell_cells(grid, i0, j0, radii):
+    """Shells [r, r + spacing) of periodic distance around the center of
+    cell (i0, j0), one per r in the tuple radii (None: eight geometric
+    radii from 3 spacings to 0.3): (cells, r_achieved) for each nonempty
+    shell in the order of radii, cells being read-only flat indices and
+    r_achieved the largest distance inside the shell.
+
+    Depends on the grid and the center cell only, so every record of a
+    time series reuses it; it keeps no N x N array.
+    """
+    h = grid.spacing
+    if radii is None:
+        radii = np.geomspace(3.0 * h, 0.3, 8)
+    d1, d2 = grid.offsets_from(i0, j0)
+    dist = np.hypot(d1, d2)
+    table = []
+    for r in radii:
+        cells = np.flatnonzero((dist >= r) & (dist < r + h))
+        if cells.size:
+            cells.flags.writeable = False
+            table.append((cells, float(np.max(dist.ravel()[cells]))))
+    return tuple(table)
+
+
 def holder_fit(u, x0, grid, radii=None, min_points=4):
     """Fit max_{shell(r)} |u - u(x0)| ~ C r^gamma around x0.
 
     Shells are periodic-distance annuli [r, r + spacing).  A field that is
     constant to machine precision returns the sentinel gamma = inf with
     constant=True instead of fitting noise.
+
+    The shells' cells and distances are cached per grid, center cell and
+    radii (_shell_cells), so a call reads only u at the shell cells.  The
+    distances are np.hypot of grid.offsets_from broadcast, the wrapped
+    meshgrid's values bit for bit, and a shell maximum is the same maximum
+    over the same cells, so the fit does not depend on the cache.
     """
     u = np.asarray(u, dtype=float)
-    h = grid.spacing
     i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
-    x0c = np.array([(i0 + 0.5) * h, (j0 + 0.5) * h])
-    x1, x2 = grid.centers()
-    dist = np.hypot(gridmod.wrap_delta(x1 - x0c[0]),
-                    gridmod.wrap_delta(x2 - x0c[1]))
-    diff = np.abs(u - u[i0, j0])
-
-    if radii is None:
-        radii = np.geomspace(3.0 * h, 0.3, 8)
+    if radii is not None:
+        radii = tuple(float(r) for r in radii)
+    table = _shell_cells(grid, int(i0), int(j0), radii)
+    flat, u0 = u.ravel(), u[i0, j0]
     shells = {}
-    for r in radii:
-        sel = (dist >= r) & (dist < r + h)
-        if not np.any(sel):
-            continue
-        m = float(np.max(diff[sel]))
-        r_achieved = float(np.max(dist[sel]))
+    for cells, r_achieved in table:
+        m = float(np.max(np.abs(flat[cells] - u0)))
         # overlapping windows can share their farthest sample; keep one point
         shells[r_achieved] = max(m, shells.get(r_achieved, 0.0))
     shells = sorted(shells.items())

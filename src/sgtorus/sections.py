@@ -68,7 +68,10 @@ def extract_section(pot, x0, height):
 
     The tangent deficit at the lifted representative y = x0 + delta is
     |delta|^2/2 + q(y) - q(x0) - grad q(x0) . delta, so only the periodic
-    part of the potential enters.
+    part of the potential enters.  The offsets delta come from
+    grid.offsets_from as one row and one column (O(N) wrapped values);
+    broadcasting them gives the N x N wrapped meshgrid bit for bit, so
+    masks and offsets do not depend on the form.
 
     Raises
     ------
@@ -84,9 +87,7 @@ def extract_section(pot, x0, height):
     i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
     x0c = np.array([(i0 + 0.5) * h, (j0 + 0.5) * h])
 
-    x1, x2 = grid.centers()
-    d1 = gridmod.wrap_delta(x1 - x0c[0])
-    d2 = gridmod.wrap_delta(x2 - x0c[1])
+    d1, d2 = grid.offsets_from(i0, j0)
     deficit = (
         0.5 * (d1**2 + d2**2)
         + pot.q
@@ -120,7 +121,8 @@ def extract_section(pot, x0, height):
         raise EmptySection(
             f"height {height} is below one-cell resolution at spacing {h}"
         )
-    offsets = np.column_stack([d1[mask], d2[mask]])
+    offsets = np.column_stack([np.broadcast_to(d, mask.shape)[mask]
+                               for d in (d1, d2)])
     return Section(grid, x0c, (int(i0), int(j0)), float(height), mask,
                    offsets, discarded)
 

@@ -6,12 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgtorus import grid as gridmod
+from sgtorus import presets
 from sgtorus.errors import GridMismatch, InvariantViolation
 from sgtorus.grid import PeriodicDisplacement, TorusField, TorusGrid
+from sgtorus.sections import extract_section
 
 TWO_PI = 2.0 * np.pi
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def edge_values():
+    """Signed zeros, halves, integers, their float neighbours, huge and
+    tiny magnitudes: where a floor-based wrap could part from float mod."""
+    base = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 1e300, 1e-20, 1e-300, 5e-324,
+                     0.25, 0.75, 2.0**52, 2.0**53 + 2.0])
+    base = np.concatenate([base, -base])
+    return np.concatenate([base, np.nextafter(base, np.inf),
+                           np.nextafter(base, -np.inf)])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
 
 
 def trig_field(grid):
@@ -36,6 +55,23 @@ class TestWrapping:
         assert d == pytest.approx(np.hypot(0.1, 0.1))
         assert gridmod.periodic_distance([0.3, 0.4], [0.3, 0.4]) == 0.0
 
+    def test_wrap_matches_float_mod_on_edge_values(self):
+        x = edge_values()
+        assert same_bits(gridmod.wrap(x), x % 1.0)
+        assert same_bits(gridmod.wrap_delta(x), (x + 0.5) % 1.0 - 0.5)
+        # both forms round a tiny negative coordinate up to the period
+        assert gridmod.wrap(-1e-20) == 1.0
+        assert np.float64(-1e-20) % 1.0 == 1.0
+
+    @PROPERTY
+    @given(st.lists(finite, min_size=1, max_size=64), seeds)
+    def test_wrap_matches_float_mod(self, values, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([values, rng.uniform(-3.0, 3.0, 64),
+                            1e-17 * rng.standard_normal(16)])
+        assert same_bits(gridmod.wrap(x), x % 1.0)
+        assert same_bits(gridmod.wrap_delta(x), (x + 0.5) % 1.0 - 0.5)
+
     def test_periodic_delta_antisymmetric(self, rng):
         a, b = rng.random((2, 7, 2))
         assert np.allclose(gridmod.periodic_delta(a, b),
@@ -58,6 +94,35 @@ class TestGrid:
         i, j = grid.index_of([0.999, 0.0])
         assert (i, j) == (9, 0)
         assert np.allclose(grid.nearest_center([0.999, 0.0]), [0.95, 0.05])
+
+    @PROPERTY
+    @given(st.integers(4, 64), seeds)
+    def test_offsets_from_broadcasts_to_wrapped_meshgrid(self, n, seed):
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(n)
+        i0, j0 = (int(k) for k in rng.integers(0, n, 2))
+        h = grid.spacing
+        x1, x2 = grid.centers()
+        d1, d2 = grid.offsets_from(i0, j0)
+        assert d1.shape == (n, 1) and d2.shape == (1, n)
+        assert same_bits(np.broadcast_to(d1, (n, n)),
+                         gridmod.wrap_delta(x1 - (i0 + 0.5) * h))
+        assert same_bits(np.broadcast_to(d2, (n, n)),
+                         gridmod.wrap_delta(x2 - (j0 + 0.5) * h))
+
+    def test_section_offsets_match_meshgrid_gather(self):
+        # a section across both seams: its offsets are the wrapped N x N
+        # meshgrid gathered at the mask
+        grid = TorusGrid(64)
+        pot = presets.perturbed_potential(grid, 0.01)
+        sec = extract_section(pot, (0.99, 0.01), 0.02)
+        assert sec.mask[0].any() and sec.mask[-1].any()
+        assert sec.mask[:, 0].any() and sec.mask[:, -1].any()
+        x1, x2 = grid.centers()
+        d1 = (x1 - sec.center[0] + 0.5) % 1.0 - 0.5
+        d2 = (x2 - sec.center[1] + 0.5) % 1.0 - 0.5
+        assert same_bits(sec.offsets,
+                         np.column_stack([d1[sec.mask], d2[sec.mask]]))
 
     def test_field_shape_guard(self):
         with pytest.raises(GridMismatch):

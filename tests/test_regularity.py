@@ -1,15 +1,70 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
+from sgtorus import grid as gridmod
 from sgtorus import presets, regularity
 from sgtorus.errors import InsufficientSamples, ResidualTooLarge
+from sgtorus.fitting import CONSTANT_SENTINEL, loglog_fit
 from sgtorus.grid import TorusGrid, periodic_distance
 from sgtorus.lma import DivergenceFormOperator, solve_dirichlet_lma
 from sgtorus.ma import cofactor
 from sgtorus.sections import extract_section
 
 TWO_PI = 2.0 * np.pi
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def brute_holder_fit(u, x0, grid, radii=None, min_points=4):
+    """Oracle for holder_fit: the N x N wrapped distances and every shell
+    mask rebuilt on each call."""
+    u = np.asarray(u, dtype=float)
+    h = grid.spacing
+    i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
+    x0c = np.array([(i0 + 0.5) * h, (j0 + 0.5) * h])
+    x1, x2 = grid.centers()
+    dist = np.hypot((x1 - x0c[0] + 0.5) % 1.0 - 0.5,
+                    (x2 - x0c[1] + 0.5) % 1.0 - 0.5)
+    diff = np.abs(u - u[i0, j0])
+
+    if radii is None:
+        radii = np.geomspace(3.0 * h, 0.3, 8)
+    shells = {}
+    for r in radii:
+        sel = (dist >= r) & (dist < r + h)
+        if not np.any(sel):
+            continue
+        m = float(np.max(diff[sel]))
+        r_achieved = float(np.max(dist[sel]))
+        shells[r_achieved] = max(m, shells.get(r_achieved, 0.0))
+    shells = sorted(shells.items())
+
+    scale = max(float(np.max(np.abs(u))), 1.0)
+    if not shells or max(m for _, m in shells) <= regularity._CONSTANT_FLOOR * scale:
+        return regularity.HolderFit(CONSTANT_SENTINEL, 0.0, 1.0, shells, True)
+    fit = loglog_fit([r for r, _ in shells], [m for _, m in shells],
+                     min_points=min_points)
+    return regularity.HolderFit(fit.slope, fit.prefactor, fit.r2, shells, False)
+
+
+def fit_bits(fit_fn, *args, **kwargs):
+    """Every bit of a Holder fit (or the failure it raises)."""
+    try:
+        fit = fit_fn(*args, **kwargs)
+    except InsufficientSamples as exc:
+        return "raises", str(exc)
+    bits = np.array([fit.gamma, fit.prefactor, fit.r2]).view(np.int64)
+    shells = np.array(fit.shells, dtype=float).view(np.int64)
+    return bits.tolist(), shells.tolist(), fit.constant
+
+
+def assert_matches_brute(*args, **kwargs):
+    got = fit_bits(regularity.holder_fit, *args, **kwargs)
+    assert got == fit_bits(brute_holder_fit, *args, **kwargs)
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +194,70 @@ class TestHolderFit:
         grid, u = self.grid_distance_power(64, (0.5, 0.5), 0.5)
         with pytest.raises(InsufficientSamples):
             regularity.holder_fit(u, (0.5, 0.5), grid, radii=[0.1, 0.2])
+
+
+class TestHolderFitOracle:
+    """holder_fit reads cached shell tables; every bit of its result must
+    be the brute-force fit's."""
+
+    @PROPERTY
+    @given(st.integers(8, 64), seeds)
+    def test_random_fields(self, n, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n, n)) * rng.uniform(1e-3, 1e3)
+        assert_matches_brute(u, rng.random(2), TorusGrid(n))
+
+    @PROPERTY
+    @given(st.integers(8, 64), seeds, st.sampled_from(["seam", "corner"]))
+    def test_seam_and_corner_centres(self, n, seed, where):
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(n)
+        edge = [0, n - 1]
+        i0 = edge[rng.integers(2)]
+        j0 = edge[rng.integers(2)] if where == "corner" else rng.integers(n)
+        # any point of the cell, its lower edge on the seam included
+        x0 = (np.array([i0, j0]) + rng.choice([0.0, 0.5, 0.999], 2)) / n
+        u = gridmod.periodic_distance(
+            np.stack(grid.centers(), axis=-1), rng.random(2)
+        ) ** 0.5 + 0.1 * rng.standard_normal((n, n))
+        assert_matches_brute(u, x0, grid)
+
+    @PROPERTY
+    @given(st.integers(8, 64), seeds)
+    def test_colliding_radii(self, n, seed):
+        # windows a fraction of a spacing apart share their farthest sample
+        rng = np.random.default_rng(seed)
+        h = 1.0 / n
+        radii = list(2.0 * h + np.cumsum(rng.uniform(0.1, 0.6, 10) * h))
+        u = rng.standard_normal((n, n))
+        assert_matches_brute(u, rng.random(2), TorusGrid(n), radii=radii,
+                             min_points=2)
+
+    def test_colliding_radii_do_collide(self):
+        grid = TorusGrid(32)
+        h = grid.spacing
+        radii = tuple(3.0 * h + k * h / 4.0 for k in range(8))
+        table = regularity._shell_cells(grid, 5, 7, radii)
+        assert len({r for _, r in table}) < len(table)
+        u = np.random.default_rng(3).standard_normal((32, 32))
+        _, shells, _ = assert_matches_brute(u, (0.17, 0.23), grid,
+                                            radii=list(radii), min_points=2)
+        assert len(shells) < len(table)
+
+    @PROPERTY
+    @given(st.integers(8, 64), seeds, st.floats(-1e6, 1e6))
+    def test_constant_field_sentinel(self, n, seed, level):
+        rng = np.random.default_rng(seed)
+        u = np.full((n, n), level)
+        u += 1e-16 * max(abs(level), 1.0) * rng.standard_normal((n, n))
+        bits = assert_matches_brute(u, rng.random(2), TorusGrid(n))
+        assert bits[2] is True
+
+    def test_cached_cells_are_read_only(self):
+        grid = TorusGrid(16)
+        table = regularity._shell_cells(grid, 3, 15, (0.2, 0.25, 0.3))
+        assert table
+        for cells, _ in table:
+            assert not cells.flags.writeable
+            with pytest.raises(ValueError):
+                cells[0] = 0
