@@ -1,6 +1,7 @@
 """Cold Monge-Ampere solve, warm step, Legendre and Holder-report times against N.
 
     python3 scripts/ma_scaling.py --n 64 128 256 512 [--src DIR] [--steps 5]
+    python3 scripts/ma_scaling.py --n 128 256 --pinch 4 100 2500 [--src DIR]
 
 For each N, in a fresh process with one BLAS thread: the cold solve of
 the two-bump preset density, then --steps time-loop steps (dt = 2.5e-4)
@@ -11,6 +12,11 @@ which builds any per-centre tables) and HOLDER_REPS times on the next ones
 in turn (their median is holder_s).  Prints one JSON object per N: cold_s,
 the median step_s, legendre_s and holder_s, holder_first_s, Newton and
 Krylov iteration counts, and the child's peak RSS.
+With --pinch, each N instead times cold solves of the two-bump density
+mapped onto [P^-1/2, P^1/2] for each pinch P (the pinch Lambda/lambda is
+P before the mass normalization), PINCH_REPS solves each: one JSON object
+per (N, P) with the median cold_s, the Newton and Krylov iteration counts
+(the same in every solve) and the density's actual lambda and Lambda.
 --src points at the src/ directory of the checkout to measure (default:
 this one), so two versions can be timed with the same script.
 """
@@ -25,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEGENDRE_REPS = 3
 HOLDER_CENTRES = 20
 HOLDER_REPS = 3
+PINCH_REPS = 3
 DT = 2.5e-4
 
 
@@ -82,27 +89,62 @@ def measure(n, steps):
     }
 
 
+def measure_pinch(n, pinch):
+    import resource
+    import statistics
+    import time
+
+    from sgtorus import ma, presets
+    from sgtorus.grid import TorusGrid
+
+    grid = TorusGrid(n)
+    rho, lam, Lam = presets.two_bump_density(grid, lo=pinch**-0.5,
+                                             hi=pinch**0.5)
+    cold_s = []
+    for _ in range(PINCH_REPS):
+        t = time.perf_counter()
+        pot = ma.solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        cold_s.append(time.perf_counter() - t)
+    newton, krylov = pot.newton_iters, pot.diagnostics["linear_iters"]
+    return {
+        "n": n, "pinch": pinch, "lambda": lam, "Lambda": Lam,
+        "cold_s": statistics.median(cold_s), "newton_iters": newton,
+        "linear_iters": krylov, "linear_per_newton": krylov / max(newton, 1),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--pinch", type=float, nargs="+",
+                   help="time cold solves at these pinches instead")
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
     p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args()
     if args.steps < 2:
         p.error("--steps must be at least 2 for a centred dP*/dt")
+    if args.pinch and min(args.pinch) < 1.0:
+        p.error("--pinch values must be at least 1")
     if args.child:
         sys.path.insert(0, os.path.abspath(args.src))
-        print(json.dumps(measure(args.n[0], args.steps)))
+        if args.pinch:
+            print(json.dumps(measure_pinch(args.n[0], args.pinch[0])))
+        else:
+            print(json.dumps(measure(args.n[0], args.steps)))
         return 0
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    runs = ([["--steps", str(args.steps)]] if not args.pinch
+            else [["--pinch", repr(pinch)] for pinch in args.pinch])
     for n in args.n:
-        done = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", "--n", str(n),
-             "--steps", str(args.steps), "--src", args.src],
-            env=env, capture_output=True, text=True, check=True)
-        print(done.stdout.strip(), flush=True)
+        for extra in runs:
+            done = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child",
+                 "--n", str(n), "--src", args.src, *extra],
+                env=env, capture_output=True, text=True, check=True)
+            print(done.stdout.strip(), flush=True)
     return 0
 
 

@@ -4,9 +4,9 @@
 
 Runs each report-writing command at its defaults, then `sg-run --n 128`,
 `polar-run --n 128`, `verify --quick` and `verify`, each in a fresh
-temporary directory with one BLAS thread (the reports depend on the BLAS
-thread count from N=128 up).  Prints one line `<command>: <file> <sha256>`
-per report file, and `<command>: exit <code>` for a command that fails.
+temporary directory with one BLAS thread (as the tests pin it).  Prints
+one line `<command>: <file> <sha256>` per report file, and
+`<command>: exit <code>` for a command that fails.
 metadata.json (wall-clock times) is skipped, and suite.json is hashed
 without its elapsed_s fields.  --quick leaves out the two N=128 runs and
 the full verify.  --src points at the src/ directory of the checkout to

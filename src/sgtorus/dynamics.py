@@ -21,6 +21,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import CFLViolation, InsufficientSamples, InvariantViolation
 from .grid import PeriodicDisplacement, TorusField, mean_zero
+from .krylov import norm
 from .lma import stencil_rows
 from .ma import ConvexPotential, cofactor, solve_ma_periodic
 from .regularity import holder_fit
@@ -238,8 +239,8 @@ def lma_residual(pot, rho, velocity, dtp):
     rhs = gridmod.periodic_divergence(rho * velocity.d1, rho * velocity.d2,
                                       grid).ravel()
     lhs = rows @ np.asarray(dtp, dtype=float).ravel()
-    scale = float(np.linalg.norm(rhs)) or 1.0
-    return float(np.linalg.norm(lhs - rhs)) / scale
+    scale = norm(rhs) or 1.0
+    return norm(lhs - rhs) / scale
 
 
 def fill_lma_residuals(result):

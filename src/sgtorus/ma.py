@@ -16,17 +16,20 @@ that defect and is reported; the convergence test applies to
 det - rho - mu.
 
 Each Newton update is found matrix-free (Loeper and Rapetti's periodic
-Newton with Fourier inversion): GMRES on the bordered system of the
+Newton with Fourier inversion): GMRES (krylov.gmres, whose reductions do
+not depend on the BLAS thread count) on the bordered system of the
 linearization and the gauge column, whose extra row mean(delta) = 0
 removes the constant null direction of the stencils.  The preconditioner
-is the exact FFT inverse of the same system with the cofactor replaced by
-its grid mean, which keeps the Krylov iteration count independent of N.
+factors the cofactor as Phi = t Psi with t = tr Phi / 2, divides the
+residual by t and applies the exact FFT inverse of the constant operator
+mean(Psi).  It is exact when Phi / tr Phi is constant, which keeps the
+Krylov iteration count independent of N and holds it down as the density
+contrast grows.
 """
 
 import dataclasses
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import grid as gridmod
 from .errors import (
@@ -37,6 +40,7 @@ from .errors import (
     NonConvexInput,
 )
 from .grid import TorusGrid, PeriodicDisplacement, mean_zero, second_differences
+from .krylov import gmres
 
 MASS_TOL = 1e-8
 MAX_NEWTON_ITERS = 60
@@ -226,17 +230,25 @@ def _newton_update(p11, p12, p22, rhs, h):
     """Solve the bordered Newton system for (delta, dmu) by GMRES.
 
     Rows: p22 d11 + p11 d22 - 2 p12 d12 - dmu = rhs cellwise, with the
-    d's the second differences of delta, and mean(delta) = 0.  Both the
-    operator and the preconditioner are applied matrix-free; the
-    preconditioner is the exact inverse of the same bordered operator
-    with the cofactor replaced by its grid mean.  Returns
+    d's the second differences of delta, and mean(delta) = 0.  The
+    operator is applied matrix-free.  The preconditioner writes the
+    cofactor as Phi = t Psi with t = (p11 + p22) / 2 and freezes Psi at
+    its grid mean: for the residual (r, s) it returns
+    delta = S^-1((r + dmu) / t) + s, with S the FFT-diagonal operator
+    of mean(Psi) and dmu = -mean(r / t) / mean(1 / t), the gauge that
+    makes the argument of S^-1 mean-free.  It is the exact inverse when
+    Phi / tr Phi is constant, which holds at constant density (Loeper's
+    regime) and keeps the Krylov count low away from it.  Returns
     (delta, dmu, krylov_iterations); raises NonConvergence if GMRES stops
     short of GMRES_RTOL.
     """
     n = rhs.shape[0]
     size = n * n
-    inverse = gridmod.spectral_inverse(float(np.mean(p22)), -float(np.mean(p12)),
-                                       float(np.mean(p11)), n)
+    inv_t = 2.0 / (p11 + p22)
+    mean_inv_t = float(np.mean(inv_t))
+    inverse = gridmod.spectral_inverse(float(np.mean(p22 * inv_t)),
+                                       -float(np.mean(p12 * inv_t)),
+                                       float(np.mean(p11 * inv_t)), n)
 
     def apply(x):
         delta = x[:size].reshape(n, n)
@@ -247,29 +259,20 @@ def _newton_update(p11, p12, p22, rhs, h):
         return out
 
     def precondition(r):
-        field = r[:size].reshape(n, n)
+        scaled = r[:size].reshape(n, n) * inv_t
+        dmu = -float(scaled.mean()) / mean_inv_t
         out = np.empty(size + 1)
-        out[:size] = (inverse(field) + r[size]).ravel()
-        out[size] = -field.mean()
+        out[:size] = (inverse(scaled + dmu * inv_t) + r[size]).ravel()
+        out[size] = dmu
         return out
 
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    shape = (size + 1, size + 1)
     b = np.append(rhs.ravel(), 0.0)
-    sol, info = gmres(LinearOperator(shape, matvec=apply), b,
-                      rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                      maxiter=GMRES_MAX_CYCLES,
-                      M=LinearOperator(shape, matvec=precondition),
-                      callback=count, callback_type="pr_norm")
-    if info != 0:
+    sol, iters, converged = gmres(apply, b, precondition, GMRES_RTOL,
+                                  GMRES_RESTART, GMRES_MAX_CYCLES)
+    if not converged:
         raise NonConvergence(
             f"GMRES missed rtol={GMRES_RTOL} on the Newton update "
-            f"(info={info}, {iters} iterations)"
+            f"within {GMRES_MAX_CYCLES} cycles ({iters} iterations)"
         )
     return sol[:size].reshape(n, n), float(sol[size]), iters
 
@@ -298,8 +301,8 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     Damped Newton iteration: the update (u, dmu) solves the linearized
     equation Phi^{ij} u_ij - dmu = -(det - rho - mu) with mean(u) = 0 (the
     row that removes the constant null direction), by GMRES applied
-    matrix-free through second_differences and preconditioned by the FFT
-    inverse of the mean-cofactor operator.  The step is halved until the
+    matrix-free through second_differences and preconditioned by the
+    trace-scaled FFT inverse of _newton_update.  The step is halved until the
     trial Hessian determinant stays above max(1e-6, lambda/10) cellwise
     and P11 stays positive.  A GMRES run that misses GMRES_RTOL within
     GMRES_MAX_CYCLES restarts, a halving floor of 2^-20, or

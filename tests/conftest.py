@@ -1,8 +1,8 @@
 import os
 
-# one BLAS/OpenMP thread: scipy's GMRES sends its dot products to the BLAS,
-# whose second thread only adds contention on a small machine; must be set
-# before numpy is first imported
+# one BLAS/OpenMP thread: the results do not depend on it (the Krylov
+# solves reduce in a fixed order), but a second thread only adds
+# contention on a small machine; must be set before numpy is first imported
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

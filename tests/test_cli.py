@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sgtorus
 from sgtorus import acceptance, cli, polar, presets
 from sgtorus.grid import TorusGrid, TorusField, field_from_binary, field_to_binary
 
@@ -236,3 +240,33 @@ class TestVerify:
         assert run_cli("verify", "--quick",
                        "--out", str(tmp_path / "v")) == 0
         assert "PASS fake_check" in capsys.readouterr().out
+
+
+class TestThreadIndependence:
+    """The reports do not depend on the BLAS thread count: at N=128 a BLAS
+    dot product sums in an order set by its threads, and no reduction
+    that reaches a report may use one."""
+
+    @staticmethod
+    def _reports(command, threads, where):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(sgtorus.__file__)))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        where.mkdir()
+        subprocess.run([sys.executable, "-m", "sgtorus.cli", command,
+                        "--n", "128", "--out", str(where)],
+                       env=env, check=True, capture_output=True)
+        # metadata.json holds wall-clock times
+        return {p.name: p.read_bytes() for p in sorted(where.iterdir())
+                if p.name != "metadata.json"}
+
+    @pytest.mark.parametrize("command", ["sg-run", "polar-run"])
+    def test_reports_byte_identical_across_blas_threads(self, command,
+                                                        tmp_path):
+        one = self._reports(command, 1, tmp_path / "one")
+        two = self._reports(command, 2, tmp_path / "two")
+        assert len(one) >= 2
+        assert one.keys() == two.keys()
+        for name in one:
+            assert one[name] == two[name], name

@@ -1,0 +1,97 @@
+import numpy as np
+import pytest
+
+from sgtorus import krylov
+
+
+def _nonsymmetric(rng, size):
+    """A well-conditioned nonsymmetric matrix with a positive diagonal."""
+    return np.eye(size) * size + rng.standard_normal((size, size))
+
+
+def _spd(rng, size):
+    b = rng.standard_normal((size, size))
+    return b @ b.T + np.diag(rng.random(size) * size + 1.0)
+
+
+def _jacobi(a):
+    diag = np.diag(a).copy()
+    return lambda v: v / diag
+
+
+class TestReductions:
+    def test_dot_and_norm_are_pairwise_sums(self, rng):
+        a, b = rng.standard_normal((2, 3, 1000))
+        assert krylov.dot(a, b) == float(np.add.reduce((a * b).ravel()))
+        assert krylov.norm(a) == float(np.add.reduce((a * a).ravel())) ** 0.5
+
+
+class TestGmres:
+    @pytest.mark.parametrize("restart", [3, 8, 40])
+    def test_matches_dense_solve(self, rng, restart):
+        a = _nonsymmetric(rng, 40)
+        b = rng.standard_normal(40)
+        x, iters, converged = krylov.gmres(a.__matmul__, b, _jacobi(a),
+                                           1e-12, restart, 200)
+        assert converged
+        assert 1 <= iters <= 40 + 200
+        exact = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_exact_preconditioner_takes_one_iteration(self, rng):
+        a = _nonsymmetric(rng, 30)
+        inv = np.linalg.inv(a)
+        b = rng.standard_normal(30)
+        x, iters, converged = krylov.gmres(a.__matmul__, b, inv.__matmul__,
+                                           1e-10, 10, 3)
+        assert converged and iters == 1
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=0)
+
+    def test_reports_failure_after_max_cycles(self, rng):
+        a = _nonsymmetric(rng, 60)
+        b = rng.standard_normal(60)
+        x, iters, converged = krylov.gmres(a.__matmul__, b, lambda v: v,
+                                           1e-14, 2, 3)
+        assert not converged
+        assert iters == 6
+        # each cycle still reduces the residual
+        assert np.linalg.norm(a @ x - b) < np.linalg.norm(b)
+
+    def test_zero_rhs_is_solved_by_zero(self):
+        x, iters, converged = krylov.gmres(lambda v: 2.0 * v, np.zeros(5),
+                                           lambda v: v, 1e-10, 5, 2)
+        assert converged and iters == 0 and not x.any()
+
+
+class TestCg:
+    @pytest.mark.parametrize("precondition", ["none", "jacobi"])
+    def test_matches_dense_solve(self, rng, precondition):
+        a = _spd(rng, 50)
+        b = rng.standard_normal(50)
+        m = (lambda v: v) if precondition == "none" else _jacobi(a)
+        seen = []
+        x, iters, converged = krylov.cg(a.__matmul__, b, m, 1e-12, 500,
+                                        callback=lambda xk: seen.append(xk.copy()))
+        assert converged
+        assert len(seen) == iters >= 1
+        np.testing.assert_array_equal(seen[-1], x)
+        exact = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_reports_failure_after_maxiter(self, rng):
+        a = _spd(rng, 50)
+        b = rng.standard_normal(50)
+        x, iters, converged = krylov.cg(a.__matmul__, b, lambda v: v, 1e-14, 3)
+        assert not converged and iters == 3
+
+    def test_indefinite_operator_breaks_down(self):
+        a = np.diag([1.0, -1.0])
+        x, iters, converged = krylov.cg(a.__matmul__, np.array([1.0, 1.0]),
+                                        lambda v: v, 1e-10, 10)
+        assert not converged and iters == 0
+
+    def test_zero_rhs_is_solved_by_zero(self):
+        x, iters, converged = krylov.cg(lambda v: v, np.zeros(4), lambda v: v,
+                                        1e-10, 10)
+        assert converged and iters == 0 and not x.any()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sgtorus import presets
 from sgtorus.errors import IndefiniteOperator, SolverStall
@@ -261,9 +262,54 @@ def assert_same_csr(a, b):
     assert np.array_equal(a.indptr, b.indptr)
 
 
+def rolled_rows(grid, c11, c12, c22):
+    """Test oracle of stencil_rows: the whole periodic 9-point matrix, its
+    weights computed on the whole grid with rolls and assembled through
+    COO, whose conversion sorts each row's columns."""
+    n, h = grid.n, grid.spacing
+
+    def at(a, di, dj):  # a at (i + di, j + dj)
+        return np.roll(a, (-di, -dj), (0, 1))
+
+    wx = 2.0 * c11 * at(c11, 1, 0) / (c11 + at(c11, 1, 0)) / h**2
+    wy = 2.0 * c22 * at(c22, 0, 1) / (c22 + at(c22, 0, 1)) / h**2
+    wc = (c12 + at(c12, 1, 0) + at(c12, 0, 1) + at(c12, 1, 1)) / 4.0 / (2.0 * h**2)
+    diag = (wx + at(wx, -1, 0) + wy + at(wy, 0, -1) + wc + at(wc, -1, -1)
+            - at(wc, -1, 0) - at(wc, 0, -1))
+    entries = {(0, 0): diag, (1, 0): -wx, (-1, 0): -at(wx, -1, 0),
+               (0, 1): -wy, (0, -1): -at(wy, 0, -1), (1, 1): -wc,
+               (-1, -1): -at(wc, -1, -1), (-1, 1): at(wc, -1, 0),
+               (1, -1): at(wc, 0, -1)}
+    ids = np.arange(n * n).reshape(n, n)
+    rows = np.concatenate([ids.ravel()] * 9)
+    cols = np.concatenate([at(ids, *o).ravel() for o in entries])
+    data = np.concatenate([v.ravel() for v in entries.values()])
+    return sparse.coo_matrix((data, (rows, cols)), shape=(n * n, n * n)).tocsr()
+
+
 class TestRowAssembly:
     """Masked operators assemble only their own rows; the periodic
     operator's matrix is the bitwise reference."""
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 33])
+    def test_rows_match_rolled_oracle(self, n):
+        rng = np.random.default_rng(n)
+        grid = TorusGrid(n)
+        c11, c22 = 0.5 + rng.random((2, n, n))
+        c12 = 0.4 * (rng.random((n, n)) - 0.5)
+        oracle = rolled_rows(grid, c11, c12, c22)
+        assert_same_csr(stencil_rows(grid, (c11, c12, c22), np.arange(n * n)),
+                        oracle)
+        # seam and corner cells among a random subset, in ascending order
+        cells = np.union1d(rng.choice(n * n, n, replace=False),
+                           [0, n - 1, n * (n - 1), n * n - 1])
+        assert_same_csr(stencil_rows(grid, (c11, c12, c22), cells),
+                        oracle[cells])
+
+    def test_two_bump_rows_match_rolled_oracle(self, two_bump):
+        grid, pot, cof = two_bump
+        assert_same_csr(DivergenceFormOperator(grid, cof).matrix,
+                        rolled_rows(grid, cof.c11, cof.c12, cof.c22))
 
     @pytest.mark.parametrize("center", [(0.3, 0.3), (0.3, 0.98)],
                              ids=["interior", "seam"])

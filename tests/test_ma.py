@@ -12,7 +12,14 @@ from sgtorus.errors import (
     NonConvergence,
     NonConvexInput,
 )
-from sgtorus.grid import TorusField, TorusGrid, mean_zero, periodic_distance, wrap_delta
+from sgtorus.grid import (
+    TorusField,
+    TorusGrid,
+    mean_zero,
+    periodic_distance,
+    second_differences,
+    wrap_delta,
+)
 from sgtorus.ma import (
     CofactorField,
     ConvexPotential,
@@ -243,13 +250,38 @@ class TestSolver:
         assert np.max(np.abs(update - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
     def test_gmres_failure_raises(self, monkeypatch):
-        def failing_gmres(A, b, **kwargs):
-            return np.zeros_like(b), 1
+        def failing_gmres(apply, b, *args):
+            return np.zeros_like(b), 7, False
 
         monkeypatch.setattr(ma, "gmres", failing_gmres)
         rho, lam, Lam = presets.two_bump_density(TorusGrid(16))
         with pytest.raises(NonConvergence):
             solve_ma_periodic(rho, lam=lam, Lam=Lam)
+
+    def test_preconditioner_exact_for_constant_normalized_cofactor(self, rng):
+        # Phi = t Psi with Psi constant: the trace-scaled preconditioner is
+        # the exact inverse, so GMRES converges in one iteration
+        n = 32
+        h = TorusGrid(n).spacing
+        t = 0.2 + rng.random((n, n))
+        p11, p12, p22 = 1.3 * t, 0.4 * t, 0.7 * t
+        rhs = rng.standard_normal((n, n))
+        delta, dmu, iters = _newton_update(p11, p12, p22, rhs, h)
+        assert iters == 1
+        d11, d12, d22 = second_differences(delta, h)
+        lhs = p22 * d11 + p11 * d22 - 2.0 * p12 * d12 - dmu
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(rhs))
+        assert abs(delta.mean()) <= 1e-12
+
+    def test_pinched_cold_solve_counts(self):
+        # pinch 2500 at N=64: the mean-cofactor preconditioner took 9 Newton
+        # and 480 Krylov iterations; the Newton path must not change and
+        # the trace scaling must not cost Krylov iterations
+        grid = TorusGrid(64)
+        rho, lam, Lam = presets.two_bump_density(grid, lo=0.02, hi=50.0)
+        pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        assert pot.newton_iters == 9
+        assert pot.diagnostics["linear_iters"] <= 480
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_krylov_iterations_mesh_independent(self, n):
