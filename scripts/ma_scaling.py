@@ -1,4 +1,4 @@
-"""Cold Monge-Ampere solve, warm step, Legendre and Holder-report times against N.
+"""MA solve, step, Legendre, masked Green and Holder-report times against N.
 
     python3 scripts/ma_scaling.py --n 64 128 256 512 [--src DIR] [--steps 5]
     python3 scripts/ma_scaling.py --n 128 256 --pinch 4 100 2500 [--src DIR]
@@ -6,12 +6,17 @@
 For each N, in a fresh process with one BLAS thread: the cold solve of
 the two-bump preset density, then --steps time-loop steps (dt = 2.5e-4)
 warm-started from it, then LEGENDRE_REPS Legendre transforms of the cold
-potential, then dynamics.dtp_regularity at HOLDER_CENTRES seeded centres
+potential, then GREEN_REPS masked Green's functions (operator set-up plus
+CG solve at rtol 1e-12) with the pole at the centre of each section
+S(GREEN_CENTRE, h) of the cold potential, h in GREEN_HEIGHTS, then
+dynamics.dtp_regularity at HOLDER_CENTRES seeded centres
 on the centred dP*/dt of the warm steps: once on the first (holder_first_s,
 which builds any per-centre tables) and HOLDER_REPS times on the next ones
 in turn (their median is holder_s).  Prints one JSON object per N: cold_s,
 the median step_s, legendre_s and holder_s, holder_first_s, Newton and
-Krylov iteration counts, and the child's peak RSS.
+Krylov iteration counts, green_s and green_iters (the median Green time
+and the CG iterations of one Green solve, keyed by h), and the child's
+peak RSS.
 With --pinch, each N instead times cold solves of the two-bump density
 mapped onto [P^-1/2, P^1/2] for each pinch P (the pinch Lambda/lambda is
 P before the mass normalization), PINCH_REPS solves each: one JSON object
@@ -31,6 +36,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEGENDRE_REPS = 3
 HOLDER_CENTRES = 20
 HOLDER_REPS = 3
+GREEN_CENTRE = (0.3, 0.3)
+GREEN_HEIGHTS = (0.02, 0.08)
+GREEN_REPS = 3
 PINCH_REPS = 3
 DT = 2.5e-4
 
@@ -42,7 +50,7 @@ def measure(n, steps):
 
     import numpy as np
 
-    from sgtorus import dynamics, ma, presets
+    from sgtorus import dynamics, lma, ma, presets, sections
     from sgtorus.grid import TorusGrid, mean_zero
 
     grid = TorusGrid(n)
@@ -65,6 +73,26 @@ def measure(n, steps):
         t = time.perf_counter()
         ma.legendre(cold)
         legendre_s.append(time.perf_counter() - t)
+    cof = ma.cofactor(cold)
+    cg, cg_iters, green_iters, green_s = lma.cg, [], {}, {}
+
+    def counted_cg(*args, **kwargs):
+        x, iters, converged = cg(*args, **kwargs)
+        cg_iters.append(iters)
+        return x, iters, converged
+
+    lma.cg = counted_cg
+    for h in GREEN_HEIGHTS:
+        sec = sections.extract_section(cold, GREEN_CENTRE, h)
+        times = []
+        for _ in range(GREEN_REPS):
+            t = time.perf_counter()
+            lma.green_function(cof, sec.mask, sec.center_index, grid,
+                               tol=1e-12)
+            times.append(time.perf_counter() - t)
+        green_s[repr(h)] = statistics.median(times)
+        green_iters[repr(h)] = cg_iters[-1]
+    lma.cg = cg
     # (rho, dP*/dt) at the interior records, centred as RunResult.dtp_field
     records = [(history[k].rho,
                 mean_zero((history[k + 1].pot.q - history[k - 1].pot.q)
@@ -82,6 +110,7 @@ def measure(n, steps):
         "legendre_s": statistics.median(legendre_s),
         "holder_first_s": holder_s[0],
         "holder_s": statistics.median(holder_s[1:]),
+        "green_s": green_s, "green_iters": green_iters,
         "steps": steps, "cold_newton_iters": cold.newton_iters,
         "cold_linear_iters": cold.diagnostics.get("linear_iters"),
         "step_newton_iters": newton, "step_linear_iters": krylov or None,

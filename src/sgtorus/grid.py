@@ -177,7 +177,13 @@ class PeriodicDisplacement:
 # --- difference operators --------------------------------------------------
 
 def _dx(values, axis, spacing):
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * spacing)
+    """Centred difference along axis, read off one copy of values with a
+    periodic ghost layer on each side of that axis."""
+    if axis == 0:
+        padded = np.concatenate([values[-1:], values, values[:1]], axis=0)
+        return (padded[2:] - padded[:-2]) / (2.0 * spacing)
+    padded = np.concatenate([values[:, -1:], values, values[:, :1]], axis=1)
+    return (padded[:, 2:] - padded[:, :-2]) / (2.0 * spacing)
 
 
 def periodic_gradient(field):
@@ -204,14 +210,17 @@ def second_differences(values, spacing):
     Returns (f11, f12, f22).  Exact on quadratics and cubics.
     """
     h2 = spacing * spacing
-    f11 = (np.roll(values, -1, 0) + np.roll(values, 1, 0) - 2.0 * values) / h2
-    f22 = (np.roll(values, -1, 1) + np.roll(values, 1, 1) - 2.0 * values) / h2
-    f12 = (
-        np.roll(values, (-1, -1), (0, 1))
-        + np.roll(values, (1, 1), (0, 1))
-        - np.roll(values, (-1, 1), (0, 1))
-        - np.roll(values, (1, -1), (0, 1))
-    ) / (4.0 * h2)
+    # p[i + 1, j + 1] = values[i, j], indices mod N: each neighbour is a slice
+    n0, n1 = values.shape
+    p = np.empty((n0 + 2, n1 + 2), dtype=values.dtype)
+    p[1:-1, 1:-1] = values
+    p[0, 1:-1] = values[-1]
+    p[-1, 1:-1] = values[0]
+    p[:, 0] = p[:, -2]
+    p[:, -1] = p[:, 1]
+    f11 = (p[2:, 1:-1] + p[:-2, 1:-1] - 2.0 * values) / h2
+    f22 = (p[1:-1, 2:] + p[1:-1, :-2] - 2.0 * values) / h2
+    f12 = (p[2:, 2:] + p[:-2, :-2] - p[2:, :-2] - p[:-2, 2:]) / (4.0 * h2)
     return f11, f12, f22
 
 

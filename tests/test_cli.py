@@ -245,7 +245,8 @@ class TestVerify:
 class TestThreadIndependence:
     """The reports do not depend on the BLAS thread count: at N=128 a BLAS
     dot product sums in an order set by its threads, and no reduction
-    that reaches a report may use one."""
+    that reaches a report may use one.  The section commands run masked
+    solves through the multigrid cycle."""
 
     @staticmethod
     def _reports(command, threads, where):
@@ -261,7 +262,8 @@ class TestThreadIndependence:
         return {p.name: p.read_bytes() for p in sorted(where.iterdir())
                 if p.name != "metadata.json"}
 
-    @pytest.mark.parametrize("command", ["sg-run", "polar-run"])
+    @pytest.mark.parametrize("command", ["sg-run", "polar-run", "green-report",
+                                         "regularity-report", "lma-dirichlet"])
     def test_reports_byte_identical_across_blas_threads(self, command,
                                                         tmp_path):
         one = self._reports(command, 1, tmp_path / "one")

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgtorus import grid as gridmod
@@ -135,6 +135,26 @@ class TestGrid:
             gridmod.check_same_grid(a, b)
 
 
+def rolled_differences(values, spacing):
+    """Test oracle of the difference stencils: the np.roll forms of the
+    first differences along each axis and of second_differences, with
+    their operands in the same order."""
+    def dx(axis):
+        return ((np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis))
+                / (2.0 * spacing))
+
+    h2 = spacing * spacing
+    f11 = (np.roll(values, -1, 0) + np.roll(values, 1, 0) - 2.0 * values) / h2
+    f22 = (np.roll(values, -1, 1) + np.roll(values, 1, 1) - 2.0 * values) / h2
+    f12 = (
+        np.roll(values, (-1, -1), (0, 1))
+        + np.roll(values, (1, 1), (0, 1))
+        - np.roll(values, (-1, 1), (0, 1))
+        - np.roll(values, (1, -1), (0, 1))
+    ) / (4.0 * h2)
+    return dx(0), dx(1), f11, f12, f22
+
+
 class TestDifferenceOperators:
     def test_gradient_second_order(self):
         errs = []
@@ -160,6 +180,21 @@ class TestDifferenceOperators:
         rhs = -gridmod.integral(u * gridmod.periodic_divergence(v1, v2, grid), grid)
         scale = np.sqrt(np.sum(g1**2 + g2**2) * np.sum(v1**2 + v2**2)) * grid.cell_area
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(st.integers(1, 40), seeds)
+    @example(1, 0)
+    @example(2, 0)
+    @example(3, 0)
+    @example(39, 0)
+    def test_stencils_match_rolled_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9)
+        h = 1.0 / n
+        got = (gridmod._dx(values, 0, h), gridmod._dx(values, 1, h),
+               *gridmod.second_differences(values, h))
+        for a, b in zip(got, rolled_differences(values, h)):
+            assert same_bits(a, b)
 
     def test_perp_gradient_is_divergence_free(self):
         # centered stencils commute, so the rotated gradient has exactly

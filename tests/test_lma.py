@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from sgtorus import presets
+from sgtorus import lma, presets
 from sgtorus.errors import IndefiniteOperator, SolverStall
 from sgtorus.grid import TorusGrid, periodic_gradient, TorusField
+from sgtorus.krylov import cg, dot, norm
 from sgtorus.lma import (
     DivergenceFormOperator,
     boundary_ring,
@@ -335,3 +337,126 @@ class TestRowAssembly:
         full = DivergenceFormOperator(grid, cof).matrix
         lifted = op.solve(-(full[op.cells] @ bvals.ravel()), tol=1e-12)
         assert np.array_equal(u, np.where(ring, bvals, op.scatter(lifted)))
+
+
+@pytest.fixture(scope="module")
+def two_bump_128():
+    """Cofactors at N=128 of the two-bump potentials at pinch 4 and 2500."""
+    grid = TorusGrid(128)
+    pots = {}
+    for pinch in (4.0, 2500.0):
+        rho, lam, Lam = presets.two_bump_density(grid, lo=pinch**-0.5,
+                                                 hi=pinch**0.5)
+        pots[pinch] = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+    return grid, pots
+
+
+def solve_iterations(monkeypatch, op, b):
+    """CG iterations of op.solve(b) at rtol 1e-12."""
+    counts = []
+
+    def counted_cg(*args, **kwargs):
+        x, iters, converged = cg(*args, **kwargs)
+        counts.append(iters)
+        return x, iters, converged
+
+    monkeypatch.setattr(lma, "cg", counted_cg)
+    op.solve(b, tol=1e-12)
+    return counts[-1]
+
+
+def jacobi_iterations(op, b):
+    """Test oracle: CG iterations at rtol 1e-12 with the diagonal
+    (Jacobi) preconditioner."""
+    diag = op.matrix.diagonal()
+    _, iters, converged = cg(lambda v: op.matrix @ v, b, lambda v: v / diag,
+                             1e-12, 10 * b.size)
+    assert converged
+    return iters
+
+
+# interior section, one across both array seams, one at pinch 2500
+MULTIGRID_SECTIONS = {"interior": (4.0, (0.3, 0.3)),
+                      "seams": (4.0, (0.02, 0.98)),
+                      "pinch2500": (2500.0, (0.99, 0.99))}
+
+
+class TestMultigrid:
+    """The Dirichlet CG preconditioner is one aggregation V-cycle."""
+
+    @pytest.fixture(scope="class", params=list(MULTIGRID_SECTIONS))
+    def section_op(self, request, two_bump_128):
+        grid, pots = two_bump_128
+        pinch, center = MULTIGRID_SECTIONS[request.param]
+        sec = extract_section(pots[pinch], center, 0.02)
+        op = DivergenceFormOperator(grid, cofactor(pots[pinch]), mask=sec.mask)
+        return request.param, sec, op
+
+    def test_vcycle_symmetric_and_positive(self, section_op):
+        name, sec, op = section_op
+        if name == "seams":
+            for axis in (0, 1):
+                edges = np.take(sec.mask, [0, -1], axis=axis)
+                assert edges.any(axis=1 - axis).all()
+        assert len(op.vcycle.levels) >= 2
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            x, y = rng.standard_normal((2, op.cells.size))
+            mx, my = op.vcycle(x), op.vcycle(y)
+            # relative to the Cauchy-Schwarz scale of the products
+            assert abs(dot(mx, y) - dot(x, my)) <= 1e-14 * norm(mx) * norm(y)
+            assert dot(mx, x) > 0.0
+
+    def test_green_iterations_far_below_jacobi(self, section_op, monkeypatch):
+        _, sec, op = section_op
+        b = op.point_source(sec.center_index)
+        assert 4 * solve_iterations(monkeypatch, op, b) <= jacobi_iterations(op, b)
+
+    def test_solve_matches_direct_oracle(self, section_op, two_bump_128):
+        _, sec, op = section_op
+        grid, _ = two_bump_128
+        x1, x2 = grid.centers()
+        bdata = np.cos(TWO_PI * x1) * np.sin(TWO_PI * x2)
+        F = (np.sin(TWO_PI * x2), np.cos(TWO_PI * x1))
+        u, info = solve_dirichlet_lma(None, sec.mask, grid, F=F,
+                                      boundary_values=bdata, tol=1e-12,
+                                      operator=op)
+        assert info["relative_residual"] <= 1e-12
+        ring = boundary_ring(sec.mask)
+        b = -op.divergence_rhs(*F) - op.rows @ np.where(ring, bdata, 0.0).ravel()
+        oracle = spsolve(op.matrix.tocsc(), b)
+        err = np.max(np.abs(u.ravel()[op.cells] - oracle))
+        assert err <= 1e-10 * np.max(np.abs(oracle))
+
+    def test_green_iterations_grow_slowly_in_n(self, monkeypatch):
+        counts = []
+        for n in (32, 64, 128):
+            grid = TorusGrid(n)
+            rho, lam, Lam = presets.two_bump_density(grid)
+            pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+            sec = extract_section(pot, (0.3, 0.3), 0.08)
+            op = DivergenceFormOperator(grid, cofactor(pot), mask=sec.mask)
+            b = op.point_source(sec.center_index)
+            counts.append(solve_iterations(monkeypatch, op, b))
+        assert all(b <= 1.3 * a for a, b in zip(counts, counts[1:])), counts
+        assert 4 * counts[-1] < jacobi_iterations(op, b)
+
+    def test_unreachable_tolerance_stalls(self):
+        grid = TorusGrid(32)
+        pot = presets.perturbed_potential(grid, 0.01)
+        sec = extract_section(pot, (0.5, 0.5), 0.04)
+        op = DivergenceFormOperator(grid, cofactor(pot), mask=sec.mask)
+        with pytest.raises(SolverStall):
+            op.solve(op.point_source(sec.center_index), tol=1e-300)
+
+    def test_coarsest_level_is_small_and_exact(self):
+        # a mask of at most COARSEST_CELLS cells is solved directly
+        grid = TorusGrid(16)
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[3:9, 14:] = mask[3:9, :4] = True  # 48 cells across the seam
+        op = DivergenceFormOperator(grid, CofactorField.identity(grid),
+                                    mask=mask)
+        assert op.vcycle.levels == []
+        b = np.random.default_rng(2).standard_normal(op.cells.size)
+        x = op.vcycle(b)
+        assert norm(op.matrix @ x - b) <= 1e-12 * norm(b)
