@@ -4,8 +4,9 @@ One step of the loop: rotate the optimal-transport displacement into the
 velocity U = (x - grad P*)^perp, advect the density semi-Lagrangially,
 re-solve the Monge-Ampere equation warm-started from the previous
 potential, and update the certificates (mass, density pinch, velocity
-bound, solver residual).  Post-run diagnostics differentiate the
-potential in time, check the linearized identity
+bound, solver residual, Newton and Krylov iterations).  Post-run
+diagnostics differentiate the potential in time, check the linearized
+identity
 
     div(Phi grad dP*/dt) = div(-rho U),
 
@@ -116,6 +117,7 @@ class SGState:
             "ma_residual": pot.residual,
             "renorm_factor": renorm_factor,
             "newton_iters": pot.newton_iters,
+            "krylov_iters": pot.diagnostics["linear_iters"],
             "w2_proxy": w2_proxy(rho, pot),
         }
         return cls(grid, t, rho, pot, velocity, certificates, lam, Lam)
@@ -350,7 +352,9 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
 
 
 CERTIFICATE_COLUMNS = ("t", "mass", "min_rho", "max_rho", "u_inf",
-                       "ma_residual", "lma_residual")
+                       "ma_residual", "lma_residual", "krylov_iters")
+# columns written as integers; the others are repr of a float
+COUNT_COLUMNS = frozenset({"krylov_iters"})
 
 
 def certificates_csv(result):
@@ -358,6 +362,7 @@ def certificates_csv(result):
     writer = csv.writer(buf)
     writer.writerow(CERTIFICATE_COLUMNS)
     for c in result.certificates:
-        writer.writerow([repr(float(c.get(col, float("nan"))))
+        writer.writerow([str(int(c[col])) if col in COUNT_COLUMNS
+                         else repr(float(c.get(col, float("nan"))))
                          for col in CERTIFICATE_COLUMNS])
     return buf.getvalue()

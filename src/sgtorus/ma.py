@@ -25,6 +25,15 @@ residual by t and applies the exact FFT inverse of the constant operator
 mean(Psi).  It is exact when Phi / tr Phi is constant, which keeps the
 Krylov iteration count independent of N and holds it down as the density
 contrast grows.
+
+The Newton iteration is inexact (Dembo, Eisenstat and Steihaug, SIAM J.
+Numer. Anal. 19, 1982; Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+1996): at sup residual r each update is solved only until the l2 residual
+of its bordered system is at most max(GMRES_RTOL |b|, F max(tol, min(F, r)
+|b|)), F = NEWTON_FORCING.  The forcing term F min(F, r) keeps the
+convergence quadratic, and since sup <= l2 the floor F tol adds at most
+F tol to the next sup residual after a full step; solving further would
+be discarded by the next Newton iteration.
 """
 
 import dataclasses
@@ -40,13 +49,16 @@ from .errors import (
     NonConvexInput,
 )
 from .grid import TorusGrid, PeriodicDisplacement, mean_zero, second_differences
-from .krylov import gmres
+from .krylov import gmres, norm
 
 MASS_TOL = 1e-8
 MAX_NEWTON_ITERS = 60
-# GMRES on the Newton update: relative residual, Krylov dimension per
-# restart cycle, and restart cycles before NonConvergence
+# GMRES on the Newton update: relative residual floor, Krylov dimension
+# per restart cycle, and restart cycles before NonConvergence
 GMRES_RTOL = 1e-10
+# forcing constant F of the inexact Newton iteration: the update at sup
+# residual r is solved to F max(tol, min(F, r) |b|) in the l2 norm
+NEWTON_FORCING = 0.1
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 10
 # cellwise determinant floor used by the Newton damping
@@ -226,7 +238,7 @@ def _hessian_and_det(q, h):
     return p11, q12, p22, det
 
 
-def _newton_update(p11, p12, p22, rhs, h):
+def _newton_update(p11, p12, p22, rhs, h, atol):
     """Solve the bordered Newton system for (delta, dmu) by GMRES.
 
     Rows: p22 d11 + p11 d22 - 2 p12 d12 - dmu = rhs cellwise, with the
@@ -238,9 +250,10 @@ def _newton_update(p11, p12, p22, rhs, h):
     of mean(Psi) and dmu = -mean(r / t) / mean(1 / t), the gauge that
     makes the argument of S^-1 mean-free.  It is the exact inverse when
     Phi / tr Phi is constant, which holds at constant density (Loeper's
-    regime) and keeps the Krylov count low away from it.  Returns
-    (delta, dmu, krylov_iterations); raises NonConvergence if GMRES stops
-    short of GMRES_RTOL.
+    regime) and keeps the Krylov count low away from it.  GMRES stops
+    once the l2 residual of the bordered system is at most
+    max(GMRES_RTOL |b|, atol).  Returns (delta, dmu, krylov_iterations);
+    raises NonConvergence if GMRES misses that target.
     """
     n = rhs.shape[0]
     size = n * n
@@ -268,11 +281,13 @@ def _newton_update(p11, p12, p22, rhs, h):
 
     b = np.append(rhs.ravel(), 0.0)
     sol, iters, converged = gmres(apply, b, precondition, GMRES_RTOL,
-                                  GMRES_RESTART, GMRES_MAX_CYCLES)
+                                  GMRES_RESTART, GMRES_MAX_CYCLES, atol)
     if not converged:
+        target = max(GMRES_RTOL * norm(b), atol)
         raise NonConvergence(
-            f"GMRES missed rtol={GMRES_RTOL} on the Newton update "
-            f"within {GMRES_MAX_CYCLES} cycles ({iters} iterations)"
+            f"GMRES missed the target {target:.3e} on the Newton update "
+            f"within {GMRES_MAX_CYCLES} cycles ({iters} iterations, "
+            f"residual {norm(b - apply(sol)):.3e})"
         )
     return sol[:size].reshape(n, n), float(sol[size]), iters
 
@@ -298,15 +313,20 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
                       initial=None):
     """Solve det D^2 P* = rho on the torus for a convex potential.
 
-    Damped Newton iteration: the update (u, dmu) solves the linearized
-    equation Phi^{ij} u_ij - dmu = -(det - rho - mu) with mean(u) = 0 (the
-    row that removes the constant null direction), by GMRES applied
-    matrix-free through second_differences and preconditioned by the
-    trace-scaled FFT inverse of _newton_update.  The step is halved until the
-    trial Hessian determinant stays above max(1e-6, lambda/10) cellwise
-    and P11 stays positive.  A GMRES run that misses GMRES_RTOL within
-    GMRES_MAX_CYCLES restarts, a halving floor of 2^-20, or
-    MAX_NEWTON_ITERS iterations without convergence raise NonConvergence.
+    Damped inexact Newton iteration: the update (u, dmu) solves the
+    linearized equation Phi^{ij} u_ij - dmu = b, b = -(det - rho - mu),
+    with mean(u) = 0 (the row that removes the constant null direction),
+    by GMRES applied matrix-free through second_differences and
+    preconditioned by the trace-scaled FFT inverse of _newton_update.
+    GMRES stops once the l2 residual is at most
+    max(GMRES_RTOL |b|, F max(tol, min(F, r) |b|)), with r = max|b| the
+    sup residual and F = NEWTON_FORCING: far from the solution an update
+    takes a few Krylov steps, and none is solved past F tol.  The step
+    is halved until the trial Hessian determinant stays above
+    max(1e-6, lambda/10) cellwise and P11 stays positive.  A GMRES run
+    that misses its target within GMRES_MAX_CYCLES restarts, a halving
+    floor of 2^-20, or MAX_NEWTON_ITERS iterations without convergence
+    raise NonConvergence.
 
     Parameters
     ----------
@@ -359,7 +379,10 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
                 f"no convergence in {MAX_NEWTON_ITERS} Newton iterations "
                 f"(residual {residual:.3e}, tol {tol:.3e})"
             )
-        delta, dmu, krylov = _newton_update(p11, p12, p22, -(det - rho - mu), h)
+        rhs = -(det - rho - mu)
+        atol = NEWTON_FORCING * max(
+            tol, min(NEWTON_FORCING, residual) * norm(rhs))
+        delta, dmu, krylov = _newton_update(p11, p12, p22, rhs, h, atol)
         linear_iters += krylov
 
         step = 1.0

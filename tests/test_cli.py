@@ -135,7 +135,9 @@ class TestSgRun:
         assert len(rows) == 6
         assert float(rows[0]["t"]) == 0.0
         assert float(rows[-1]["mass"]) == pytest.approx(1.0, abs=1e-10)
+        assert all(int(row["krylov_iters"]) >= 1 for row in rows)
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["final"]["krylov_iters"] == int(rows[-1]["krylov_iters"])
         assert summary["violations"] == []
         assert summary["lma_residual_max"] > 0.0
         final = field_from_binary(out / "final_rho.bin")

@@ -202,6 +202,10 @@ class TestCertificatesCsv:
         row = [float(v) for v in lines[1].split(",")]
         assert row[0] == 0.0
         assert row[1] == pytest.approx(1.0)
+        # the solver counter is an integer, the cold solve's Krylov total
+        krylov = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert krylov == [str(c["krylov_iters"]) for c in short_run.certificates]
+        assert int(krylov[0]) > int(krylov[1]) >= 1
 
     def test_byte_identical_for_same_run(self, short_run):
         assert (dynamics.certificates_csv(short_run)

@@ -63,6 +63,36 @@ class TestGmres:
                                            lambda v: v, 1e-10, 5, 2)
         assert converged and iters == 0 and not x.any()
 
+    def test_absolute_target_stops_at_first_cycle_meeting_it(self, rng):
+        a = _nonsymmetric(rng, 60)
+        b = rng.standard_normal(60)
+        restart, atol = 3, 1e-4 * np.linalg.norm(b)
+        x, iters, converged = krylov.gmres(a.__matmul__, b, lambda v: v,
+                                           1e-14, restart, 50, atol)
+        assert converged
+        assert np.linalg.norm(a @ x - b) <= atol
+        # the same solve cut one cycle earlier misses the target, so no
+        # cycle before the last one met it
+        cycles = -(-iters // restart)
+        assert cycles >= 2
+        x_early, early, met = krylov.gmres(a.__matmul__, b, lambda v: v,
+                                           1e-14, restart, cycles - 1, atol)
+        assert not met and early == restart * (cycles - 1)
+        assert np.linalg.norm(a @ x_early - b) > atol
+        # the relative target alone runs on
+        _, exact_iters, _ = krylov.gmres(a.__matmul__, b, lambda v: v,
+                                         1e-14, restart, 50)
+        assert exact_iters > iters
+
+    def test_absolute_target_below_relative_one_changes_nothing(self, rng):
+        a = _nonsymmetric(rng, 40)
+        b = rng.standard_normal(40)
+        plain = krylov.gmres(a.__matmul__, b, _jacobi(a), 1e-8, 8, 20)
+        floored = krylov.gmres(a.__matmul__, b, _jacobi(a), 1e-8, 8, 20,
+                               1e-9 * np.linalg.norm(b))
+        np.testing.assert_array_equal(plain[0], floored[0])
+        assert plain[1:] == floored[1:]
+
 
 class TestCg:
     @pytest.mark.parametrize("precondition", ["none", "jacobi"])
