@@ -109,8 +109,11 @@ def _resolve_density(name, grid):
     if name in presets.DENSITY_PRESETS:
         return presets.DENSITY_PRESETS[name](grid)
     if os.path.exists(name):
-        field = (gridmod.field_from_binary(name) if name.endswith(".bin")
-                 else gridmod.field_from_csv(name))
+        try:
+            field = (gridmod.field_from_binary(name) if name.endswith(".bin")
+                     else gridmod.field_from_csv(name))
+        except ValueError as exc:
+            raise ConfigError(f"bad density file {name}: {exc}")
         if field.grid.n != grid.n:
             raise ConfigError(
                 f"density file is {field.grid.n}^2 but n={grid.n} requested"
@@ -339,8 +342,13 @@ def cmd_polar_run(args, cfg):
     if args.series:
         series = polar.read_series(args.series)
     else:
-        steps = _positive(_merge(args, cfg, "steps", int, 6), "steps")
-        t_end = _positive(_merge(args, cfg, "t_end", float, 0.5), "t_end")
+        steps = _merge(args, cfg, "steps", int, 6)
+        t_end = _merge(args, cfg, "t_end", float, 0.5)
+        # the family starts at t = 0.1 and needs three timestamps
+        if steps < 3:
+            raise ConfigError(f"steps must be at least 3, got {steps}")
+        if not t_end > 0.1:
+            raise ConfigError(f"t_end must exceed 0.1, got {t_end}")
         times = [0.1 + k * (t_end - 0.1) / (steps - 1) for k in range(steps)]
         series = presets.cosine_family_series(TorusGrid(n), times)
     report = polar.polar_time_regularity(series, lam=lam, Lam=Lam, seed=seed)

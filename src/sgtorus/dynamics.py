@@ -271,10 +271,10 @@ class TimeSeriesDiagnostics:
 
 
 def dtp_regularity(dtp, rho, centers, grid, kappas):
-    """Holder fits of dP*/dt at the centers, and the rho-weighted
-    L^(1+kappa) norms of its gradient d(grad P*)/dt keyed l<1+kappa>_dt_grad.
-
-    Returns (fits, norms).
+    """Holder fits of dP*/dt at the centers, and its regularity row: the
+    median gamma_hat and C_hat of the fits that are not constant (inf and
+    0, flagged constant, when none is) and the rho-weighted L^(1+kappa)
+    norms of d(grad P*)/dt keyed l<1+kappa>_dt_grad.  Returns (fits, row).
     """
     g1, g2 = gridmod.periodic_gradient(TorusField(grid, dtp))
     mag = np.hypot(g1, g2)
@@ -284,17 +284,38 @@ def dtp_regularity(dtp, rho, centers, grid, kappas):
         ** (1.0 / (1.0 + kappa))
         for kappa in kappas
     }
-    return [holder_fit(dtp, c, grid) for c in centers], norms
+    fits = [holder_fit(dtp, c, grid) for c in centers]
+    live = [f for f in fits if not f.constant]
+    row = {
+        "constant": not live,
+        "gamma_hat": float(np.median([f.gamma for f in live]))
+        if live else float("inf"),
+        "C_hat": float(np.median([f.prefactor for f in live]))
+        if live else 0.0,
+        **norms,
+    }
+    return fits, row
+
+
+def regularity_summary(rows):
+    """Summary of dtp_regularity rows: the smallest gamma_hat and largest
+    C_hat over the rows that are not constant, and whether every row is."""
+    active = [r for r in rows if not r["constant"]]
+    return {
+        "constant": not active,
+        "gamma_min": min((r["gamma_hat"] for r in active), default=float("inf")),
+        "c_max": max((r["C_hat"] for r in active), default=0.0),
+    }
 
 
 def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
                           min_steps=20):
     """Spatial Holder fits of dP*/dt at sampled centers, per recorded step.
 
-    Aggregates the per-step median exponent and prefactor, the min/max over
-    time, the fraction of fits with R^2 >= 0.8, and the rho-weighted
-    L^(1+kappa) norms of d(grad P*)/dt.  Steps whose dP*/dt is constant to
-    machine precision are flagged and excluded from the fit statistics.
+    Each interior record gets its dtp_regularity row and r2_ok, the number
+    of fits with R^2 >= 0.8; the summary adds to regularity_summary the
+    largest exponent and the fraction of fits with R^2 >= 0.8.  Constant
+    fits are excluded from the fit statistics.
     """
     n_records = len(result.times)
     if n_records < min_steps:
@@ -307,41 +328,26 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
 
     rows, step_rows = [], []
     for k in range(1, n_records - 1):
-        fits, norms = dtp_regularity(result.dtp_field(k), result.rho_history[k],
-                                     centers, grid, kappas)
-        gammas, prefs, n_ok = [], [], 0
-        constant_step = True
-        for c, fit in zip(centers, fits):
-            rows.append({
-                "step": k, "t": result.times[k],
-                "center": (float(c[0]), float(c[1])),
-                "gamma": fit.gamma, "C": fit.prefactor, "r2": fit.r2,
-                "constant": fit.constant,
-            })
-            if fit.constant:
-                continue
-            constant_step = False
-            gammas.append(fit.gamma)
-            prefs.append(fit.prefactor)
-            if fit.r2 >= 0.8:
-                n_ok += 1
+        fits, row = dtp_regularity(result.dtp_field(k), result.rho_history[k],
+                                   centers, grid, kappas)
+        rows.extend({
+            "step": k, "t": result.times[k],
+            "center": (float(c[0]), float(c[1])),
+            "gamma": fit.gamma, "C": fit.prefactor, "r2": fit.r2,
+            "constant": fit.constant,
+        } for c, fit in zip(centers, fits))
         step_rows.append({
             "step": k,
             "t": result.times[k],
-            "gamma_hat": float(np.median(gammas)) if gammas else float("inf"),
-            "C_hat": float(np.median(prefs)) if prefs else 0.0,
-            "constant": constant_step,
-            "r2_ok": n_ok,
-            **norms,
+            "r2_ok": sum(1 for f in fits if not f.constant and f.r2 >= 0.8),
+            **row,
         })
 
-    active = [r for r in step_rows if not r["constant"]]
     n_fits = sum(1 for r in rows if not r["constant"])
     summary = {
-        "constant": not active,
-        "gamma_min": min((r["gamma_hat"] for r in active), default=float("inf")),
-        "gamma_max": max((r["gamma_hat"] for r in active), default=float("inf")),
-        "c_max": max((r["C_hat"] for r in active), default=0.0),
+        **regularity_summary(step_rows),
+        "gamma_max": max((r["gamma_hat"] for r in step_rows
+                          if not r["constant"]), default=float("inf")),
         "r2_ok_fraction": (
             sum(r["r2_ok"] for r in step_rows) / n_fits if n_fits else 1.0
         ),

@@ -24,7 +24,6 @@ class PowerLawFit:
     intercept: float
     r2: float
     n_points: int
-    stderr: float
 
     @property
     def prefactor(self):
@@ -62,10 +61,7 @@ def linear_fit(x, y, min_points=4):
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    dof = max(x.size - 2, 1)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = float(np.sqrt(ss_res / dof / sxx)) if sxx > 0 else float("nan")
-    return PowerLawFit(float(slope), float(intercept), r2, int(x.size), stderr)
+    return PowerLawFit(float(slope), float(intercept), r2, int(x.size))
 
 
 def dyadic_ladder(top, rungs):

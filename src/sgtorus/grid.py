@@ -10,7 +10,6 @@ exact adjoints and every gradient integrates to zero exactly.
 import csv
 import dataclasses
 import functools
-import io
 
 import numpy as np
 from scipy import ndimage
@@ -95,9 +94,6 @@ class TorusField:
                 f"field shape {self.values.shape} does not match grid {self.grid.n}"
             )
 
-    def copy(self):
-        return TorusField(self.grid, self.values.copy())
-
 
 def wrap(points):
     """Map points back to the fundamental domain: every coordinate lands in
@@ -168,10 +164,6 @@ class PeriodicDisplacement:
         """Target points x + d(x) of every cell center, wrapped to [0,1)^2."""
         x1, x2 = self.grid.centers()
         return wrap(np.stack([x1 + self.d1, x2 + self.d2], axis=-1))
-
-    def perp(self):
-        """Rotate the field by +90 degrees: (d1, d2) -> (-d2, d1)."""
-        return PeriodicDisplacement(self.grid, -self.d2, self.d1)
 
 
 # --- difference operators --------------------------------------------------
@@ -263,11 +255,6 @@ def integral(field, grid=None):
     return float(np.sum(values)) * grid.cell_area
 
 
-def mean_value(field, grid=None):
-    values, _ = _values_and_grid(field, grid)
-    return float(np.mean(values))
-
-
 def mean_zero(values):
     """Subtract the grid mean."""
     values = np.asarray(values, dtype=float)
@@ -328,8 +315,8 @@ def field_to_binary(field, path):
 
 def field_from_binary(path):
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size < 1:
-        raise ValueError(f"{path}: empty field file")
+    if raw.size < 1 or not np.isfinite(raw[0]):
+        raise ValueError(f"{path}: no finite grid size in the header")
     n = int(raw[0])
     if raw.size != 1 + n * n:
         raise ValueError(f"{path}: expected {n * n} values, found {raw.size - 1}")
@@ -337,43 +324,19 @@ def field_from_binary(path):
     return TorusField(grid, raw[1:].reshape(n, n))
 
 
-def field_to_csv(field, path_or_buf):
-    values, grid = _values_and_grid(field)
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "value"])
-        for i in range(grid.n):
-            for j in range(grid.n):
-                writer.writerow([i, j, repr(float(values[i, j]))])
-    finally:
-        if own:
-            fh.close()
-
-
-def field_from_csv(path_or_buf):
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
+def field_from_csv(path):
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip() for c in header] != ["i", "j", "value"]:
             raise ValueError(f"unexpected field CSV header: {header}")
         rows = [(int(i), int(j), float(v)) for i, j, v in reader]
-    finally:
-        if own:
-            fh.close()
     n = max(i for i, _, _ in rows) + 1
-    if len(rows) != n * n:
-        raise ValueError(f"field CSV has {len(rows)} rows, expected {n * n}")
+    cells = sorted((i, j) for i, j, _ in rows)
+    if cells != [(i, j) for i in range(n) for j in range(n)]:
+        raise ValueError(f"field CSV rows are not the {n}x{n} cells, each once")
     values = np.empty((n, n), dtype=float)
     for i, j, v in rows:
         values[i, j] = v
     return TorusField(TorusGrid(n), values)
 
-
-def field_to_csv_string(field):
-    buf = io.StringIO()
-    field_to_csv(field, buf)
-    return buf.getvalue()

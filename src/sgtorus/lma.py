@@ -38,22 +38,6 @@ from .krylov import cg, dot, norm
 DEFAULT_CG_TOL = 1e-10
 
 
-def _coeff_arrays(coeffs):
-    """Accept a CofactorField-like object or a (c11, c12, c22) triple."""
-    if hasattr(coeffs, "c11"):
-        return (
-            np.asarray(coeffs.c11, dtype=float),
-            np.asarray(coeffs.c12, dtype=float),
-            np.asarray(coeffs.c22, dtype=float),
-        )
-    c11, c12, c22 = coeffs
-    return (
-        np.asarray(c11, dtype=float),
-        np.asarray(c12, dtype=float),
-        np.asarray(c22, dtype=float),
-    )
-
-
 def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
 
@@ -104,7 +88,7 @@ def stencil_rows(grid, coeffs, cells):
     b=(i+1,j), c=(i,j+1), d=(i+1,j+1) with the averaged c12 weight wc,
     which adds +wc on a-a, d-d, b-c and -wc on b-b, c-c, a-d.
     """
-    c11, c12, c22 = _coeff_arrays(coeffs)
+    c11, c12, c22 = coeffs.c11, coeffs.c12, coeffs.c22
     for c in (c11, c12, c22):
         if c.shape != (grid.n, grid.n):
             raise GridMismatch("coefficient shape does not match grid")
@@ -245,7 +229,7 @@ class DivergenceFormOperator:
     Parameters
     ----------
     grid : TorusGrid
-    coeffs : CofactorField or (c11, c12, c22) arrays
+    coeffs : CofactorField
         Cellwise symmetric positive coefficient tensor.
     mask : (N, N) bool array, optional
         None for the periodic operator on the whole torus; otherwise the
@@ -268,8 +252,9 @@ class DivergenceFormOperator:
         self.matrix = (self.rows if mask is None
                        else self.rows[:, self.cells].tocsr())
         # coefficients of the constant-coefficient periodic preconditioner
-        self.mean_coefficients = tuple(c.mean() for c in _coeff_arrays(coeffs))
-        self.min_ritz = self._min_ritz()
+        self.mean_coefficients = (coeffs.c11.mean(), coeffs.c12.mean(),
+                                  coeffs.c22.mean())
+        self._min_ritz()
         # the Dirichlet preconditioner, reused by every right-hand side
         self.vcycle = (None if mask is None
                        else AggregationVCycle(self.matrix, grid.n, self.cells))
@@ -277,22 +262,20 @@ class DivergenceFormOperator:
     # -- structure checks ----------------------------------------------------
 
     def _min_ritz(self, n_probes=4):
-        """Smallest Ritz value on seeded random probes, none negative."""
+        """Raise IndefiniteOperator if a seeded random probe has a
+        negative Ritz value."""
         rng = np.random.default_rng(0)
         size = self.matrix.shape[0]
         scale = float(np.max(np.abs(self.matrix.diagonal()))) or 1.0
-        min_ritz = np.inf
         for _ in range(n_probes):
             x = rng.standard_normal(size)
             if self.mask is None:
                 x -= x.mean()  # probe orthogonal to the periodic kernel
             ritz = dot(x, self.matrix @ x) / dot(x, x)
-            min_ritz = min(min_ritz, ritz)
             if ritz < -1e-10 * scale:
                 raise IndefiniteOperator(
                     f"negative Ritz value {ritz:.3e} on random probe"
                 )
-        return min_ritz
 
     # -- actions ---------------------------------------------------------
 
@@ -540,7 +523,7 @@ def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
         # a single rung carries no slope information
         if len(heights) < 2:
             return PowerLawFit(float("nan"), float("nan"), float("nan"),
-                               len(heights), float("nan"))
+                               len(heights))
         return loglog_fit(heights, norms, min_points=min(4, len(heights)))
 
     rows = []

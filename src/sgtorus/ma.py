@@ -192,35 +192,9 @@ class CofactorField:
     def from_potential(cls, pot):
         return cls(pot.grid, pot.p22.copy(), -pot.p12.copy(), pot.p11.copy())
 
-    @classmethod
-    def identity(cls, grid):
-        one = np.ones((grid.n, grid.n))
-        return cls(grid, one.copy(), np.zeros_like(one), one.copy())
-
-    def det(self):
-        return self.c11 * self.c22 - self.c12**2
-
-    def trace(self):
-        return self.c11 + self.c22
-
     def contract(self, p11, p12, p22):
         """Phi^{ij} phi_{ij} for a symmetric field (p11, p12, p22)."""
         return self.c11 * p11 + 2.0 * self.c12 * p12 + self.c22 * p22
-
-    def divergence_defect(self):
-        """Sup norms of the discrete row divergences (O(h^2) for smooth q)."""
-        g = self.grid
-        r1 = gridmod.periodic_divergence(self.c11, self.c12, g)
-        r2 = gridmod.periodic_divergence(self.c12, self.c22, g)
-        return float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
-
-    def eigen_range(self):
-        """Cellwise (min, max) eigenvalue over the grid."""
-        tr = self.trace()
-        disc = np.sqrt(np.maximum((self.c11 - self.c22) ** 2 + 4.0 * self.c12**2, 0.0))
-        lo = 0.5 * (tr - disc)
-        hi = 0.5 * (tr + disc)
-        return float(np.min(lo)), float(np.max(hi))
 
 
 def cofactor(pot):

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import grid as gridmod
-from .dynamics import dtp_regularity
+from .dynamics import dtp_regularity, regularity_summary
 from .errors import (
     DegenerateMap,
     FactorizationResidualTooLarge,
@@ -79,15 +79,6 @@ class PolarFactorization:
     defect: float  # L1 distance of (uniform pushed through g) from 1
     tol_fact: float
 
-    def summary_dict(self):
-        return {
-            "residual_median": self.residual_median,
-            "residual_max": self.residual_max,
-            "defect": self.defect,
-            "ma_residual": self.pot.residual,
-            "inversion_residual": self.leg.diagnostics["inversion_residual"],
-        }
-
 
 def factorize(mapping, lam=None, Lam=None, tol=None, tol_fact=None):
     """Polar-factor a torus map X given as a PeriodicDisplacement.
@@ -142,14 +133,6 @@ class MapTimeSeries:
         for m in self.maps:
             gridmod.check_same_grid(m.grid, self.grid)
 
-    def dt_map(self, k):
-        """Finite-difference dX/dt at timestamp k (centered inside)."""
-        lo, hi = max(k - 1, 0), min(k + 1, len(self.times) - 1)
-        span = self.times[hi] - self.times[lo]
-        d1 = gridmod.wrap_delta(self.maps[hi].d1 - self.maps[lo].d1) / span
-        d2 = gridmod.wrap_delta(self.maps[hi].d2 - self.maps[lo].d2) / span
-        return d1, d2
-
     @classmethod
     def from_displacements(cls, grid, times, displacement_pairs):
         maps = [PeriodicDisplacement(grid, d1, d2) for d1, d2 in displacement_pairs]
@@ -190,9 +173,11 @@ def polar_time_regularity(series, lam=None, Lam=None, tol=None, n_centers=3,
                           kappas=(0.1, 0.2), seed=0):
     """Factorize every timestamp and fit the regularity of dP*/dt.
 
-    Returns per-timestamp rows {t, defect, residual, gamma_hat, C_hat} and
-    a summary with the min exponent and max prefactor over time.  Constant
-    (steady) time derivatives are flagged rather than fitted.
+    Returns per-timestamp rows, the dtp_regularity row plus t, defect,
+    residual and the smallest R^2 of the fits that are not constant
+    (r2_min), and their regularity_summary with the largest defect and
+    residual.  Constant (steady) time derivatives are flagged rather
+    than fitted.
     """
     if len(series.times) < 3:
         raise InsufficientSamples(
@@ -207,26 +192,17 @@ def polar_time_regularity(series, lam=None, Lam=None, tol=None, n_centers=3,
     for k in range(1, len(series.times) - 1):
         span = series.times[k + 1] - series.times[k - 1]
         dtp = mean_zero((facts[k + 1].pot.q - facts[k - 1].pot.q) / span)
-        fits, norms = dtp_regularity(dtp, facts[k].density.values, centers,
-                                     grid, kappas)
-        live = [f for f in fits if not f.constant]
+        fits, row = dtp_regularity(dtp, facts[k].density.values, centers,
+                                   grid, kappas)
         rows.append({
             "t": series.times[k],
             "defect": facts[k].defect,
             "residual": facts[k].residual_median,
-            "constant": not live,
-            "gamma_hat": float(np.median([f.gamma for f in live]))
-            if live else float("inf"),
-            "C_hat": float(np.median([f.prefactor for f in live]))
-            if live else 0.0,
-            "r2_min": min((f.r2 for f in live), default=1.0),
-            **norms,
+            "r2_min": min((f.r2 for f in fits if not f.constant), default=1.0),
+            **row,
         })
-    active = [r for r in rows if not r["constant"]]
     summary = {
-        "constant": not active,
-        "gamma_min": min((r["gamma_hat"] for r in active), default=float("inf")),
-        "c_max": max((r["C_hat"] for r in active), default=0.0),
+        **regularity_summary(rows),
         "defect_max": max(r["defect"] for r in rows),
         "residual_max": max(r["residual"] for r in rows),
         "n_timestamps": len(series.times),

@@ -82,6 +82,10 @@ class TestFlagTables:
         assert "BadDensity" in capsys.readouterr().err
 
 
+UNIFORM_4X4_CSV = b"i,j,value\n" + b"".join(
+    f"{i},{j},1.0\n".encode() for i in range(4) for j in range(4))
+
+
 class TestMaSolve:
     def test_writes_solution_files(self, tmp_path):
         out = tmp_path / "ma"
@@ -122,6 +126,24 @@ class TestMaSolve:
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert "BadDensity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, content", [
+        ("bad.bin", np.array([16.0, 1.0, 1.0]).astype("<f8").tobytes()),
+        ("bad.csv", b"x,y,rho\n0,0,1.0\n"),
+        ("empty.csv", b""),
+        ("inf.bin", np.array([np.inf, 1.0]).astype("<f8").tobytes()),
+        ("cells.csv", UNIFORM_4X4_CSV.replace(b"3,3,", b"3,7,")),
+        ("cells.csv", UNIFORM_4X4_CSV.replace(b"3,3,", b"3,2,")),
+    ], ids=["truncated-bin", "foreign-header-csv", "empty-csv",
+            "infinite-size-bin", "out-of-range-cell-csv", "repeated-cell-csv"])
+    def test_malformed_density_file_is_config_error(self, name, content,
+                                                    tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code = run_cli("ma-solve", "--n", "16", "--preset", str(path),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "config error: bad density file" in capsys.readouterr().err
 
 
 class TestSgRun:
@@ -210,6 +232,17 @@ class TestReports:
         with open(out / "polar_summary.csv", newline="") as fh:
             summary = next(csv.DictReader(fh))
         assert int(summary["n_timestamps"]) == 4
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--steps", "1", "steps must be at least 3"),
+        ("--t-end", "0.05", "t_end must exceed 0.1"),
+    ], ids=["steps", "t-end"])
+    def test_polar_run_family_needs_three_increasing_times(
+            self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("polar-run", "--n", "16", flag, value,
+                       "--out", str(out)) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestVerify:

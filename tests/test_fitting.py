@@ -32,7 +32,6 @@ class TestLinearFit:
         fit = linear_fit(x, -2.0 * x + 0.5)
         assert fit.slope == pytest.approx(-2.0, abs=1e-12)
         assert fit.intercept == pytest.approx(0.5, abs=1e-12)
-        assert fit.stderr == pytest.approx(0.0, abs=1e-10)
 
 
 def test_dyadic_ladder():

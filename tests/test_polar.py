@@ -100,9 +100,6 @@ class TestFactorize:
         fact = polar.factorize(mapping)
         assert fact.residual_median <= fact.tol_fact
         assert float(np.median(fact.g.norm())) <= 5.0 * grid.spacing
-        summary = fact.summary_dict()
-        assert set(summary) == {"residual_median", "residual_max", "defect",
-                                "ma_residual", "inversion_residual"}
 
     def test_shear_composition_recovers_both_factors(self):
         # X = grad potential o shear: the measure factor is the shear itself
@@ -132,17 +129,6 @@ class TestSeries:
             polar.MapTimeSeries(grid, [0.0, 0.0], [m, m])
         with pytest.raises(ValueError):
             polar.MapTimeSeries(grid, [0.0], [m, m])
-
-    def test_dt_map_centered_oracle(self):
-        grid = TorusGrid(32)
-        times = [0.1, 0.2, 0.3]
-        series = presets.cosine_family_series(grid, times, eps_scale=0.03)
-        d1, _ = series.dt_map(1)
-        # analytic time derivative of the map family
-        x1, _ = grid.centers()
-        shape = -TWO_PI * np.sin(TWO_PI * x1)
-        eps_dot = 0.03 * (np.sin(times[2]) - np.sin(times[0])) / 0.2
-        assert np.max(np.abs(d1 - eps_dot * shape)) <= 1e-12
 
     def test_write_read_roundtrip(self, tmp_path):
         grid = TorusGrid(16)
