@@ -332,8 +332,9 @@ def field_from_csv(path):
             raise ValueError(f"unexpected field CSV header: {header}")
         rows = [(int(i), int(j), float(v)) for i, j, v in reader]
     n = max(i for i, _, _ in rows) + 1
-    cells = sorted((i, j) for i, j, _ in rows)
-    if cells != [(i, j) for i in range(n) for j in range(n)]:
+    # the row count bounds n first, so the cell list below is file-sized
+    if (len(rows) != n * n or sorted((i, j) for i, j, _ in rows)
+            != [(i, j) for i in range(n) for j in range(n)]):
         raise ValueError(f"field CSV rows are not the {n}x{n} cells, each once")
     values = np.empty((n, n), dtype=float)
     for i, j, v in rows:

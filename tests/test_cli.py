@@ -134,8 +134,10 @@ class TestMaSolve:
         ("inf.bin", np.array([np.inf, 1.0]).astype("<f8").tobytes()),
         ("cells.csv", UNIFORM_4X4_CSV.replace(b"3,3,", b"3,7,")),
         ("cells.csv", UNIFORM_4X4_CSV.replace(b"3,3,", b"3,2,")),
+        ("cells.csv", UNIFORM_4X4_CSV.replace(b"3,3,", b"100000,3,")),
     ], ids=["truncated-bin", "foreign-header-csv", "empty-csv",
-            "infinite-size-bin", "out-of-range-cell-csv", "repeated-cell-csv"])
+            "infinite-size-bin", "out-of-range-cell-csv", "repeated-cell-csv",
+            "huge-index-csv"])
     def test_malformed_density_file_is_config_error(self, name, content,
                                                     tmp_path, capsys):
         path = tmp_path / name

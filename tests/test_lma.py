@@ -54,6 +54,16 @@ class TestOperator:
         op = DivergenceFormOperator(grid, cofactor(pot))
         d = op.matrix - op.matrix.T
         assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
+        # semidefinite: seeded mean-zero probes have nonnegative Ritz
+        # values, and the spectrum is the constants' roundoff-sized
+        # eigenvalue followed by positive ones
+        probes = rng.standard_normal((4, 32 * 32))
+        probes -= probes.mean(axis=1, keepdims=True)
+        for x in probes:
+            assert x @ (op.matrix @ x) / (x @ x) >= -1e-12
+        eig = np.linalg.eigvalsh(op.matrix.toarray())
+        assert abs(eig[0]) <= 1e-12 * eig[-1]
+        assert eig[1] > 0.0
         u, v = rng.standard_normal((2, 32, 32))
         lhs = np.sum(v * op.apply(u))
         rhs = np.sum(u * op.apply(v))
