@@ -56,7 +56,7 @@ from .lma import (
     solve_periodic_lma,
 )
 from .regularity import (
-    holder_fit,
+    holder_fits,
     oscillation,
     oscillation_decay,
 )

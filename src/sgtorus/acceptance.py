@@ -255,7 +255,7 @@ def check_holder_calibration(quick=False):
     worst = 0.0
     fits = {}
     for gamma in (0.25, 0.5, 0.75, 1.0):
-        fit = regularity.holder_fit(dist**gamma, x0, grid)
+        [fit] = regularity.holder_fits(dist**gamma, [x0], grid)
         fits[f"gamma_{gamma:g}"] = round(fit.gamma, 4)
         worst = max(worst, abs(fit.gamma - gamma))
     return _result("holder_fit_calibration", worst <= 0.05,

@@ -310,8 +310,8 @@ def cmd_regularity_report(args, cfg):
                                boundary_values=bdata, tol=1e-12)
     decay = regularity.oscillation_decay(u, pot, center, h0, rungs=rungs)
     radius = np.sqrt(2.0 * h0)
-    fit = regularity.holder_fit(
-        u, center, grid,
+    [fit] = regularity.holder_fits(
+        u, [center], grid,
         radii=np.geomspace(3.0 * grid.spacing, 0.45 * radius, 8),
     )
     out = _out_dir(args)
@@ -340,7 +340,15 @@ def cmd_polar_run(args, cfg):
     lam = _merge(args, cfg, "lambda", float, None)
     Lam = _merge(args, cfg, "Lambda", float, None)
     if args.series:
-        series = polar.read_series(args.series)
+        try:
+            series = polar.read_series(args.series)
+        except (OSError, KeyError, ValueError) as exc:
+            # a missing file, a manifest key or a malformed field
+            raise ConfigError(f"bad series {args.series}: "
+                              f"{type(exc).__name__}: {exc}")
+        if len(series.times) < 3:
+            raise ConfigError(f"series needs at least 3 timestamps, "
+                              f"got {len(series.times)}")
     else:
         steps = _merge(args, cfg, "steps", int, 6)
         t_end = _merge(args, cfg, "t_end", float, 0.5)

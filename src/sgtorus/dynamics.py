@@ -4,9 +4,13 @@ One step of the loop: rotate the optimal-transport displacement into the
 velocity U = (x - grad P*)^perp, advect the density semi-Lagrangially,
 re-solve the Monge-Ampere equation warm-started from the previous
 potential, and update the certificates (mass, density pinch, velocity
-bound, solver residual, Newton and Krylov iterations).  Post-run
-diagnostics differentiate the potential in time, check the linearized
-identity
+bound, solver residual, Newton and Krylov iterations).  Each state keeps
+the (t, q) of the two records before it; the step extrapolates them
+through the current potential to the new time and hands the predicted
+change of q to the solver as the Krylov start of its first Newton
+update (on the two-bump preset one or two GMRES iterations where a zero
+start takes seven).  Post-run diagnostics differentiate the potential in
+time, check the linearized identity
 
     div(Phi grad dP*/dt) = div(-rho U),
 
@@ -25,7 +29,7 @@ from .grid import PeriodicDisplacement, TorusField, mean_zero
 from .krylov import norm
 from .lma import stencil_rows
 from .ma import ConvexPotential, cofactor, solve_ma_periodic
-from .regularity import holder_fit
+from .regularity import holder_fits
 
 CFL_NUMBER = 0.5
 # per-step drift allowance of the conservative renormalization multiply
@@ -40,8 +44,12 @@ def velocity_from_potential(pot):
     centered stencils.  The wrapped representative caps ||U||_inf at
     sqrt(2)/2.
     """
-    d = pot.gradient_displacement()
-    return PeriodicDisplacement(pot.grid, d.d2, -d.d1)
+    return _rotated(pot.gradient_displacement())
+
+
+def _rotated(d):
+    """U = (d2, -d1) from the gradient displacement d = grad P* - id."""
+    return PeriodicDisplacement(d.grid, d.d2, -d.d1)
 
 
 def cfl_limit(velocity, grid, cfl=CFL_NUMBER):
@@ -96,18 +104,22 @@ class SGState:
     certificates: dict
     lam_env: float  # running renormalization envelope around [lam, Lam]
     Lam_env: float
+    # (t, q) of up to two records before this one, oldest first
+    history: tuple = ()
 
     @classmethod
     def from_density(cls, rho, grid, t=0.0, lam=None, Lam=None, tol=None,
-                     initial=None, renorm_factor=1.0):
+                     initial=None, guess=None, renorm_factor=1.0, history=()):
         if isinstance(rho, TorusField):
             grid, rho = rho.grid, rho.values
         rho = np.asarray(rho, dtype=float)
         lam = float(lam) if lam is not None else float(np.min(rho))
         Lam = float(Lam) if Lam is not None else float(np.max(rho))
         pot = solve_ma_periodic(rho, grid, lam=lam, Lam=Lam, tol=tol,
-                                initial=initial)
-        velocity = velocity_from_potential(pot)
+                                initial=initial, guess=guess)
+        # one gradient displacement serves the velocity and w2_proxy
+        d = pot.gradient_displacement()
+        velocity = _rotated(d)
         certificates = {
             "t": t,
             "mass": gridmod.integral(rho, grid),
@@ -118,9 +130,10 @@ class SGState:
             "renorm_factor": renorm_factor,
             "newton_iters": pot.newton_iters,
             "krylov_iters": pot.diagnostics["linear_iters"],
-            "w2_proxy": w2_proxy(rho, pot),
+            "w2_proxy": w2_proxy(rho, d),
         }
-        return cls(grid, t, rho, pot, velocity, certificates, lam, Lam)
+        return cls(grid, t, rho, pot, velocity, certificates, lam, Lam,
+                   history)
 
     def check_certificates(self, steps_taken=0):
         """Invariant checks; returns a list of (name, ok, detail) tuples."""
@@ -139,10 +152,28 @@ class SGState:
         ]
 
 
-def w2_proxy(rho, pot):
-    """integral rho |x - grad P*|^2: transport-cost proxy to uniform."""
-    d = pot.gradient_displacement()
-    return gridmod.integral(rho * (d.d1**2 + d.d2**2), pot.grid)
+def w2_proxy(rho, d):
+    """integral rho |x - grad P*|^2: transport-cost proxy to uniform, from
+    the gradient displacement d = pot.gradient_displacement()."""
+    return gridmod.integral(rho * (d.d1**2 + d.d2**2), d.grid)
+
+
+def extrapolated_update(records, t):
+    """q(t) - q_last from the Lagrange polynomial through records, a
+    sequence of (t_k, q_k) whose last entry is (t_last, q_last): linear
+    through two records, quadratic through three, None from one.
+
+    Written as sum_k w_k (q_k - q_last) over the earlier records, with
+    w_k the Lagrange weight of t_k at t, since the weights sum to one.
+    """
+    if len(records) < 2:
+        return None
+    times = [t_k for t_k, _ in records]
+    q_last = records[-1][1]
+    return sum(np.prod([(t - t_j) / (t_k - t_j)
+                        for j, t_j in enumerate(times) if j != k])
+               * (q_k - q_last)
+               for k, (t_k, q_k) in enumerate(records[:-1]))
 
 
 def step(state, dt, tol=None):
@@ -150,16 +181,21 @@ def step(state, dt, tol=None):
 
     The density pinch envelope [lam, Lam] is widened by the logged
     renormalization factor, so the re-solve never rejects a density the
-    scheme itself produced.
+    scheme itself produced.  The re-solve starts Newton at state.pot, and
+    its first update's GMRES at the extrapolated_update through the
+    state's history and itself (none after a cold start, linear after
+    the first step, quadratic from then on).
     """
     rho_new, factor = transport_step(state.rho, state.velocity, dt, state.grid)
     lam_env = state.lam_env * min(factor, 1.0)
     Lam_env = state.Lam_env * max(factor, 1.0)
-    new = SGState.from_density(
-        rho_new, state.grid, t=state.t + dt, lam=lam_env, Lam=Lam_env,
-        tol=tol, initial=state.pot, renorm_factor=factor,
+    records = (*state.history, (state.t, state.pot.q))
+    t = state.t + dt
+    return SGState.from_density(
+        rho_new, state.grid, t=t, lam=lam_env, Lam=Lam_env, tol=tol,
+        initial=state.pot, guess=extrapolated_update(records, t),
+        renorm_factor=factor, history=records[-2:],
     )
-    return new
 
 
 @dataclasses.dataclass
@@ -265,7 +301,6 @@ def fill_lma_residuals(result):
 class TimeSeriesDiagnostics:
     """Per-step regularity records of dP*/dt along a run."""
 
-    rows: list  # per (step, center) fit dicts
     step_rows: list  # per-step aggregates
     summary: dict
 
@@ -284,7 +319,7 @@ def dtp_regularity(dtp, rho, centers, grid, kappas):
         ** (1.0 / (1.0 + kappa))
         for kappa in kappas
     }
-    fits = [holder_fit(dtp, c, grid) for c in centers]
+    fits = holder_fits(dtp, centers, grid)
     live = [f for f in fits if not f.constant]
     row = {
         "constant": not live,
@@ -314,8 +349,9 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
 
     Each interior record gets its dtp_regularity row and r2_ok, the number
     of fits with R^2 >= 0.8; the summary adds to regularity_summary the
-    largest exponent and the fraction of fits with R^2 >= 0.8.  Constant
-    fits are excluded from the fit statistics.
+    largest exponent, the number n_fits of fits that are not constant and
+    the fraction of those with R^2 >= 0.8.  Constant fits are excluded
+    from the fit statistics.
     """
     n_records = len(result.times)
     if n_records < min_steps:
@@ -326,16 +362,11 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
     centers = rng.random((n_centers, 2))
     grid = result.grid
 
-    rows, step_rows = [], []
+    step_rows, n_fits = [], 0
     for k in range(1, n_records - 1):
         fits, row = dtp_regularity(result.dtp_field(k), result.rho_history[k],
                                    centers, grid, kappas)
-        rows.extend({
-            "step": k, "t": result.times[k],
-            "center": (float(c[0]), float(c[1])),
-            "gamma": fit.gamma, "C": fit.prefactor, "r2": fit.r2,
-            "constant": fit.constant,
-        } for c, fit in zip(centers, fits))
+        n_fits += sum(1 for f in fits if not f.constant)
         step_rows.append({
             "step": k,
             "t": result.times[k],
@@ -343,7 +374,6 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
             **row,
         })
 
-    n_fits = sum(1 for r in rows if not r["constant"])
     summary = {
         **regularity_summary(step_rows),
         "gamma_max": max((r["gamma_hat"] for r in step_rows
@@ -351,10 +381,11 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
         "r2_ok_fraction": (
             sum(r["r2_ok"] for r in step_rows) / n_fits if n_fits else 1.0
         ),
+        "n_fits": n_fits,
         "n_steps": len(step_rows),
         "n_centers": n_centers,
     }
-    return TimeSeriesDiagnostics(rows, step_rows, summary)
+    return TimeSeriesDiagnostics(step_rows, summary)
 
 
 CERTIFICATE_COLUMNS = ("t", "mass", "min_rho", "max_rho", "u_inf",

@@ -34,6 +34,14 @@ of its bordered system is at most max(GMRES_RTOL |b|, F max(tol, min(F, r)
 convergence quadratic, and since sup <= l2 the floor F tol adds at most
 F tol to the next sup residual after a full step; solving further would
 be discarded by the next Newton iteration.
+
+A caller that can predict the first Newton update, such as a time loop
+extrapolating its earlier solves, passes it as guess, and GMRES solves
+only for the correction, to the same absolute target (the simplest
+reuse of earlier solutions for successive right-hand sides; Fischer,
+Comput. Methods Appl. Mech. Engrg. 163, 1998, projects onto them).
+Newton itself still starts at initial, so its iterates, forcing targets
+and damping do not depend on the guess beyond the GMRES tolerance.
 """
 
 import dataclasses
@@ -212,7 +220,7 @@ def _hessian_and_det(q, h):
     return p11, q12, p22, det
 
 
-def _newton_update(p11, p12, p22, rhs, h, atol):
+def _newton_update(p11, p12, p22, rhs, h, atol, guess=None):
     """Solve the bordered Newton system for (delta, dmu) by GMRES.
 
     Rows: p22 d11 + p11 d22 - 2 p12 d12 - dmu = rhs cellwise, with the
@@ -226,8 +234,12 @@ def _newton_update(p11, p12, p22, rhs, h, atol):
     Phi / tr Phi is constant, which holds at constant density (Loeper's
     regime) and keeps the Krylov count low away from it.  GMRES stops
     once the l2 residual of the bordered system is at most
-    max(GMRES_RTOL |b|, atol).  Returns (delta, dmu, krylov_iterations);
-    raises NonConvergence if GMRES misses that target.
+    max(GMRES_RTOL |b|, atol).  A guess for delta (dmu guessed 0) is
+    the Krylov start: GMRES runs from zero on b - A guess to that same
+    absolute target, taken from the unshifted b, and guess is added back,
+    so an exact guess costs no iteration and a poor one only iterations.
+    Returns (delta, dmu, krylov_iterations); raises NonConvergence if
+    GMRES misses the target.
     """
     n = rhs.shape[0]
     size = n * n
@@ -254,10 +266,16 @@ def _newton_update(p11, p12, p22, rhs, h, atol):
         return out
 
     b = np.append(rhs.ravel(), 0.0)
-    sol, iters, converged = gmres(apply, b, precondition, GMRES_RTOL,
-                                  GMRES_RESTART, GMRES_MAX_CYCLES, atol)
+    target = max(GMRES_RTOL * norm(b), atol)
+    shifted = b
+    if guess is not None:
+        start = np.append(guess.ravel(), 0.0)
+        shifted = b - apply(start)
+    sol, iters, converged = gmres(apply, shifted, precondition, 0.0,
+                                  GMRES_RESTART, GMRES_MAX_CYCLES, target)
+    if guess is not None:
+        sol += start
     if not converged:
-        target = max(GMRES_RTOL * norm(b), atol)
         raise NonConvergence(
             f"GMRES missed the target {target:.3e} on the Newton update "
             f"within {GMRES_MAX_CYCLES} cycles ({iters} iterations, "
@@ -284,7 +302,7 @@ def validate_density(rho, lam=None, Lam=None):
 
 
 def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
-                      initial=None):
+                      initial=None, guess=None):
     """Solve det D^2 P* = rho on the torus for a convex potential.
 
     Damped inexact Newton iteration: the update (u, dmu) solves the
@@ -312,6 +330,12 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         Sup-norm tolerance on det - rho - mu (default 1e-8 * max(1, Lam)).
     initial : ConvexPotential or array, optional
         Warm start for the periodic part q.
+    guess : (N, N) array, optional
+        Predicted first Newton update of q, say extrapolated from earlier
+        solves.  It is only the Krylov start of that update's GMRES
+        (_newton_update), whose target does not depend on it: a good
+        guess saves Krylov iterations, and the Newton iteration, its
+        forcing targets and its damping are those without it.
 
     Returns
     -------
@@ -356,7 +380,8 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         rhs = -(det - rho - mu)
         atol = NEWTON_FORCING * max(
             tol, min(NEWTON_FORCING, residual) * norm(rhs))
-        delta, dmu, krylov = _newton_update(p11, p12, p22, rhs, h, atol)
+        delta, dmu, krylov = _newton_update(p11, p12, p22, rhs, h, atol,
+                                            guess if iters == 0 else None)
         linear_iters += krylov
 
         step = 1.0

@@ -148,35 +148,54 @@ def _shell_cells(grid, i0, j0, radii):
     return tuple(table)
 
 
-def holder_fit(u, x0, grid, radii=None, min_points=4):
-    """Fit max_{shell(r)} |u - u(x0)| ~ C r^gamma around x0.
+def holder_fits(u, centers, grid, radii=None, min_points=4):
+    """Fit max_{shell(r)} |u - u(x0)| ~ C r^gamma around each x0 in
+    centers; returns one HolderFit per centre, in order.
 
     Shells are periodic-distance annuli [r, r + spacing).  A field that is
     constant to machine precision returns the sentinel gamma = inf with
     constant=True instead of fitting noise.
 
     The shells' cells and distances are cached per grid, center cell and
-    radii (_shell_cells), so a call reads only u at the shell cells.  The
+    radii (_shell_cells).  One gather reads u at the shell cells of every
+    centre and one np.maximum.reduceat takes every shell maximum; the
+    scale max(max|u|, 1) of the constant test is taken once.  The
     distances are np.hypot of grid.offsets_from broadcast, the wrapped
     meshgrid's values bit for bit, and a shell maximum is the same maximum
-    over the same cells, so the fit does not depend on the cache.
+    over the same cells, so the fits do not depend on the cache or on
+    which other centres are fitted with them.
     """
     u = np.asarray(u, dtype=float)
-    i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
+    flat = u.ravel()
     if radii is not None:
         radii = tuple(float(r) for r in radii)
-    table = _shell_cells(grid, int(i0), int(j0), radii)
-    flat, u0 = u.ravel(), u[i0, j0]
-    shells = {}
-    for cells, r_achieved in table:
-        m = float(np.max(np.abs(flat[cells] - u0)))
-        # overlapping windows can share their farthest sample; keep one point
-        shells[r_achieved] = max(m, shells.get(r_achieved, 0.0))
-    shells = sorted(shells.items())
-
+    tables, origins = [], []
+    for x0 in centers:
+        i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
+        tables.append(_shell_cells(grid, int(i0), int(j0), radii))
+        origins.append(u[i0, j0])
+    cells = [c for table in tables for c, _ in table]
+    sizes = [c.size for c in cells]
+    maxima = []
+    if cells:
+        u0 = np.repeat([o for o, t in zip(origins, tables) for _ in t], sizes)
+        diff = np.abs(flat[np.concatenate(cells)] - u0)
+        maxima = np.maximum.reduceat(diff, np.cumsum([0] + sizes[:-1]))
+    maxima = iter(maxima)
     scale = max(float(np.max(np.abs(u))), 1.0)
-    if not shells or max(m for _, m in shells) <= _CONSTANT_FLOOR * scale:
-        return HolderFit(CONSTANT_SENTINEL, 0.0, 1.0, shells, True)
-    fit = loglog_fit([r for r, _ in shells], [m for _, m in shells],
-                     min_points=min_points)
-    return HolderFit(fit.slope, fit.prefactor, fit.r2, shells, False)
+
+    fits = []
+    for table in tables:
+        shells = {}
+        for _, r_achieved in table:
+            m = float(next(maxima))
+            # overlapping windows can share their farthest sample; keep one
+            shells[r_achieved] = max(m, shells.get(r_achieved, 0.0))
+        shells = sorted(shells.items())
+        if not shells or max(m for _, m in shells) <= _CONSTANT_FLOOR * scale:
+            fits.append(HolderFit(CONSTANT_SENTINEL, 0.0, 1.0, shells, True))
+            continue
+        fit = loglog_fit([r for r, _ in shells], [m for _, m in shells],
+                         min_points=min_points)
+        fits.append(HolderFit(fit.slope, fit.prefactor, fit.r2, shells, False))
+    return fits

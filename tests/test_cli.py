@@ -235,6 +235,34 @@ class TestReports:
             summary = next(csv.DictReader(fh))
         assert int(summary["n_timestamps"]) == 4
 
+    def write_bad_series(self, tmp_path, times=(0.1, 0.2, 0.3), drop=None):
+        sdir = tmp_path / "series"
+        series = presets.cosine_family_series(TorusGrid(16), list(times))
+        polar.write_series(series, sdir)
+        if drop is not None:
+            manifest = json.loads((sdir / "manifest.json").read_text())
+            del manifest["entries"][1][drop]
+            (sdir / "manifest.json").write_text(json.dumps(manifest))
+        return sdir
+
+    def test_polar_run_missing_series_dir(self, tmp_path, capsys):
+        assert run_cli("polar-run", "--series", str(tmp_path / "none"),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "config error: bad series" in capsys.readouterr().err
+
+    def test_polar_run_series_entry_without_d1(self, tmp_path, capsys):
+        sdir = self.write_bad_series(tmp_path, drop="d1")
+        assert run_cli("polar-run", "--series", str(sdir),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "KeyError: 'd1'" in capsys.readouterr().err
+
+    def test_polar_run_series_needs_three_timestamps(self, tmp_path, capsys):
+        sdir = self.write_bad_series(tmp_path, times=(0.1, 0.2))
+        assert run_cli("polar-run", "--series", str(sdir),
+                       "--out", str(tmp_path / "o")) == 1
+        assert ("config error: series needs at least 3 timestamps, got 2"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--steps", "1", "steps must be at least 3"),
         ("--t-end", "0.05", "t_end must exceed 0.1"),

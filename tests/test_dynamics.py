@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgtorus import dynamics, presets
+from sgtorus import dynamics, ma, presets
 from sgtorus.errors import CFLViolation, InsufficientSamples, InvariantViolation
 from sgtorus.grid import (
     PeriodicDisplacement,
@@ -159,13 +159,101 @@ class TestRun:
         assert pot.convexity_margin > 0.0
         assert np.array_equal(pot.q, short_run.q_history[3])
 
+    def test_one_gradient_displacement_per_state(self, monkeypatch):
+        # the velocity and w2_proxy share it, with the bits of separate ones
+        grid = TorusGrid(32)
+        rho, lam, Lam = presets.two_mode_density(grid)
+        built = []
+        monkeypatch.setattr(
+            ma, "PeriodicDisplacement",
+            lambda *args: built.append(args) or PeriodicDisplacement(*args))
+        state = dynamics.SGState.from_density(rho, grid, lam=lam, Lam=Lam)
+        assert len(built) == 1
+        fresh = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        assert state.certificates["w2_proxy"] == dynamics.w2_proxy(
+            rho.values, fresh.gradient_displacement())
+        assert np.array_equal(state.velocity.d1,
+                              dynamics.velocity_from_potential(fresh).d1)
+
     def test_w2_proxy_zero_only_for_uniform(self):
         grid = TorusGrid(32)
         pot_u = solve_ma_periodic(presets.uniform_density(grid))
-        assert dynamics.w2_proxy(np.ones((32, 32)), pot_u) == 0.0
+        assert dynamics.w2_proxy(np.ones((32, 32)),
+                                 pot_u.gradient_displacement()) == 0.0
         rho, lam, Lam = presets.perturbed_density(grid)
         pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
-        assert dynamics.w2_proxy(rho.values, pot) > 0.0
+        assert dynamics.w2_proxy(rho.values, pot.gradient_displacement()) > 0.0
+
+
+def two_bump_run(dts, monkeypatch=None):
+    """States of a two-bump run at N=64 with the given steps; with
+    monkeypatch, every step's Krylov guess is switched off."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(dynamics, "extrapolated_update",
+                            lambda records, t: None)
+    grid = TorusGrid(64)
+    rho0, lam, Lam = presets.two_bump_density(grid)
+    states = [dynamics.SGState.from_density(rho0, grid, lam=lam, Lam=Lam)]
+    for dt in dts:
+        states.append(dynamics.step(states[-1], dt))
+    return states
+
+
+class TestKrylovGuess:
+    """Each warm step starts its first GMRES at the update extrapolated
+    from the records before it; the Newton path must not notice."""
+
+    def test_extrapolation_is_exact_on_quadratics(self, rng):
+        a, b, c = rng.standard_normal((3, 4, 4))
+
+        def q(t):
+            return a + b * t + c * t * t
+
+        times = [0.1, 0.13, 0.2]
+        records = [(t, q(t)) for t in times]
+        exact = q(0.26) - q(0.2)
+        assert dynamics.extrapolated_update(records[-1:], 0.26) is None
+        linear = dynamics.extrapolated_update(records[1:], 0.26)
+        assert np.allclose(linear, (b + c * (0.13 + 0.2)) * 0.06,
+                           rtol=1e-12, atol=1e-14)
+        assert np.allclose(dynamics.extrapolated_update(records, 0.26),
+                           exact, rtol=1e-11, atol=1e-13)
+
+    def test_history_window(self):
+        states = two_bump_run([2.5e-4] * 3)
+        assert [len(s.history) for s in states] == [0, 1, 2, 2]
+        assert [t for t, _ in states[-1].history] == [states[1].t, states[2].t]
+        assert states[-1].history[-1][1] is states[2].pot.q
+
+    @pytest.fixture(scope="class")
+    def guessed(self):
+        return two_bump_run([2.5e-4] * 8)
+
+    def test_same_newton_path_as_cold_krylov_starts(self, guessed,
+                                                    monkeypatch):
+        plain = two_bump_run([2.5e-4] * 8, monkeypatch)
+        assert ([s.pot.newton_iters for s in guessed]
+                == [s.pot.newton_iters for s in plain])
+        for a, b in zip(guessed, plain):
+            assert np.max(np.abs(a.pot.q - b.pot.q)) <= 1e-10
+        saved = [b.pot.diagnostics["linear_iters"]
+                 - a.pot.diagnostics["linear_iters"]
+                 for a, b in zip(guessed, plain)]
+        assert saved[:2] == [0, 0] and min(saved[3:]) > 0
+
+    def test_krylov_iterations_from_the_third_step(self, guessed):
+        krylov = [s.pot.diagnostics["linear_iters"] for s in guessed[3:]]
+        assert max(krylov) <= 3
+
+    def test_unequal_steps(self, monkeypatch):
+        dts = [2.5e-4, 1e-4, 4e-4, 2e-4, 3e-4, 1.5e-4]
+        guessed = two_bump_run(dts)
+        plain = two_bump_run(dts, monkeypatch)
+        assert ([s.pot.newton_iters for s in guessed]
+                == [s.pot.newton_iters for s in plain])
+        for a, b in zip(guessed, plain):
+            assert np.max(np.abs(a.pot.q - b.pot.q)) <= 1e-10
+        assert max(s.pot.diagnostics["linear_iters"] for s in guessed[3:]) <= 3
 
 
 class TestTimeRegularity:
@@ -178,7 +266,8 @@ class TestTimeRegularity:
         assert 0.0 < s["gamma_min"] <= s["gamma_max"] < 2.0
         assert s["c_max"] > 0.0
         assert 0.0 <= s["r2_ok_fraction"] <= 1.0
-        assert len(rep.rows) == 24 * 5
+        # two-mode is not steady: every (record, centre) fit is live
+        assert s["n_fits"] == 24 * 5
 
     def test_needs_enough_records(self):
         grid = TorusGrid(32)

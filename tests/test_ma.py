@@ -262,6 +262,37 @@ class TestSolver:
         update = np.append(delta.ravel(), dmu)
         assert np.max(np.abs(update - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
+    def test_newton_update_guess_is_only_a_krylov_start(self, rng):
+        n = 32
+        h = TorusGrid(n).spacing
+        q = 1e-5 * rng.standard_normal((n, n))
+        p11, p12, p22, _ = _hessian_and_det(q, h)
+        # a right-hand side whose exact update (true, 0) is known
+        true = mean_zero(rng.standard_normal((n, n)))
+        d11, d12, d22 = second_differences(true, h)
+        rhs = p22 * d11 + p11 * d22 - 2.0 * p12 * d12
+        atol = 1e-6 * np.linalg.norm(rhs)
+
+        def residual(delta, dmu):
+            d11, d12, d22 = second_differences(delta, h)
+            rows = p22 * d11 + p11 * d22 - 2.0 * p12 * d12 - dmu - rhs
+            return np.linalg.norm(np.append(rows.ravel(), delta.mean()))
+
+        _, _, cold = _newton_update(p11, p12, p22, rhs, h, atol)
+        assert cold >= 2
+        delta, dmu, iters = _newton_update(p11, p12, p22, rhs, h, atol, true)
+        assert iters == 0
+        assert np.array_equal(delta, true) and dmu == 0.0
+        # a guess worse than zero costs iterations, not accuracy: both
+        # targets are taken from rhs, not from the shifted residual
+        poor = mean_zero(-10.0 * true + rng.standard_normal((n, n)))
+        delta, dmu, iters = _newton_update(p11, p12, p22, rhs, h, atol, poor)
+        assert iters >= cold
+        assert residual(delta, dmu) <= atol * (1.0 + 1e-9)
+        delta, dmu, _ = _newton_update(p11, p12, p22, rhs, h, 0.0, poor)
+        assert (residual(delta, dmu)
+                <= ma.GMRES_RTOL * np.linalg.norm(rhs) * (1.0 + 1e-6))
+
     def test_gmres_failure_raises(self, monkeypatch):
         def failing_gmres(apply, b, *args):
             return np.zeros_like(b), 7, False

@@ -19,8 +19,8 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def brute_holder_fit(u, x0, grid, radii=None, min_points=4):
-    """Oracle for holder_fit: the N x N wrapped distances and every shell
-    mask rebuilt on each call."""
+    """Oracle for holder_fits at one centre: the N x N wrapped distances,
+    every shell mask and the scale rebuilt on each call."""
     u = np.asarray(u, dtype=float)
     h = grid.spacing
     i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
@@ -50,19 +50,28 @@ def brute_holder_fit(u, x0, grid, radii=None, min_points=4):
     return regularity.HolderFit(fit.slope, fit.prefactor, fit.r2, shells, False)
 
 
+def bits(fit):
+    """Every bit of a Holder fit."""
+    values = np.array([fit.gamma, fit.prefactor, fit.r2]).view(np.int64)
+    shells = np.array(fit.shells, dtype=float).view(np.int64)
+    return values.tolist(), shells.tolist(), fit.constant
+
+
 def fit_bits(fit_fn, *args, **kwargs):
-    """Every bit of a Holder fit (or the failure it raises)."""
+    """Every bit of a Holder fit, or the failure it raises."""
     try:
-        fit = fit_fn(*args, **kwargs)
+        return bits(fit_fn(*args, **kwargs))
     except InsufficientSamples as exc:
         return "raises", str(exc)
-    bits = np.array([fit.gamma, fit.prefactor, fit.r2]).view(np.int64)
-    shells = np.array(fit.shells, dtype=float).view(np.int64)
-    return bits.tolist(), shells.tolist(), fit.constant
+
+
+def holder_fit(u, x0, grid, **kwargs):
+    [fit] = regularity.holder_fits(u, [x0], grid, **kwargs)
+    return fit
 
 
 def assert_matches_brute(*args, **kwargs):
-    got = fit_bits(regularity.holder_fit, *args, **kwargs)
+    got = fit_bits(holder_fit, *args, **kwargs)
     assert got == fit_bits(brute_holder_fit, *args, **kwargs)
     return got
 
@@ -173,7 +182,7 @@ class TestHolderFit:
         x0 = (0.31, 0.47)
         for gamma in (0.25, 0.5, 1.0):
             grid, u = self.grid_distance_power(64, x0, gamma)
-            fit = regularity.holder_fit(u, x0, grid)
+            fit = holder_fit(u, x0, grid)
             assert fit.gamma == pytest.approx(gamma, abs=1e-9)
             assert fit.r2 == pytest.approx(1.0, abs=1e-12)
             assert not fit.constant
@@ -181,24 +190,40 @@ class TestHolderFit:
     def test_prefactor_tracks_scale(self):
         x0 = (0.31, 0.47)
         grid, u = self.grid_distance_power(64, x0, 0.5, scale=3.0)
-        fit = regularity.holder_fit(u, x0, grid)
+        fit = holder_fit(u, x0, grid)
         assert fit.prefactor == pytest.approx(3.0, rel=1e-6)
 
     def test_constant_field_sentinel(self):
         grid = TorusGrid(64)
-        fit = regularity.holder_fit(np.zeros((64, 64)), (0.5, 0.5), grid)
+        fit = holder_fit(np.zeros((64, 64)), (0.5, 0.5), grid)
         assert fit.constant
         assert np.isinf(fit.gamma)
 
     def test_too_few_shells_raises(self):
         grid, u = self.grid_distance_power(64, (0.5, 0.5), 0.5)
         with pytest.raises(InsufficientSamples):
-            regularity.holder_fit(u, (0.5, 0.5), grid, radii=[0.1, 0.2])
+            holder_fit(u, (0.5, 0.5), grid, radii=[0.1, 0.2])
 
 
 class TestHolderFitOracle:
-    """holder_fit reads cached shell tables; every bit of its result must
-    be the brute-force fit's."""
+    """holder_fits reads cached shell tables of many centres at once;
+    every bit of each result must be the brute-force fit's."""
+
+    @PROPERTY
+    @given(st.integers(16, 64), seeds, st.integers(1, 12))
+    def test_many_centres(self, n, seed, n_centres):
+        # a repeated centre and a seam corner included
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(n)
+        u = rng.standard_normal((n, n)) * rng.uniform(1e-3, 1e3)
+        centres = rng.random((n_centres, 2))
+        centres[0] = centres[-1]
+        centres[n_centres // 2] = (0.0, 1.0 - 1e-12)
+        got = regularity.holder_fits(u, centres, grid, min_points=2)
+        assert len(got) == n_centres
+        for fit, x0 in zip(got, centres):
+            assert bits(fit) == fit_bits(brute_holder_fit, u, x0, grid,
+                                         min_points=2)
 
     @PROPERTY
     @given(st.integers(8, 64), seeds)
