@@ -75,6 +75,13 @@ def _positive(value, name):
     raise ConfigError(f"{name} must be positive, got {value}")
 
 
+def _grid_size(args, cfg, default):
+    n = _merge(args, cfg, "n", int, default)
+    if n < 4:
+        raise ConfigError(f"n must be at least 4, got {n}")
+    return n
+
+
 def _parse_center(text):
     try:
         a, b = text.split(",")
@@ -137,7 +144,7 @@ def _resolve_potential(name, grid, tol=None):
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_ma_solve(args, cfg):
-    n = _positive(_merge(args, cfg, "n", int, 64), "n")
+    n = _grid_size(args, cfg, 64)
     tol = _positive(_merge(args, cfg, "tol", float, None), "tol")
     rho0 = args.preset or cfg.get("rho0", "perturbed")
     grid = TorusGrid(n)
@@ -151,7 +158,7 @@ def cmd_ma_solve(args, cfg):
 
 
 def cmd_sg_run(args, cfg):
-    n = _positive(_merge(args, cfg, "n", int, 64), "n")
+    n = _grid_size(args, cfg, 64)
     dt = _positive(_merge(args, cfg, "dt", float, 2e-3), "dt")
     t_end = _positive(_merge(args, cfg, "t_end", float, 0.1), "t_end")
     tol = _positive(_merge(args, cfg, "tol", float, None), "tol")
@@ -159,6 +166,8 @@ def cmd_sg_run(args, cfg):
     rho0 = args.preset or cfg.get("rho0", "perturbed")
     lam = _merge(args, cfg, "lambda", float, None)
     Lam = _merge(args, cfg, "Lambda", float, None)
+    if round(t_end / dt) < 1:
+        raise ConfigError(f"t_end={t_end} rounds to no step of dt={dt}")
 
     grid = TorusGrid(n)
     rho, lam0, Lam0 = _resolve_density(rho0, grid)
@@ -196,7 +205,7 @@ def cmd_sg_run(args, cfg):
 
 
 def cmd_lma_dirichlet(args, cfg):
-    n = _positive(_merge(args, cfg, "n", int, 64), "n")
+    n = _grid_size(args, cfg, 64)
     height = _positive(_merge(args, cfg, "h0", float, 0.05), "h0")
     center = _parse_center(args.center or cfg.get("center", "0.5,0.5"))
     name = args.preset or cfg.get("potential", "cosine")
@@ -224,7 +233,7 @@ def cmd_lma_dirichlet(args, cfg):
 
 
 def cmd_green_report(args, cfg):
-    n = _positive(_merge(args, cfg, "n", int, 128), "n")
+    n = _grid_size(args, cfg, 128)
     h0 = _positive(_merge(args, cfg, "h0", float, 0.02), "h0")
     rungs = _positive(_merge(args, cfg, "rungs", int, 4), "rungs")
     center = _parse_center(args.center or cfg.get("center", "0.5,0.5"))
@@ -254,7 +263,7 @@ def cmd_green_report(args, cfg):
 
 
 def cmd_sections_report(args, cfg):
-    n = _positive(_merge(args, cfg, "n", int, 128), "n")
+    n = _grid_size(args, cfg, 128)
     h0 = _positive(_merge(args, cfg, "h0", float, 0.02), "h0")
     rungs = _positive(_merge(args, cfg, "rungs", int, 4), "rungs")
     n_centers = _positive(_merge(args, cfg, "centers", int, 5), "centers")
@@ -295,7 +304,7 @@ def cmd_sections_report(args, cfg):
 
 
 def cmd_regularity_report(args, cfg):
-    n = _positive(_merge(args, cfg, "n", int, 128), "n")
+    n = _grid_size(args, cfg, 128)
     h0 = _positive(_merge(args, cfg, "h0", float, 0.08), "h0")
     rungs = _positive(_merge(args, cfg, "rungs", int, 4), "rungs")
     center = _parse_center(args.center or cfg.get("center", "0.5,0.5"))
@@ -335,7 +344,7 @@ def cmd_regularity_report(args, cfg):
 
 
 def cmd_polar_run(args, cfg):
-    n = _positive(_merge(args, cfg, "n", int, 64), "n")
+    n = _grid_size(args, cfg, 64)
     seed = _merge(args, cfg, "seed", int, 0)
     lam = _merge(args, cfg, "lambda", float, None)
     Lam = _merge(args, cfg, "Lambda", float, None)

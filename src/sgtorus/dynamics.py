@@ -9,12 +9,12 @@ the (t, q) of the two records before it; the step extrapolates them
 through the current potential to the new time and hands the predicted
 change of q to the solver as the Krylov start of its first Newton
 update (on the two-bump preset one or two GMRES iterations where a zero
-start takes seven).  Post-run diagnostics differentiate the potential in
-time, check the linearized identity
+start takes seven).  The run differentiates the potential in time and,
+once the next record exists, checks each state against the identity
 
-    div(Phi grad dP*/dt) = div(-rho U),
+    div(Phi grad dP*/dt) = div(-rho U);
 
-and fit the spatial Holder regularity of dP*/dt.
+the reports fit the spatial Holder regularity of dP*/dt.
 """
 
 import dataclasses
@@ -54,9 +54,7 @@ def _rotated(d):
 
 def cfl_limit(velocity, grid, cfl=CFL_NUMBER):
     u_inf = velocity.sup_norm()
-    if u_inf == 0.0:
-        return float("inf")
-    return cfl * grid.spacing / u_inf
+    return cfl * grid.spacing / u_inf if u_inf else float("inf")
 
 
 def transport_step(rho, velocity, dt, grid):
@@ -70,11 +68,10 @@ def transport_step(rho, velocity, dt, grid):
     rho = np.asarray(rho, dtype=float)
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    if dt > cfl_limit(velocity, grid) * (1.0 + 1e-12):
-        raise CFLViolation(
-            f"dt={dt:.3e} exceeds the CFL limit "
-            f"{cfl_limit(velocity, grid):.3e} (||U||_inf={velocity.sup_norm():.3e})"
-        )
+    limit = cfl_limit(velocity, grid)
+    if dt > limit * (1.0 + 1e-12):
+        raise CFLViolation(f"dt={dt:.3e} exceeds the CFL limit {limit:.3e} "
+                           f"(||U||_inf={velocity.sup_norm():.3e})")
     x1, x2 = grid.centers()
     departure = np.stack([x1 - dt * velocity.d1, x2 - dt * velocity.d2], axis=-1)
     advected = gridmod.sample_bilinear(rho, departure, grid)
@@ -216,19 +213,18 @@ class RunResult:
     def n_steps(self):
         return len(self.times) - 1
 
-    def potential_at(self, k):
-        return ConvexPotential(self.grid, self.q_history[k], strict=True)
-
     def dtp_field(self, k):
         """d P*/dt at record k: centered in time, one-sided at the ends."""
-        q = self.q_history
-        if len(q) < 2:
-            raise InsufficientSamples("need at least two records for a time derivative")
-        if 0 < k < len(q) - 1:
-            return mean_zero((q[k + 1] - q[k - 1]) / (2.0 * self.dt))
-        if k == 0:
-            return mean_zero((q[1] - q[0]) / self.dt)
-        return mean_zero((q[-1] - q[-2]) / self.dt)
+        return _time_difference(self.q_history, k, self.dt)
+
+
+def _time_difference(q, k, dt):
+    """dtp_field of the potentials q recorded dt apart, also while the
+    run still appends to them (record k is then the last one so far)."""
+    if len(q) < 2:
+        raise InsufficientSamples("need at least two records for a time derivative")
+    lo, hi = max(k - 1, 0), min(k + 1, len(q) - 1)
+    return mean_zero((q[hi] - q[lo]) / ((hi - lo) * dt))
 
 
 def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
@@ -236,7 +232,8 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
 
     Records every step.  Failed certificates (SGState.check_certificates)
     are collected into each certificate dict as 'violations', so callers
-    decide hard/soft handling.
+    decide hard/soft handling.  Each record's 'lma_residual' comes from
+    its own state once the next record exists (nan in a run of no step).
     """
     if isinstance(rho0, TorusField):
         grid, rho0 = rho0.grid, rho0.values
@@ -255,15 +252,22 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
         certificates[-1]["violations"] = [
             name for name, ok, _ in state.check_certificates(steps_taken) if not ok
         ]
+        certificates[-1]["lma_residual"] = float("nan")
+
+    def check_identity(state, k):
+        certificates[k]["lma_residual"] = lma_residual(
+            state.pot, state.rho, state.velocity,
+            _time_difference(q_history, k, dt))
 
     record(state, 0)
     for k in range(1, n_steps + 1):
-        state = step(state, dt, tol=tol)
+        previous, state = state, step(state, dt, tol=tol)
         record(state, k)
-    result = RunResult(grid, dt, state.lam_env, state.Lam_env, times,
-                       rho_history, q_history, certificates, state)
-    fill_lma_residuals(result)
-    return result
+        check_identity(previous, k - 1)
+    if n_steps:
+        check_identity(state, n_steps)
+    return RunResult(grid, dt, state.lam_env, state.Lam_env, times,
+                     rho_history, q_history, certificates, state)
 
 
 def lma_residual(pot, rho, velocity, dtp):
@@ -279,20 +283,6 @@ def lma_residual(pot, rho, velocity, dtp):
     lhs = rows @ np.asarray(dtp, dtype=float).ravel()
     scale = norm(rhs) or 1.0
     return norm(lhs - rhs) / scale
-
-
-def fill_lma_residuals(result):
-    """Annotate each certificate row with the linearized-identity residual."""
-    if len(result.times) < 2:
-        for c in result.certificates:
-            c["lma_residual"] = float("nan")
-        return result
-    for k, c in enumerate(result.certificates):
-        pot = result.potential_at(k)
-        velocity = velocity_from_potential(pot)
-        c["lma_residual"] = lma_residual(pot, result.rho_history[k], velocity,
-                                         result.dtp_field(k))
-    return result
 
 
 # --- time-regularity reporting ------------------------------------------------

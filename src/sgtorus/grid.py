@@ -147,18 +147,18 @@ class PeriodicDisplacement:
         for d in (self.d1, self.d2):
             if d.shape != (self.grid.n, self.grid.n):
                 raise GridMismatch("displacement shape does not match grid")
-        sup = float(np.max(self.norm()))
-        if not sup <= MAX_DISPLACEMENT_NORM + 1e-15:
+        self._sup = float(np.max(self.norm()))
+        if not self._sup <= MAX_DISPLACEMENT_NORM + 1e-15:
             raise InvariantViolation(
                 "displacement_bound",
-                f"wrapped displacement norm {sup!r} exceeds sqrt(2)/2",
+                f"wrapped displacement norm {self._sup!r} exceeds sqrt(2)/2",
             )
 
     def norm(self):
         return np.hypot(self.d1, self.d2)
 
     def sup_norm(self):
-        return float(np.max(self.norm()))
+        return self._sup
 
     def apply(self):
         """Target points x + d(x) of every cell center, wrapped to [0,1)^2."""

@@ -355,16 +355,16 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         tol = default_tolerance(Lam)
 
     n, h = grid.n, grid.spacing
-    if initial is None:
-        q = np.zeros((n, n))
-    elif isinstance(initial, ConvexPotential):
-        q = initial.q.copy()
+    if isinstance(initial, ConvexPotential):
+        # its Hessian has the bits of _hessian_and_det(q); read, never written
+        q = initial.q
+        p11, p12, p22, det = initial.p11, initial.p12, initial.p22, initial.det
     else:
-        q = mean_zero(np.asarray(initial, dtype=float).copy())
+        q = mean_zero(np.zeros((n, n)) if initial is None else initial)
+        p11, p12, p22, det = _hessian_and_det(q, h)
 
     det_floor = max(DET_FLOOR, lam / 10.0)
 
-    p11, p12, p22, det = _hessian_and_det(q, h)
     if np.min(det) <= 0.0 or np.min(p11) <= 0.0:
         raise LostConvexity("initial guess is not discretely convex")
     mu = float(np.mean(det - rho))

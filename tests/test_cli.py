@@ -31,6 +31,16 @@ class TestParsing:
         assert run_cli("ma-solve", "--n", "-8",
                        "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize(
+        "command", [c for c, (_, flags) in cli.COMMANDS.items()
+                    if "--n" in flags])
+    def test_grid_below_four_cells_is_config_error(self, command, tmp_path,
+                                                   capsys):
+        out = tmp_path / "o"
+        assert run_cli(command, "--n", "3", "--out", str(out)) == 1
+        assert "n must be at least 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n 64\n")
@@ -166,6 +176,14 @@ class TestSgRun:
         assert summary["lma_residual_max"] > 0.0
         final = field_from_binary(out / "final_rho.bin")
         assert final.values.mean() == pytest.approx(1.0, abs=1e-12)
+
+    def test_run_of_no_step_is_config_error(self, tmp_path, capsys):
+        # t_end / dt rounds to 0: nothing to certify, and NaN is no JSON
+        out = tmp_path / "run"
+        assert run_cli("sg-run", "--n", "16", "--dt", "1", "--t-end", "0.1",
+                       "--out", str(out)) == 1
+        assert "no step" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_every_thins_rows(self, tmp_path):
         out = tmp_path / "run"

@@ -136,15 +136,41 @@ class TestRun:
         assert max(lmas) <= 0.6
 
     def test_lma_residual_matches_periodic_operator(self, short_run):
-        # the row-built residual against the periodic operator, bitwise
-        res, k = short_run, 5
-        pot = res.potential_at(k)
-        vel = dynamics.velocity_from_potential(pot)
-        rho, dtp = res.rho_history[k], res.dtp_field(k)
-        op = DivergenceFormOperator(pot.grid, cofactor(pot))
-        rhs = op.divergence_rhs(rho * vel.d1, rho * vel.d2)
-        ref = np.linalg.norm((op.apply(dtp) - rhs).ravel()) / np.linalg.norm(rhs)
-        assert dynamics.lma_residual(pot, rho, vel, dtp) == ref
+        # every record, one-sided ends included, against the periodic
+        # operator on a potential rebuilt from the recorded q
+        res = short_run
+        for k, c in enumerate(res.certificates):
+            pot = ma.ConvexPotential(res.grid, res.q_history[k])
+            vel = dynamics.velocity_from_potential(pot)
+            rho, dtp = res.rho_history[k], res.dtp_field(k)
+            op = DivergenceFormOperator(pot.grid, cofactor(pot))
+            rhs = op.divergence_rhs(rho * vel.d1, rho * vel.d2)
+            ref = (np.linalg.norm((op.apply(dtp) - rhs).ravel())
+                   / np.linalg.norm(rhs))
+            assert c["lma_residual"] == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_one_potential_per_record(self, monkeypatch):
+        # the residuals reuse each step's own potential: the solver's
+        # ConvexPotential is the only one built
+        built = []
+        init = ma.ConvexPotential.__init__
+        monkeypatch.setattr(
+            ma.ConvexPotential, "__init__",
+            lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        grid = TorusGrid(16)
+        rho0, lam, Lam = presets.two_mode_density(grid)
+        res = dynamics.run(rho0, grid, dt=2e-3, t_end=0.008, lam=lam, Lam=Lam)
+        assert len(res.certificates) == 5
+        assert len(built) == 5
+        assert all(np.isfinite(c["lma_residual"]) for c in res.certificates)
+
+    def test_zero_step_run_has_nan_residual(self):
+        grid = TorusGrid(16)
+        rho0, lam, Lam = presets.two_mode_density(grid)
+        res = dynamics.run(rho0, grid, dt=1.0, t_end=0.1, lam=lam, Lam=Lam)
+        assert res.n_steps == 0
+        assert len(res.certificates) == 1
+        assert np.isnan(res.certificates[0]["lma_residual"])
 
     def test_dtp_field_matches_centered_difference(self, short_run):
         res = short_run
@@ -153,11 +179,8 @@ class TestRun:
         assert np.array_equal(res.dtp_field(k), oracle)
         first = mean_zero((res.q_history[1] - res.q_history[0]) / res.dt)
         assert np.array_equal(res.dtp_field(0), first)
-
-    def test_potential_at_rebuilds_convex_potential(self, short_run):
-        pot = short_run.potential_at(3)
-        assert pot.convexity_margin > 0.0
-        assert np.array_equal(pot.q, short_run.q_history[3])
+        last = mean_zero((res.q_history[-1] - res.q_history[-2]) / res.dt)
+        assert np.array_equal(res.dtp_field(res.n_steps), last)
 
     def test_one_gradient_displacement_per_state(self, monkeypatch):
         # the velocity and w2_proxy share it, with the bits of separate ones

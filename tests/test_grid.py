@@ -292,6 +292,17 @@ class TestDisplacement:
         assert np.allclose(d.d1, -0.25)
         assert d.sup_norm() <= gridmod.MAX_DISPLACEMENT_NORM
 
+    def test_sup_norm_is_max_of_norm(self, rng):
+        # the bound check's sup is kept; -0.5 is the wrapped edge
+        grid = TorusGrid(8)
+        d1, d2 = rng.uniform(-0.5, 0.5, (2, 8, 8))
+        d1[0, :3] = -0.5
+        d2[1:3, 4] = -0.5
+        d2[0, 0] = -0.5
+        d = PeriodicDisplacement(grid, d1, d2)
+        assert d.d1[0, 0] == d.d2[0, 0] == -0.5
+        assert d.sup_norm() == float(np.max(d.norm()))
+
     def test_apply_wraps_targets(self):
         grid = TorusGrid(8)
         d = PeriodicDisplacement(grid, np.full((8, 8), 0.4), np.zeros((8, 8)))

@@ -205,6 +205,29 @@ class TestSolver:
         again = solve_ma_periodic(rho, grid, initial=pot)
         assert again.newton_iters <= 1
 
+    def test_warm_start_reads_initial_hessian(self, monkeypatch):
+        # a warm solve that meets tol at once differences q only in the
+        # ConvexPotential it returns, not again for the initial Hessian
+        grid = TorusGrid(32)
+        rho, lam, Lam = presets.two_mode_density(grid)
+        pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        calls = []
+        second = ma.second_differences
+        monkeypatch.setattr(
+            ma, "second_differences",
+            lambda *args: calls.append(1) or second(*args))
+        again = solve_ma_periodic(rho, lam=lam, Lam=Lam, initial=pot)
+        assert again.newton_iters == 0
+        assert len(calls) == 1
+        assert np.array_equal(again.q, mean_zero(pot.q))
+        # a warm solve that iterates leaves the initial's arrays as they were
+        kept = [a.copy() for a in (pot.q, pot.p11, pot.p12, pot.p22, pot.det)]
+        other, lo, hi = presets.perturbed_density(grid)
+        assert solve_ma_periodic(other, lam=lo, Lam=hi,
+                                 initial=pot).newton_iters > 0
+        assert all(np.array_equal(a, b) for a, b in zip(
+            kept, (pot.q, pot.p11, pot.p12, pot.p22, pot.det)))
+
     def test_bad_density_rejected(self):
         grid = TorusGrid(16)
         rho = np.full((16, 16), 1.0)
