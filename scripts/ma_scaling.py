@@ -19,9 +19,15 @@ and the CG iterations of one Green solve, keyed by h), and the child's
 peak RSS.
 With --pinch, each N instead times cold solves of the two-bump density
 mapped onto [P^-1/2, P^1/2] for each pinch P (the pinch Lambda/lambda is
-P before the mass normalization), PINCH_REPS solves each: one JSON object
-per (N, P) with the median cold_s, the Newton and Krylov iteration counts
-(the same in every solve) and the density's actual lambda and Lambda.
+P before the mass normalization), PINCH_REPS solves each, and then
+PINCH_REPS periodic LMA solves div(Phi grad u) = div F with the cofactor
+Phi of the cold potential and the bounded, discontinuous flux
+F = (sign sin 2 pi (3 x1 + 2 x2), 1{x1 + x2/2 < 0.62}), each the build
+of the periodic operator and its CG solve at the default tolerance, as
+lma.solve_periodic_lma runs them: one JSON object per (N, P) with the
+median cold_s and periodic_s, the Newton, Krylov and periodic CG
+iteration counts (the same in every solve) and the density's actual
+lambda and Lambda.
 --src points at the src/ directory of the checkout to measure (default:
 this one), so two versions can be timed with the same script.
 """
@@ -41,6 +47,20 @@ GREEN_HEIGHTS = (0.02, 0.08)
 GREEN_REPS = 3
 PINCH_REPS = 3
 DT = 2.5e-4
+
+
+def count_cg(lma, iters):
+    """Make lma.cg append the iteration count of every solve to iters;
+    returns the original, to put back."""
+    cg = lma.cg
+
+    def counted_cg(*args, **kwargs):
+        x, k, converged = cg(*args, **kwargs)
+        iters.append(k)
+        return x, k, converged
+
+    lma.cg = counted_cg
+    return cg
 
 
 def measure(n, steps):
@@ -74,14 +94,8 @@ def measure(n, steps):
         ma.legendre(cold)
         legendre_s.append(time.perf_counter() - t)
     cof = ma.cofactor(cold)
-    cg, cg_iters, green_iters, green_s = lma.cg, [], {}, {}
-
-    def counted_cg(*args, **kwargs):
-        x, iters, converged = cg(*args, **kwargs)
-        cg_iters.append(iters)
-        return x, iters, converged
-
-    lma.cg = counted_cg
+    cg_iters, green_iters, green_s = [], {}, {}
+    cg = count_cg(lma, cg_iters)
     for h in GREEN_HEIGHTS:
         sec = sections.extract_section(cold, GREEN_CENTRE, h)
         times = []
@@ -123,7 +137,9 @@ def measure_pinch(n, pinch):
     import statistics
     import time
 
-    from sgtorus import ma, presets
+    import numpy as np
+
+    from sgtorus import lma, ma, presets
     from sgtorus.grid import TorusGrid
 
     grid = TorusGrid(n)
@@ -135,10 +151,25 @@ def measure_pinch(n, pinch):
         pot = ma.solve_ma_periodic(rho, lam=lam, Lam=Lam)
         cold_s.append(time.perf_counter() - t)
     newton, krylov = pot.newton_iters, pot.diagnostics["linear_iters"]
+    x1, x2 = grid.centers()
+    flux = (np.sign(np.sin(2.0 * np.pi * (3.0 * x1 + 2.0 * x2))),
+            (x1 + x2 / 2.0 < 0.62).astype(float))
+    cof = ma.cofactor(pot)
+    periodic_s, cg_iters = [], []
+    cg = count_cg(lma, cg_iters)
+    for _ in range(PINCH_REPS):
+        t = time.perf_counter()
+        op = lma.DivergenceFormOperator(grid, cof)
+        rhs = -op.divergence_rhs(*flux)
+        op.solve(rhs - rhs.mean())
+        periodic_s.append(time.perf_counter() - t)
+    lma.cg = cg
     return {
         "n": n, "pinch": pinch, "lambda": lam, "Lambda": Lam,
         "cold_s": statistics.median(cold_s), "newton_iters": newton,
         "linear_iters": krylov, "linear_per_newton": krylov / max(newton, 1),
+        "periodic_s": statistics.median(periodic_s),
+        "periodic_cg_iters": cg_iters[-1],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 

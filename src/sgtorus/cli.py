@@ -23,7 +23,7 @@ import numpy as np
 
 from . import acceptance, dynamics, polar, presets, regularity
 from . import grid as gridmod
-from .errors import ConfigError, InvariantViolation, SGTorusError
+from .errors import ConfigError, GridMismatch, InvariantViolation, SGTorusError
 from .fitting import dyadic_ladder
 from .grid import TorusField, TorusGrid
 from .lma import green_integrability_report, solve_dirichlet_lma
@@ -84,10 +84,12 @@ def _grid_size(args, cfg, default):
 
 def _parse_center(text):
     try:
-        a, b = text.split(",")
-        return float(a), float(b)
+        center = tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise ConfigError(f"center must be 'x1,x2', got {text!r}")
+        center = ()
+    if len(center) != 2 or not np.all(np.isfinite(center)):
+        raise ConfigError(f"center must be 'x1,x2', both finite, got {text!r}")
+    return center
 
 
 def _out_dir(args):
@@ -351,8 +353,8 @@ def cmd_polar_run(args, cfg):
     if args.series:
         try:
             series = polar.read_series(args.series)
-        except (OSError, KeyError, ValueError) as exc:
-            # a missing file, a manifest key or a malformed field
+        except (OSError, KeyError, ValueError, GridMismatch) as exc:
+            # a missing file, a manifest key, a malformed or missized field
             raise ConfigError(f"bad series {args.series}: "
                               f"{type(exc).__name__}: {exc}")
         if len(series.times) < 3:

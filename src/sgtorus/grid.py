@@ -249,6 +249,15 @@ def spectral_inverse(c11, c12, c22, n):
     return inverse
 
 
+def trace_scaled_inverse(c11, c12, c22):
+    """(1 / t, spectral_inverse of mean(Phi / t)) for a coefficient field
+    Phi with t = tr Phi / 2: Phi^{ij} u_ij = r is then approximately
+    u = inverse(r / t), exactly when Phi / tr Phi is constant."""
+    inv_t = 2.0 / (c11 + c22)
+    return inv_t, spectral_inverse(
+        *(float(np.mean(c * inv_t)) for c in (c11, c12, c22)), c11.shape[0])
+
+
 def integral(field, grid=None):
     """Midpoint quadrature over the torus (exact for the stored samples)."""
     values, grid = _values_and_grid(field, grid)
@@ -315,8 +324,8 @@ def field_to_binary(field, path):
 
 def field_from_binary(path):
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size < 1 or not np.isfinite(raw[0]):
-        raise ValueError(f"{path}: no finite grid size in the header")
+    if raw.size < 1 or not np.isfinite(raw[0]) or raw[0] != int(raw[0]):
+        raise ValueError(f"{path}: no whole grid size in the header")
     n = int(raw[0])
     if raw.size != 1 + n * n:
         raise ValueError(f"{path}: expected {n * n} values, found {raw.size - 1}")

@@ -12,11 +12,13 @@ periodic kernel, and collapses to the standard 5-point Laplacian when
 Phi is the identity.  Dirichlet problems live on a cell mask with the
 one-cell ring outside held at zero (or at supplied boundary values).
 Every operator and residual assembles only the rows it reads
-(stencil_rows).  Both modes solve by preconditioned CG: periodic ones with
-an FFT inverse, Dirichlet ones with one aggregation-multigrid V-cycle
-(AggregationVCycle) built once per operator, so the CG iteration count
-grows only slowly with N and the Green's-function ladders stay near
-linear in the number of cells.
+(stencil_rows).  Both modes solve by preconditioned CG with a
+preconditioner built once per operator: periodic ones with the
+trace-scaled FFT inverse that the Newton update of the Monge-Ampere
+solve also uses (grid.trace_scaled_inverse), Dirichlet ones with one
+aggregation-multigrid V-cycle (AggregationVCycle), so the CG iteration
+count grows only slowly with N and the Green's-function ladders stay
+near linear in the number of cells.
 """
 
 import dataclasses
@@ -222,9 +224,10 @@ class DivergenceFormOperator:
     """Sparse symmetric assembly of L u = -div(Phi grad u).
 
     Only the operator's own rows are assembled (stencil_rows): all N^2 in
-    periodic mode, the masked cells' rows in Dirichlet mode, where the
-    constructor also builds the multigrid hierarchy (vcycle) that every
-    solve with this operator reuses.
+    periodic mode, the masked cells' rows in Dirichlet mode.  The
+    constructor also builds the preconditioner that every solve with
+    this operator reuses: the trace-scaled FFT inverse in periodic mode,
+    the multigrid hierarchy (vcycle) in Dirichlet mode.
 
     Parameters
     ----------
@@ -251,13 +254,20 @@ class DivergenceFormOperator:
         self.rows = stencil_rows(grid, coeffs, self.cells)
         self.matrix = (self.rows if mask is None
                        else self.rows[:, self.cells].tocsr())
-        # coefficients of the constant-coefficient periodic preconditioner
-        self.mean_coefficients = (coeffs.c11.mean(), coeffs.c12.mean(),
-                                  coeffs.c22.mean())
         self._min_ritz()
-        # the Dirichlet preconditioner, reused by every right-hand side
-        self.vcycle = (None if mask is None
-                       else AggregationVCycle(self.matrix, grid.n, self.cells))
+        # the preconditioner, reused by every right-hand side
+        self.vcycle = None
+        if mask is None:
+            # L ~ -t S, S the FFT operator of mean(Phi / t), inverted as
+            # -t^-1/2 S^-1 t^-1/2 to keep CG's preconditioner symmetric
+            inv_t, inverse = gridmod.trace_scaled_inverse(
+                coeffs.c11, coeffs.c12, coeffs.c22)
+            s = np.sqrt(inv_t)
+            self.precondition = lambda v: -(
+                s * inverse(s * v.reshape(s.shape))).ravel()
+        else:
+            self.vcycle = self.precondition = AggregationVCycle(
+                self.matrix, grid.n, self.cells)
 
     # -- structure checks ----------------------------------------------------
 
@@ -291,8 +301,10 @@ class DivergenceFormOperator:
         iterations per unknown.
 
         Periodic mode solves in the mean-zero complement of the kernel,
-        preconditioned by the exact FFT inverse of the operator with its
-        coefficients replaced by their grid means; Dirichlet mode is
+        preconditioned by v -> -t^-1/2 S^-1(t^-1/2 v), with t = tr Phi / 2
+        and S the exact FFT-diagonal operator of the grid mean of Phi / t
+        (grid.trace_scaled_inverse), positive definite on mean-zero v and
+        exact when Phi / tr Phi is constant; Dirichlet mode is
         preconditioned by one aggregation-multigrid V-cycle (vcycle), which
         keeps the iteration count nearly flat in N.  Every reduction has a
         fixed order, so the result does not depend on the BLAS thread
@@ -303,15 +315,8 @@ class DivergenceFormOperator:
         n = self.grid.n
         if self.mask is None:
             b = b - b.mean()
-            # the constant-coefficient operator is minus the spectral one
-            inverse = gridmod.spectral_inverse(*self.mean_coefficients, n)
-
-            def precondition(v):
-                return -inverse(v.reshape(n, n)).ravel()
-        else:
-            precondition = self.vcycle
-        x, iters, converged = cg(lambda v: self.matrix @ v, b, precondition,
-                                 tol, 10 * b.size)
+        x, iters, converged = cg(lambda v: self.matrix @ v, b,
+                                 self.precondition, tol, 10 * b.size)
         if not converged:
             raise SolverStall(f"CG failed to reach rtol={tol} "
                               f"({iters} iterations)")
@@ -375,10 +380,9 @@ def solve_periodic_lma(coeffs, F, grid, tol=DEFAULT_CG_TOL):
     return u, info
 
 
-def solve_dirichlet_lma(coeffs, mask, grid, F=None, rhs=None,
-                        boundary_values=None, tol=DEFAULT_CG_TOL,
-                        operator=None):
-    """Solve L u = div F (or a supplied rhs) on a mask, u = ring values.
+def solve_dirichlet_lma(coeffs, mask, grid, F=None, boundary_values=None,
+                        tol=DEFAULT_CG_TOL, operator=None):
+    """Solve L u = div F (or 0 without F) on a mask, u = ring values.
 
     The Dirichlet boundary is the one-cell ring outside the mask, held at
     zero unless boundary_values (a full-grid array) is given.  Returns
@@ -388,15 +392,9 @@ def solve_dirichlet_lma(coeffs, mask, grid, F=None, rhs=None,
     """
     mask = np.asarray(mask, dtype=bool)
     op = operator or DivergenceFormOperator(grid, coeffs, mask=mask)
-    if rhs is not None:
-        rhs = np.asarray(rhs, dtype=float)
-        b = rhs.ravel()[op.cells] if rhs.size == grid.n**2 else rhs.ravel()
-    elif F is not None:
-        b = -op.divergence_rhs(F[0], F[1])
-    else:
-        b = np.zeros(op.cells.size)
-
-    homogeneous = F is None and rhs is None
+    homogeneous = F is None
+    b = (np.zeros(op.cells.size) if homogeneous
+         else -op.divergence_rhs(F[0], F[1]))
     bring = None
     if boundary_values is not None:
         ring = boundary_ring(mask)

@@ -95,11 +95,8 @@ class ConvexPotential:
         )
         # grad P* - id as sampled by gradient_displacement / sample_gradient
         self.displacement = (self.g1, self.g2)
-        q11, q12, q22 = second_differences(self.q, grid.spacing)
-        self.p11 = 1.0 + q11
-        self.p12 = q12
-        self.p22 = 1.0 + q22
-        self.det = self.p11 * self.p22 - self.p12**2
+        self.p11, self.p12, self.p22, self.det = _hessian_and_det(
+            self.q, grid.spacing)
         self.lam = float(lam) if lam is not None else float(np.min(self.det))
         self.Lam = float(Lam) if Lam is not None else float(np.max(self.det))
         self.diagnostics = dict(diagnostics or {})
@@ -227,12 +224,13 @@ def _newton_update(p11, p12, p22, rhs, h, atol, guess=None):
     d's the second differences of delta, and mean(delta) = 0.  The
     operator is applied matrix-free.  The preconditioner writes the
     cofactor as Phi = t Psi with t = (p11 + p22) / 2 and freezes Psi at
-    its grid mean: for the residual (r, s) it returns
-    delta = S^-1((r + dmu) / t) + s, with S the FFT-diagonal operator
-    of mean(Psi) and dmu = -mean(r / t) / mean(1 / t), the gauge that
-    makes the argument of S^-1 mean-free.  It is the exact inverse when
-    Phi / tr Phi is constant, which holds at constant density (Loeper's
-    regime) and keeps the Krylov count low away from it.  GMRES stops
+    its grid mean (grid.trace_scaled_inverse): for the residual (r, s)
+    it returns delta = S^-1((r + dmu) / t) + s, with S the FFT-diagonal
+    operator of mean(Psi) and dmu = -mean(r / t) / mean(1 / t), the
+    gauge that makes the argument of S^-1 mean-free.  It is the exact
+    inverse when Phi / tr Phi is constant, which holds at constant
+    density (Loeper's regime) and keeps the Krylov count low away from
+    it.  GMRES stops
     once the l2 residual of the bordered system is at most
     max(GMRES_RTOL |b|, atol).  A guess for delta (dmu guessed 0) is
     the Krylov start: GMRES runs from zero on b - A guess to that same
@@ -243,11 +241,8 @@ def _newton_update(p11, p12, p22, rhs, h, atol, guess=None):
     """
     n = rhs.shape[0]
     size = n * n
-    inv_t = 2.0 / (p11 + p22)
+    inv_t, inverse = gridmod.trace_scaled_inverse(p22, -p12, p11)
     mean_inv_t = float(np.mean(inv_t))
-    inverse = gridmod.spectral_inverse(float(np.mean(p22 * inv_t)),
-                                       -float(np.mean(p12 * inv_t)),
-                                       float(np.mean(p11 * inv_t)), n)
 
     def apply(x):
         delta = x[:size].reshape(n, n)

@@ -25,8 +25,9 @@ from .grid import PeriodicDisplacement, TorusField, TorusGrid, mean_zero
 from .ma import legendre, solve_ma_periodic
 
 
-def pushforward_density(mapping, grid=None):
-    """Density of the pushforward of the uniform measure through a map.
+def pushforward_density(mapping):
+    """Density of the pushforward of the uniform measure through a map,
+    a PeriodicDisplacement.
 
     Each source cell deposits its mass onto the four cells around the
     target point with bilinear weights (nearest-cell deposition leaves
@@ -36,15 +37,9 @@ def pushforward_density(mapping, grid=None):
 
     Raises DegenerateMap when some cell receives no mass at all.
     """
-    if isinstance(mapping, PeriodicDisplacement):
-        grid = mapping.grid
-        targets = mapping.apply()
-    else:
-        targets = gridmod.wrap(np.asarray(mapping, dtype=float))
-        if grid is None:
-            raise ValueError("grid required when passing bare target points")
+    grid = mapping.grid
     n = grid.n
-    coords = targets * n - 0.5
+    coords = mapping.apply() * n - 0.5
     base = np.floor(coords).astype(int)
     frac = coords - base
 

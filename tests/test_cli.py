@@ -41,6 +41,19 @@ class TestParsing:
         assert "n must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", ["lma-dirichlet", "green-report", "regularity-report"])
+    def test_nonfinite_center_is_config_error(self, command, tmp_path,
+                                              capsys):
+        # a NaN centre would land on an arbitrary cell and leave NaN,
+        # which is no JSON, in the report
+        for center in ("nan,0.5", "0.5,inf"):
+            out = tmp_path / center
+            assert run_cli(command, "--n", "16", "--center", center,
+                           "--out", str(out)) == 1
+            assert "both finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n 64\n")
@@ -125,6 +138,14 @@ class TestMaSolve:
         field_to_binary(rho, path)
         assert run_cli("ma-solve", "--n", "32", "--preset", str(path),
                        "--out", str(tmp_path / "o")) == 1
+
+    def test_fractional_size_header_is_config_error(self, tmp_path, capsys):
+        # int(4.5) is 4, and 16 values would make a 4x4 field of it
+        path = tmp_path / "half.bin"
+        path.write_bytes(np.array([4.5] + [1.0] * 16).astype("<f8").tobytes())
+        assert run_cli("ma-solve", "--n", "4", "--preset", str(path),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "no whole grid size" in capsys.readouterr().err
 
     def test_negative_density_file_is_solver_error(self, tmp_path, capsys):
         grid = TorusGrid(16)
@@ -273,6 +294,15 @@ class TestReports:
         assert run_cli("polar-run", "--series", str(sdir),
                        "--out", str(tmp_path / "o")) == 1
         assert "KeyError: 'd1'" in capsys.readouterr().err
+
+    def test_polar_run_series_size_mismatch(self, tmp_path, capsys):
+        sdir = self.write_bad_series(tmp_path)
+        manifest = json.loads((sdir / "manifest.json").read_text())
+        manifest["n"] = 32  # the .bin files hold 16x16 fields
+        (sdir / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("polar-run", "--series", str(sdir),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "config error: bad series" in capsys.readouterr().err
 
     def test_polar_run_series_needs_three_timestamps(self, tmp_path, capsys):
         sdir = self.write_bad_series(tmp_path, times=(0.1, 0.2))

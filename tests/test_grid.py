@@ -231,6 +231,12 @@ class TestDifferenceOperators:
         r = c11 * f11 + 2.0 * c12 * f12 + c22 * f22 + 5.0  # mean is dropped
         back = gridmod.spectral_inverse(c11, c12, c22, n)(r)
         assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
+        # trace scaling is exact on constant coefficient fields
+        inv_t, inverse = gridmod.trace_scaled_inverse(
+            *(np.full((n, n), c) for c in (c11, c12, c22)))
+        assert np.all(inv_t == 2.0 / (c11 + c22))
+        back = inverse(r * inv_t)
+        assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 class TestQuadrature:

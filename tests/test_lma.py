@@ -90,10 +90,27 @@ class TestOperator:
         assert np.max(np.abs(div)) <= 1e-10
 
 
+def pinched_potential(grid):
+    # two-bump density at pinch 2500 before the mass normalization
+    rho, lam, Lam = presets.two_bump_density(grid, lo=0.02, hi=50.0)
+    return solve_ma_periodic(rho, lam=lam, Lam=Lam)
+
+
+def rough_flux(grid):
+    # bounded and discontinuous, the flux of the paper's estimate
+    x1, x2 = grid.centers()
+    return (np.sign(np.sin(TWO_PI * (3.0 * x1 + 2.0 * x2))),
+            (x1 + x2 / 2.0 < 0.62).astype(float))
+
+
 class TestPeriodicSolve:
-    def test_manufactured_solution(self, rng):
+    @pytest.mark.parametrize("potential", [
+        lambda grid: presets.perturbed_potential(grid, 0.01),
+        pinched_potential,
+    ], ids=["perturbed", "pinch-2500"])
+    def test_manufactured_solution(self, potential, rng):
         grid = TorusGrid(32)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = potential(grid)
         op = DivergenceFormOperator(grid, cofactor(pot))
         u_true = 0.3 * np.cos(TWO_PI * grid.centers()[0])
         u_true -= u_true.mean()
@@ -109,6 +126,23 @@ class TestPeriodicSolve:
         u, info = solve_periodic_lma(cofactor(pot), F, grid, tol=1e-12)
         assert abs(np.mean(u)) <= 1e-12
         assert info["relative_residual"] <= 1e-10
+
+    def test_pinched_rough_flux_cg_count(self, monkeypatch):
+        # the trace-scaled preconditioner took 38 CG iterations here, the
+        # mean-coefficient one 89
+        grid = TorusGrid(64)
+        iters = []
+
+        def counted_cg(*args, **kwargs):
+            x, k, converged = cg(*args, **kwargs)
+            iters.append(k)
+            return x, k, converged
+
+        cof = cofactor(pinched_potential(grid))
+        monkeypatch.setattr(lma, "cg", counted_cg)
+        _, info = solve_periodic_lma(cof, rough_flux(grid), grid)
+        assert info["relative_residual"] <= 1e-8
+        assert len(iters) == 1 and iters[0] <= 50
 
     def test_unreachable_tolerance_stalls(self, rng):
         grid, op = identity_operator(16)
