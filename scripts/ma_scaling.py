@@ -101,8 +101,7 @@ def measure(n, steps):
         times = []
         for _ in range(GREEN_REPS):
             t = time.perf_counter()
-            lma.green_function(cof, sec.mask, sec.center_index, grid,
-                               tol=1e-12)
+            lma.green_function(cof, sec.mask, sec.center_index, grid)
             times.append(time.perf_counter() - t)
         green_s[repr(h)] = statistics.median(times)
         green_iters[repr(h)] = cg_iters[-1]
@@ -117,7 +116,7 @@ def measure(n, steps):
     for r in range(HOLDER_REPS + 1):
         rho, dtp = records[r % len(records)]
         t = time.perf_counter()
-        dynamics.dtp_regularity(dtp, rho, centers, grid, (0.1, 0.2))
+        dynamics.dtp_regularity(dtp, rho, centers, grid)
         holder_s.append(time.perf_counter() - t)
     return {
         "n": n, "cold_s": cold_s, "step_s": statistics.median(step_s),

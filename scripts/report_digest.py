@@ -1,16 +1,15 @@
 """sha256 of every report file the CLI writes, to check byte-identity.
 
-    python3 scripts/report_digest.py [--src DIR] [--quick]
+    python3 scripts/report_digest.py [--src DIR]
 
 Runs each report-writing command at its defaults, then `sg-run --n 128`,
-`polar-run --n 128`, `verify --quick` and `verify`, each in a fresh
-temporary directory with one BLAS thread (as the tests pin it).  Prints
-one line `<command>: <file> <sha256>` per report file, and
-`<command>: exit <code>` for a command that fails.
-metadata.json (wall-clock times) is skipped, and suite.json is hashed
-without its elapsed_s fields.  --quick leaves out the two N=128 runs and
-the full verify.  --src points at the src/ directory of the checkout to
-run (default: this one), so two versions can be compared line by line.
+`polar-run --n 128` and `verify`, each in a fresh temporary directory
+with one BLAS thread (as the tests pin it).  Prints one line
+`<command>: <file> <sha256>` per report file, and `<command>: exit
+<code>` for a command that fails.  metadata.json (wall-clock times) is
+skipped, and suite.json is hashed without its elapsed_s fields.  --src
+points at the src/ directory of the checkout to run (default: this
+one), so two versions can be compared line by line.
 """
 
 import argparse
@@ -30,9 +29,6 @@ RUNS = (
     ("sections-report",),
     ("regularity-report",),
     ("polar-run",),
-    ("verify", "--quick"),
-)
-FULL_RUNS = (
     ("sg-run", "--n", "128"),
     ("polar-run", "--n", "128"),
     ("verify",),
@@ -72,14 +68,12 @@ def run(argv, env):
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    p.add_argument("--quick", action="store_true",
-                   help="skip the N=128 runs and the full verify")
     args = p.parse_args()
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     failed = False
-    for argv in RUNS + (() if args.quick else FULL_RUNS):
+    for argv in RUNS:
         code, lines = run(argv, env)
         failed = failed or code != 0
         for line in lines:

@@ -5,8 +5,8 @@ quantitative pass bound; together they cover the conservation laws, the
 solver's convergence order, the time loop's space-time convergence order,
 the elliptic machinery (Green's functions, section geometry, oscillation
 decay, the maximum principle), the regularity fits, and the polar
-factorization pipeline.  `quick` shrinks grids and
-step counts for smoke runs and relaxes bounds that scale with resolution.
+factorization pipeline.  Each check has one grid, one step count and one
+bound.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from .grid import (
 from .krylov import norm
 from .lma import DivergenceFormOperator, green_integrability_report, solve_dirichlet_lma
 from .ma import cofactor, solve_ma_periodic
-from .sections import extract_section
+from .sections import extract_section, section_ladder
 
 
 @dataclasses.dataclass
@@ -47,10 +47,10 @@ def _result(name, passed, details, t0):
     return CheckResult(name, bool(passed), details, time.perf_counter() - t0)
 
 
-def check_steady_state(quick=False):
+def check_steady_state():
     """Uniform density is an exact fixed point of the time loop."""
     t0 = time.perf_counter()
-    n, steps = (32, 20) if quick else (64, 100)
+    n, steps = 64, 100
     dt = 2e-3
     grid = TorusGrid(n)
     res = dynamics.run(np.ones((n, n)), grid, dt=dt, t_end=steps * dt)
@@ -63,14 +63,14 @@ def check_steady_state(quick=False):
                     "steps": steps, "n": n}, t0)
 
 
-def check_ma_convergence_order(quick=False):
+def check_ma_convergence_order():
     """Manufactured cosine solution converges at second order in spacing."""
     t0 = time.perf_counter()
-    sizes = (16, 32, 64) if quick else (32, 64, 128)
+    sizes = (32, 64, 128)
     errors = []
     for n in sizes:
         grid = TorusGrid(n)
-        q_exact, rho = presets.manufactured_potential(grid, amplitude=0.01)
+        q_exact, rho = presets.manufactured_potential(grid)
         pot = solve_ma_periodic(rho)
         errors.append(float(np.max(np.abs(pot.q - mean_zero(q_exact)))))
     r1 = errors[0] / errors[1]
@@ -81,10 +81,10 @@ def check_ma_convergence_order(quick=False):
                     "errors": [f"{e:.3e}" for e in errors]}, t0)
 
 
-def check_conservation(quick=False):
+def check_conservation():
     """Mass, pinch bounds, and the velocity cap hold along the standard run."""
     t0 = time.perf_counter()
-    n, steps = (64, 50) if quick else (128, 200)
+    n, steps = 128, 200
     dt = 2e-3
     grid = TorusGrid(n)
     rho0, lam, Lam = presets.perturbed_density(grid)
@@ -108,15 +108,11 @@ def check_conservation(quick=False):
                     "violations": violations, "steps": steps, "n": n}, t0)
 
 
-def check_linearized_identity(quick=False):
+def check_linearized_identity():
     """Time derivative of the potential solves the linearized equation."""
     t0 = time.perf_counter()
-    if quick:
-        levels = ((64, 2e-3), (128, 1e-3))
-        bound = 0.30
-    else:
-        levels = ((128, 1e-3), (256, 5e-4))
-        bound = 0.15
+    levels = ((128, 1e-3), (256, 5e-4))
+    bound = 0.15
     residuals = []
     for n, dt in levels:
         grid = TorusGrid(n)
@@ -135,11 +131,11 @@ def _restrict(values):
     return values.reshape(n, 2, n, 2).mean(axis=(1, 3))
 
 
-def check_space_time_convergence(quick=False):
+def check_space_time_convergence():
     """The time loop converges at second order in space and time together:
     successive sup differences shrink by 4 when N doubles and dt halves."""
     t0 = time.perf_counter()
-    sizes = (16, 32, 64) if quick else (32, 64, 128)
+    sizes = (32, 64, 128)
     t_end = 0.1
     finals = []
     for n in sizes:
@@ -160,10 +156,10 @@ def check_space_time_convergence(quick=False):
                    {**ratios, "t_end": t_end, "n_max": sizes[-1]}, t0)
 
 
-def check_green_integrability(quick=False):
+def check_green_integrability():
     """Green's-function mass scales linearly in height; symmetry, positivity."""
     t0 = time.perf_counter()
-    n = 64 if quick else 128
+    n = 128
     grid = TorusGrid(n)
     pot = presets.quadratic_potential(grid)
     x0 = (0.5, 0.5)
@@ -192,61 +188,54 @@ def check_green_integrability(quick=False):
                     "positivity_floor": report["positivity_floor"]}, t0)
 
 
-def check_section_volume(quick=False):
+def check_section_volume():
     """Section area over height stays within one dyadic decade."""
     t0 = time.perf_counter()
-    n = 64 if quick else 128
+    n = 128
     grid = TorusGrid(n)
     rho0, lam, Lam = presets.perturbed_density(grid)
     pot = solve_ma_periodic(rho0, lam=lam, Lam=Lam)
     rng = np.random.default_rng(7)
     centers = rng.random((5, 2))
-    heights = dyadic_ladder(0.02, 3 if quick else 4)
-    ratios = []
-    for c in centers:
-        for h in heights:
-            sec = extract_section(pot, c, h)
-            ratios.append(sec.area / h)
+    ratios = [sec.area / sec.height for c in centers
+              for sec in section_ladder(pot, c, 0.02, 4)]
     spread = max(ratios) / min(ratios)
     return _result("section_volume_ratio", spread <= 10.0,
                    {"spread": spread, "ratio_min": min(ratios),
                     "ratio_max": max(ratios), "n_sections": len(ratios)}, t0)
 
 
-def _decay_report(n, x0=(0.5, 0.5), h0=0.08, rungs=4):
+def _decay_report(n):
+    x0, h0 = (0.5, 0.5), 0.08
     grid = TorusGrid(n)
-    pot = presets.perturbed_potential(grid, amplitude=0.01)
+    pot = presets.perturbed_potential(grid)
     cof = cofactor(pot)
     outer = extract_section(pot, x0, h0)
     x1, x2 = grid.centers()
     bdata = np.sin(2.0 * np.pi * x1) + np.cos(4.0 * np.pi * x2)
     u, _ = solve_dirichlet_lma(cof, outer.mask, grid, boundary_values=bdata,
                                tol=1e-12)
-    return regularity.oscillation_decay(u, pot, x0, h0, rungs=rungs)
+    return regularity.oscillation_decay(u, pot, x0, h0)
 
 
-def check_oscillation_decay(quick=False):
+def check_oscillation_decay():
     """Oscillation of homogeneous solutions contracts on every half-height."""
     t0 = time.perf_counter()
-    sizes = (64,) if quick else (64, 128)
     betas, all_ratios = [], []
-    for n in sizes:
+    for n in (64, 128):
         rep = _decay_report(n)
         betas.append(rep.beta_max)
         all_ratios.extend(rep.ratios())
-    contraction = max(all_ratios) < 1.0
-    stable = (len(betas) < 2) or abs(betas[0] - betas[1]) <= 0.1
-    return _result("oscillation_decay", contraction and stable,
-                   {"ratio_max": max(all_ratios),
-                    "beta_spread": 0.0 if len(betas) < 2
-                    else abs(betas[0] - betas[1]),
+    spread = abs(betas[0] - betas[1])
+    return _result("oscillation_decay", max(all_ratios) < 1.0 and spread <= 0.1,
+                   {"ratio_max": max(all_ratios), "beta_spread": spread,
                     "betas": [f"{b:.3f}" for b in betas]}, t0)
 
 
-def check_holder_calibration(quick=False):
+def check_holder_calibration():
     """Power-law profiles around a point are recovered at their exponent."""
     t0 = time.perf_counter()
-    n = 64 if quick else 128
+    n = 128
     grid = TorusGrid(n)
     x0 = (0.31, 0.47)
     x1, x2 = grid.centers()
@@ -262,10 +251,10 @@ def check_holder_calibration(quick=False):
                    {"max_error": worst, **fits}, t0)
 
 
-def check_time_regularity(quick=False):
+def check_time_regularity():
     """dP*/dt stays Holder in space with resolution-stable constants."""
     t0 = time.perf_counter()
-    sizes = (32, 64) if quick else (64, 128)
+    sizes = (64, 128)
     steps = 25
     summaries = []
     for n in sizes:
@@ -284,25 +273,27 @@ def check_time_regularity(quick=False):
                     "c_max_ratio": c_ratio}, t0)
 
 
-def check_polar_factorization(quick=False):
+def check_polar_factorization():
     """Gradient maps factor back to the identity; the analytic family's
     dP*/dt matches the closed form."""
     t0 = time.perf_counter()
-    n = 32 if quick else 64
+    n = 64
     grid = TorusGrid(n)
     times = [0.1 + 0.08 * k for k in range(6)]
-    series = presets.cosine_family_series(grid, times, eps_scale=0.03)
+    series = presets.cosine_family_series(grid, times)
     facts = [polar.factorize(m) for m in series.maps]
     g_medians = [float(np.median(f.g.norm())) for f in facts]
     id_ok = max(g_medians) <= 5.0 * grid.spacing
 
     track_errs = []
+    scale = presets.COSINE_FAMILY_SCALE
     for k in (2, 3):
         span = times[k + 1] - times[k - 1]
         dtp = mean_zero((facts[k + 1].pot.q - facts[k - 1].pot.q) / span)
-        eps_k = 0.03 * np.sin(times[k])
+        eps_k = scale * np.sin(times[k])
         x1inv = presets.cosine_inverse_first_coordinate(grid, eps_k)
-        pred = mean_zero(-0.03 * np.cos(times[k]) * np.cos(2.0 * np.pi * x1inv))
+        pred = mean_zero(-scale * np.cos(times[k])
+                         * np.cos(2.0 * np.pi * x1inv))
         track_errs.append(norm(dtp - pred) / norm(pred))
     track = max(track_errs)
     passed = id_ok and track <= 0.10
@@ -312,11 +303,11 @@ def check_polar_factorization(quick=False):
                     "bound": 5.0 * grid.spacing}, t0)
 
 
-def check_operator_algebra(quick=False):
+def check_operator_algebra():
     """Adjointness, cofactor trace identity, Laplacian collapse, maximum
     principle: the exact discrete identities."""
     t0 = time.perf_counter()
-    n = 32 if quick else 64
+    n = 64
     grid = TorusGrid(n)
     rng = np.random.default_rng(3)
     from . import grid as gridmod
@@ -329,7 +320,7 @@ def check_operator_algebra(quick=False):
     rhs = -gridmod.integral(f * gridmod.periodic_divergence(v1, v2, grid), grid)
     adjoint_defect = abs(lhs - rhs)
 
-    pot = presets.perturbed_potential(grid, amplitude=0.01)
+    pot = presets.perturbed_potential(grid)
     cof = cofactor(pot)
     trace_defect = float(np.max(np.abs(
         cof.contract(pot.p11, pot.p12, pot.p22) - 2.0 * pot.det
@@ -376,10 +367,5 @@ ALL_CHECKS = (
 )
 
 
-def run_all(quick=False, names=None):
-    results = []
-    for check in ALL_CHECKS:
-        if names and check.__name__ not in names:
-            continue
-        results.append(check(quick=quick))
-    return results
+def run_all():
+    return [check() for check in ALL_CHECKS]

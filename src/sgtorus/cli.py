@@ -28,7 +28,7 @@ from .fitting import dyadic_ladder
 from .grid import TorusField, TorusGrid
 from .lma import green_integrability_report, solve_dirichlet_lma
 from .ma import cofactor, solve_ma_periodic
-from .sections import extract_section, john_normalize
+from .sections import extract_section, john_normalize, section_ladder
 
 POTENTIAL_PRESETS = ("quadratic", "cosine")
 
@@ -104,6 +104,16 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_csv(path, header, rows):
+    """CSV of a header and rows: floats as their repr, None as "" (the
+    csv module's empty field), anything else as csv writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
 def _write_metadata(out, args, started, elapsed):
     # the one file allowed to differ between identical runs
     _write_json(os.path.join(out, "metadata.json"), {
@@ -134,13 +144,13 @@ def _resolve_density(name, grid):
     )
 
 
-def _resolve_potential(name, grid, tol=None):
+def _resolve_potential(name, grid):
     if name == "quadratic":
         return presets.quadratic_potential(grid)
     if name == "cosine":
-        return presets.perturbed_potential(grid, amplitude=0.01)
+        return presets.perturbed_potential(grid)
     rho, lam, Lam = _resolve_density(name, grid)
-    return solve_ma_periodic(rho, lam=lam, Lam=Lam, tol=tol)
+    return solve_ma_periodic(rho, lam=lam, Lam=Lam)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -245,15 +255,9 @@ def cmd_green_report(args, cfg):
     pot = _resolve_potential(name, grid)
     report = green_integrability_report(pot, center, dyadic_ladder(h0, rungs))
     out = _out_dir(args)
-    with open(os.path.join(out, "green_rows.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "p", "kappa", "norm", "slope", "r2"])
-        for row in report["rows"]:
-            writer.writerow([repr(row["h"]),
-                             "" if row["p"] is None else repr(row["p"]),
-                             "" if row["kappa"] is None else repr(row["kappa"]),
-                             repr(row["norm"]), repr(row["slope"]),
-                             repr(row["r2"])])
+    columns = ["h", "p", "kappa", "norm", "slope", "r2"]
+    _write_csv(os.path.join(out, "green_rows.csv"), columns,
+               [[row[c] for c in columns] for row in report["rows"]])
     _write_json(os.path.join(out, "green_summary.json"), {
         "potential": name, "n": n, "heights": report["heights"],
         "mass_slope": next(r["slope"] for r in report["rows"] if r["p"] == 1.0),
@@ -278,25 +282,22 @@ def cmd_sections_report(args, cfg):
     centers = rng.random((n_centers, 2))
     rows, ratios = [], []
     for c in centers:
-        for h in dyadic_ladder(h0, rungs):
-            sec = extract_section(pot, c, h)
+        for sec in section_ladder(pot, c, h0, rungs):
+            h = sec.height
             try:
                 john = john_normalize(sec)
                 semi = [float(s) for s in john.semi_axes]
                 det_a = john.det_A
             except SGTorusError:
                 semi, det_a = [float("nan")] * 2, float("nan")
-            rows.append([repr(float(c[0])), repr(float(c[1])), repr(h),
-                         sec.n_cells, repr(sec.area), repr(sec.diameter()),
-                         repr(sec.area / h), repr(semi[0]), repr(semi[1]),
-                         repr(det_a)])
+            rows.append([c[0], c[1], h, sec.n_cells, sec.area,
+                         sec.diameter(), sec.area / h, semi[0], semi[1],
+                         det_a])
             ratios.append(sec.area / h)
     out = _out_dir(args)
-    with open(os.path.join(out, "sections.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c1", "c2", "h", "n_cells", "area", "diameter",
-                         "area_over_h", "semi_major", "semi_minor", "det_A"])
-        writer.writerows(rows)
+    _write_csv(os.path.join(out, "sections.csv"),
+               ["c1", "c2", "h", "n_cells", "area", "diameter",
+                "area_over_h", "semi_major", "semi_minor", "det_A"], rows)
     _write_json(os.path.join(out, "sections_summary.json"), {
         "potential": name, "n": n, "seed": seed,
         "ratio_min": min(ratios), "ratio_max": max(ratios),
@@ -326,17 +327,11 @@ def cmd_regularity_report(args, cfg):
         radii=np.geomspace(3.0 * grid.spacing, 0.45 * radius, 8),
     )
     out = _out_dir(args)
-    with open(os.path.join(out, "oscillation.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "osc_h", "osc_half", "ratio"])
-        for row in decay.rows:
-            writer.writerow([repr(row.h), repr(row.osc_h),
-                             repr(row.osc_half), repr(row.ratio)])
-    with open(os.path.join(out, "shells.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "m_r"])
-        for r, m in fit.shells:
-            writer.writerow([repr(r), repr(m)])
+    _write_csv(os.path.join(out, "oscillation.csv"),
+               ["h", "osc_h", "osc_half", "ratio"],
+               [[row.h, row.osc_h, row.osc_half, row.ratio]
+                for row in decay.rows])
+    _write_csv(os.path.join(out, "shells.csv"), ["r", "m_r"], fit.shells)
     _write_json(os.path.join(out, "regularity_summary.json"), {
         "potential": name, "n": n, "center": list(center), "h0": h0,
         "gamma_hat": fit.gamma, "C_hat": fit.prefactor, "r2": fit.r2,
@@ -346,11 +341,14 @@ def cmd_regularity_report(args, cfg):
 
 
 def cmd_polar_run(args, cfg):
-    n = _grid_size(args, cfg, 64)
     seed = _merge(args, cfg, "seed", int, 0)
     lam = _merge(args, cfg, "lambda", float, None)
     Lam = _merge(args, cfg, "Lambda", float, None)
     if args.series:
+        # the series fixes its own grid and timestamps
+        for flag in ("--n", "--steps", "--t-end"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ConfigError(f"{flag} does not apply with --series")
         try:
             series = polar.read_series(args.series)
         except (OSError, KeyError, ValueError, GridMismatch) as exc:
@@ -361,6 +359,7 @@ def cmd_polar_run(args, cfg):
             raise ConfigError(f"series needs at least 3 timestamps, "
                               f"got {len(series.times)}")
     else:
+        n = _grid_size(args, cfg, 64)
         steps = _merge(args, cfg, "steps", int, 6)
         t_end = _merge(args, cfg, "t_end", float, 0.5)
         # the family starts at t = 0.1 and needs three timestamps
@@ -375,18 +374,14 @@ def cmd_polar_run(args, cfg):
     with open(os.path.join(out, "polar_rows.jsonl"), "w") as fh:
         for row in report["rows"]:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(os.path.join(out, "polar_summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        keys = sorted(report["summary"])
-        writer.writerow(keys)
-        writer.writerow([repr(report["summary"][k])
-                         if isinstance(report["summary"][k], float)
-                         else report["summary"][k] for k in keys])
+    keys = sorted(report["summary"])
+    _write_csv(os.path.join(out, "polar_summary.csv"), keys,
+               [[report["summary"][k] for k in keys]])
     return 0
 
 
 def cmd_verify(args, cfg):
-    results = acceptance.run_all(quick=args.quick)
+    results = acceptance.run_all()
     out = _out_dir(args)
     for r in results:
         print(r.line())
@@ -430,8 +425,6 @@ FLAGS = {
     "--steps": dict(type=int, help="timestamps in the preset family"),
     "--soft": dict(action="store_true",
                    help="downgrade invariant violations to warnings"),
-    "--quick": dict(action="store_true",
-                    help="smaller grids and step counts, scaled bounds"),
 }
 
 # command -> (handler, the flags it reads besides --config and --out)
@@ -451,7 +444,7 @@ COMMANDS = {
                           ("--n", "--h0", "--rungs", "--center", "--preset")),
     "polar-run": (cmd_polar_run, ("--n", "--seed", "--lambda", "--Lambda",
                                   "--series", "--steps", "--t-end")),
-    "verify": (cmd_verify, ("--quick", "--soft")),
+    "verify": (cmd_verify, ("--soft",)),
 }
 
 
@@ -473,9 +466,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
         code = COMMANDS[args.command][0](args, cfg)
-        if args.out or args.command != "verify":
-            _write_metadata(_out_dir(args), args, started,
-                            round(time.time() - started, 3))
+        _write_metadata(_out_dir(args), args, started,
+                        round(time.time() - started, 3))
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -52,9 +52,9 @@ def _rotated(d):
     return PeriodicDisplacement(d.grid, d.d2, -d.d1)
 
 
-def cfl_limit(velocity, grid, cfl=CFL_NUMBER):
+def cfl_limit(velocity, grid):
     u_inf = velocity.sup_norm()
-    return cfl * grid.spacing / u_inf if u_inf else float("inf")
+    return CFL_NUMBER * grid.spacing / u_inf if u_inf else float("inf")
 
 
 def transport_step(rho, velocity, dt, grid):
@@ -207,7 +207,6 @@ class RunResult:
     rho_history: list
     q_history: list
     certificates: list  # one dict per recorded time, index-aligned
-    final_state: SGState
 
     @property
     def n_steps(self):
@@ -267,7 +266,7 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
     if n_steps:
         check_identity(state, n_steps)
     return RunResult(grid, dt, state.lam_env, state.Lam_env, times,
-                     rho_history, q_history, certificates, state)
+                     rho_history, q_history, certificates)
 
 
 def lma_residual(pot, rho, velocity, dtp):
@@ -295,11 +294,12 @@ class TimeSeriesDiagnostics:
     summary: dict
 
 
-def dtp_regularity(dtp, rho, centers, grid, kappas):
+def dtp_regularity(dtp, rho, centers, grid):
     """Holder fits of dP*/dt at the centers, and its regularity row: the
     median gamma_hat and C_hat of the fits that are not constant (inf and
     0, flagged constant, when none is) and the rho-weighted L^(1+kappa)
-    norms of d(grad P*)/dt keyed l<1+kappa>_dt_grad.  Returns (fits, row).
+    norms of d(grad P*)/dt for kappa 0.1 and 0.2, keyed
+    l<1+kappa>_dt_grad.  Returns (fits, row).
     """
     g1, g2 = gridmod.periodic_gradient(TorusField(grid, dtp))
     mag = np.hypot(g1, g2)
@@ -307,7 +307,7 @@ def dtp_regularity(dtp, rho, centers, grid, kappas):
         f"l{1.0 + kappa:g}_dt_grad":
         float(gridmod.integral(rho * mag ** (1.0 + kappa), grid))
         ** (1.0 / (1.0 + kappa))
-        for kappa in kappas
+        for kappa in (0.1, 0.2)
     }
     fits = holder_fits(dtp, centers, grid)
     live = [f for f in fits if not f.constant]
@@ -333,8 +333,7 @@ def regularity_summary(rows):
     }
 
 
-def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
-                          min_steps=20):
+def holder_in_time_report(result, n_centers=5, seed=0):
     """Spatial Holder fits of dP*/dt at sampled centers, per recorded step.
 
     Each interior record gets its dtp_regularity row and r2_ok, the number
@@ -344,9 +343,9 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
     from the fit statistics.
     """
     n_records = len(result.times)
-    if n_records < min_steps:
+    if n_records < 20:
         raise InsufficientSamples(
-            f"time-regularity report needs >= {min_steps} records, got {n_records}"
+            f"time-regularity report needs >= 20 records, got {n_records}"
         )
     rng = np.random.default_rng(seed)
     centers = rng.random((n_centers, 2))
@@ -355,7 +354,7 @@ def holder_in_time_report(result, n_centers=5, kappas=(0.1, 0.2), seed=0,
     step_rows, n_fits = [], 0
     for k in range(1, n_records - 1):
         fits, row = dtp_regularity(result.dtp_field(k), result.rho_history[k],
-                                   centers, grid, kappas)
+                                   centers, grid)
         n_fits += sum(1 for f in fits if not f.constant)
         step_rows.append({
             "step": k,

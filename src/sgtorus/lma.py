@@ -271,13 +271,13 @@ class DivergenceFormOperator:
 
     # -- structure checks ----------------------------------------------------
 
-    def _min_ritz(self, n_probes=4):
-        """Raise IndefiniteOperator if a seeded random probe has a
-        negative Ritz value."""
+    def _min_ritz(self):
+        """Raise IndefiniteOperator if one of four seeded random probes
+        has a negative Ritz value."""
         rng = np.random.default_rng(0)
         size = self.matrix.shape[0]
         scale = float(np.max(np.abs(self.matrix.diagonal()))) or 1.0
-        for _ in range(n_probes):
+        for _ in range(4):
             x = rng.standard_normal(size)
             if self.mask is None:
                 x -= x.mean()  # probe orthogonal to the periodic kernel
@@ -458,28 +458,29 @@ class GreenFunction:
         return float(np.count_nonzero(self.values > tau)) * self.grid.cell_area
 
 
-def green_function(coeffs, mask, pole_index, grid, tol=1e-12, operator=None):
-    """Green's function with pole at a cell: L g = delta, g = 0 on the ring."""
+def green_function(coeffs, mask, pole_index, grid, operator=None):
+    """Green's function with pole at a cell: L g = delta, g = 0 on the ring,
+    solved to a relative residual of 1e-12."""
     mask = np.asarray(mask, dtype=bool)
     op = operator or DivergenceFormOperator(grid, coeffs, mask=mask)
     rhs = op.point_source(pole_index)
-    g = op.solve(rhs, tol=tol)
+    g = op.solve(rhs, tol=1e-12)
     return GreenFunction(grid, mask, tuple(pole_index), op.scatter(g))
 
 
-def level_set_decay(green, n_taus=30, refit_span=5.0):
+def level_set_decay(green):
     """Fit area{g > tau} = K 2^(-tau/tau0).
 
-    An initial fit over mid-range level sets estimates tau0; the final fit
-    runs over tau in [tau0, min(refit_span*tau0, 0.95 max g)].
+    An initial fit over 30 mid-range level sets estimates tau0; the final
+    fit runs over tau in [tau0, min(5 tau0, 0.95 max g)].
     """
     gmax = green.max_value()
-    taus = np.linspace(0.05, 0.9, n_taus) * gmax
+    taus = np.linspace(0.05, 0.9, 30) * gmax
     areas = np.array([green.level_area(t) for t in taus])
     keep = areas > 0
     first = linear_fit(taus[keep], np.log2(areas[keep]))
     tau0 = -1.0 / first.slope if first.slope < 0 else float("nan")
-    lo, hi = tau0, min(refit_span * tau0, 0.95 * gmax)
+    lo, hi = tau0, min(5.0 * tau0, 0.95 * gmax)
     window = keep & (taus >= lo) & (taus <= hi)
     if np.count_nonzero(window) >= 4:
         fit = linear_fit(taus[window], np.log2(areas[window]))
@@ -495,7 +496,7 @@ def level_set_decay(green, n_taus=30, refit_span=5.0):
 
 
 def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
-                               kappas=(0.1, 0.2), tol=1e-12):
+                               kappas=(0.1, 0.2)):
     """Green's-function integrability ladder on sections of a potential.
 
     For each section height h computes integral g^p (expected to scale
@@ -513,7 +514,7 @@ def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
     sec = secs[0]
     # the top rung's operator also serves the symmetry probe below
     top_op = DivergenceFormOperator(grid, cof, mask=sec.mask)
-    greens = [green_function(cof, s.mask, s.center_index, grid, tol=tol,
+    greens = [green_function(cof, s.mask, s.center_index, grid,
                              operator=top_op if s is sec else None)
               for s in secs]
 
@@ -547,7 +548,7 @@ def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
         inside = np.argwhere(sec.mask)
         k = len(inside) // 3
         cand = tuple(inside[k])
-    other = green_function(cof, sec.mask, cand, grid, tol=tol, operator=top_op)
+    other = green_function(cof, sec.mask, cand, grid, operator=top_op)
     sym_defect = abs(top.values[cand] - other.values[i0, j0])
     positivity_floor = min(g.min_value() for g in greens)
     decay = level_set_decay(top)

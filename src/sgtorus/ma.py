@@ -193,10 +193,6 @@ class CofactorField:
     c12: np.ndarray
     c22: np.ndarray
 
-    @classmethod
-    def from_potential(cls, pot):
-        return cls(pot.grid, pot.p22.copy(), -pot.p12.copy(), pot.p11.copy())
-
     def contract(self, p11, p12, p22):
         """Phi^{ij} phi_{ij} for a symmetric field (p11, p12, p22)."""
         return self.c11 * p11 + 2.0 * self.c12 * p12 + self.c22 * p22
@@ -204,7 +200,8 @@ class CofactorField:
 
 def cofactor(pot):
     """Cofactor field of a potential's discrete Hessian."""
-    return CofactorField.from_potential(pot)
+    return CofactorField(pot.grid, pot.p22.copy(), -pot.p12.copy(),
+                         pot.p11.copy())
 
 
 # --- Newton solver ----------------------------------------------------------

@@ -75,7 +75,7 @@ class PolarFactorization:
     tol_fact: float
 
 
-def factorize(mapping, lam=None, Lam=None, tol=None, tol_fact=None):
+def factorize(mapping, lam=None, Lam=None, tol_fact=None):
     """Polar-factor a torus map X given as a PeriodicDisplacement.
 
     The pushforward density must stay within the supplied pinch bounds for
@@ -85,7 +85,7 @@ def factorize(mapping, lam=None, Lam=None, tol=None, tol_fact=None):
     """
     grid = mapping.grid
     density, _ = pushforward_density(mapping)
-    pot = solve_ma_periodic(density, lam=lam, Lam=Lam, tol=tol)
+    pot = solve_ma_periodic(density, lam=lam, Lam=Lam)
     leg = legendre(pot)
 
     x1, x2 = grid.centers()
@@ -164,9 +164,9 @@ def read_series(directory):
     return MapTimeSeries(grid, [float(e["t"]) for e in manifest["entries"]], maps)
 
 
-def polar_time_regularity(series, lam=None, Lam=None, tol=None, n_centers=3,
-                          kappas=(0.1, 0.2), seed=0):
-    """Factorize every timestamp and fit the regularity of dP*/dt.
+def polar_time_regularity(series, lam=None, Lam=None, seed=0):
+    """Factorize every timestamp and fit the regularity of dP*/dt at three
+    seeded centres.
 
     Returns per-timestamp rows, the dtp_regularity row plus t, defect,
     residual and the smallest R^2 of the fits that are not constant
@@ -179,16 +179,16 @@ def polar_time_regularity(series, lam=None, Lam=None, tol=None, n_centers=3,
             f"time regularity needs >= 3 timestamps, got {len(series.times)}"
         )
     rng = np.random.default_rng(seed)
-    centers = rng.random((n_centers, 2))
+    centers = rng.random((3, 2))
     grid = series.grid
 
-    facts = [factorize(m, lam=lam, Lam=Lam, tol=tol) for m in series.maps]
+    facts = [factorize(m, lam=lam, Lam=Lam) for m in series.maps]
     rows = []
     for k in range(1, len(series.times) - 1):
         span = series.times[k + 1] - series.times[k - 1]
         dtp = mean_zero((facts[k + 1].pot.q - facts[k - 1].pot.q) / span)
         fits, row = dtp_regularity(dtp, facts[k].density.values, centers,
-                                   grid, kappas)
+                                   grid)
         rows.append({
             "t": series.times[k],
             "defect": facts[k].defect,

@@ -1,9 +1,9 @@
 """Canonical densities, potentials, and maps used by the CLI and the tests.
 
 Every preset is analytic, so solver output can be checked against closed
-forms.  The cosine amplitudes are capped well below 1/(2 pi)^2: beyond
-that the manufactured Hessian determinant turns negative and the family
-leaves the admissible (convex) class.
+forms.  The cosine amplitudes sit well below 1/(2 pi)^2: beyond that the
+manufactured Hessian determinant turns negative and the family leaves the
+admissible (convex) class.
 """
 
 import numpy as np
@@ -15,40 +15,45 @@ from .ma import ConvexPotential
 from .polar import MapTimeSeries
 
 TWO_PI = 2.0 * np.pi
+# eps(t) = COSINE_FAMILY_SCALE sin(t) in cosine_family_series
+COSINE_FAMILY_SCALE = 0.03
 
 
 def uniform_density(grid):
     return TorusField(grid, np.ones((grid.n, grid.n)))
 
 
-def perturbed_density(grid, amplitude=0.3):
-    """1 + a cos(2 pi x1) cos(2 pi x2), pinch bounds (1 - a, 1 + a).
+def perturbed_density(grid):
+    """1 + a cos(2 pi x1) cos(2 pi x2), a = 0.3, pinch bounds (1 - a, 1 + a).
 
     A single separable harmonic: its potential is a Laplace eigenfunction
     to leading order, so the induced velocity runs along the density's
     own level lines and the flow is nearly steady.  Good for conservation
     certificates, useless for exciting dP*/dt.
     """
+    a = 0.3
     x1, x2 = grid.centers()
-    rho = 1.0 + amplitude * np.cos(TWO_PI * x1) * np.cos(TWO_PI * x2)
-    return TorusField(grid, rho / rho.mean()), 1.0 - amplitude, 1.0 + amplitude
+    rho = 1.0 + a * np.cos(TWO_PI * x1) * np.cos(TWO_PI * x2)
+    return TorusField(grid, rho / rho.mean()), 1.0 - a, 1.0 + a
 
 
-def two_mode_density(grid, a=0.2, b=0.1):
-    """Two harmonics with different Laplace eigenvalues, bounds 1 -+ (a+b).
+def two_mode_density(grid):
+    """Two harmonics with different Laplace eigenvalues, amplitudes
+    a = 0.2 and b = 0.1, bounds 1 -+ (a+b).
 
     The mixed spectrum breaks the level-line alignment of the single-mode
     preset, so transport genuinely deforms the density and dP*/dt carries
     signal; this is the preset for time-derivative studies.
     """
+    a, b = 0.2, 0.1
     x1, x2 = grid.centers()
     rho = (1.0 + a * np.cos(TWO_PI * x1) * np.cos(TWO_PI * x2)
            + b * np.cos(TWO_PI * x1))
     return TorusField(grid, rho / rho.mean()), 1.0 - a - b, 1.0 + a + b
 
 
-def two_bump_density(grid, lo=0.5, hi=2.0, width=0.18):
-    """Two periodic Gaussian bumps mapped affinely onto [lo, hi].
+def two_bump_density(grid, lo=0.5, hi=2.0):
+    """Two periodic Gaussian bumps (width 0.18) mapped onto [lo, hi].
 
     Mass normalization shifts the actual pinch bounds slightly; they are
     recomputed from the field and returned alongside.
@@ -58,7 +63,7 @@ def two_bump_density(grid, lo=0.5, hi=2.0, width=0.18):
 
     def bump(center):
         d = gridmod.periodic_distance(pts, np.asarray(center))
-        return np.exp(-(d / width) ** 2)
+        return np.exp(-(d / 0.18) ** 2)
 
     raw = bump((0.3, 0.3)) + bump((0.7, 0.65))
     low, hig = float(np.min(raw)), float(np.max(raw))
@@ -72,31 +77,25 @@ def quadratic_potential(grid):
     return ConvexPotential(grid, np.zeros((grid.n, grid.n)))
 
 
-def manufactured_potential(grid, amplitude=0.01):
-    """q = a cos(2 pi x1) cos(2 pi x2) with its exact Hessian determinant.
+def manufactured_potential(grid):
+    """q = a cos(2 pi x1) cos(2 pi x2), a = 0.01, with its exact Hessian
+    determinant.
 
     Returns (q_exact, rho_field): det(I + D^2 q) evaluated in closed form,
     unit mass exactly (the quadratic cross terms integrate to zero).
-    Amplitudes at or above 1/(2 pi)^2 = 0.0253 make the determinant vanish
-    somewhere and are rejected.
     """
-    k2 = TWO_PI**2
-    if amplitude * k2 >= 1.0:
-        raise ConfigError(
-            f"amplitude {amplitude} leaves the convex class "
-            f"(needs a < {1.0 / k2:.4f})"
-        )
+    a, k2 = 0.01, TWO_PI**2
     x1, x2 = grid.centers()
     cc = np.cos(TWO_PI * x1) * np.cos(TWO_PI * x2)
     ss = np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2)
-    q = amplitude * cc
-    det = (1.0 - amplitude * k2 * cc) ** 2 - (amplitude * k2 * ss) ** 2
+    q = a * cc
+    det = (1.0 - a * k2 * cc) ** 2 - (a * k2 * ss) ** 2
     return q, TorusField(grid, det)
 
 
-def perturbed_potential(grid, amplitude=0.01):
+def perturbed_potential(grid):
     """Solved-form ConvexPotential for the manufactured cosine family."""
-    q, _ = manufactured_potential(grid, amplitude)
+    q, _ = manufactured_potential(grid)
     return ConvexPotential(grid, q)
 
 
@@ -111,16 +110,16 @@ def cosine_gradient_map(grid, eps):
     return PeriodicDisplacement(grid, d1, np.zeros_like(d1))
 
 
-def cosine_inverse_first_coordinate(grid, eps, iters=60):
+def cosine_inverse_first_coordinate(grid, eps):
     """x1 of the inverse of the cosine gradient map at cell centers.
 
     Solves y1 = x1 - 2 pi eps sin(2 pi x1) for x1 by fixed point (the map
-    is a contraction for eps (2 pi)^2 < 1); this is the oracle for the
-    composed time derivative of the conjugate potential.
+    is a contraction for eps (2 pi)^2 < 1) in 60 iterations; this is the
+    oracle for the composed time derivative of the conjugate potential.
     """
     y1, _ = grid.centers()
     x1 = y1.copy()
-    for _ in range(iters):
+    for _ in range(60):
         x1 = y1 + TWO_PI * eps * np.sin(TWO_PI * x1)
     return x1
 
@@ -143,10 +142,11 @@ def compose_maps(outer, inner):
                                 pts[..., 1] + o2 - x2)
 
 
-def cosine_family_series(grid, times, eps_scale=0.03):
+def cosine_family_series(grid, times):
     """MapTimeSeries X_t = grad(|x|^2/2 + eps(t) cos(2 pi x1)),
-    eps(t) = eps_scale sin(t)."""
-    maps = [cosine_gradient_map(grid, eps_scale * np.sin(t)) for t in times]
+    eps(t) = COSINE_FAMILY_SCALE sin(t)."""
+    maps = [cosine_gradient_map(grid, COSINE_FAMILY_SCALE * np.sin(t))
+            for t in times]
     return MapTimeSeries(grid, list(times), maps)
 
 

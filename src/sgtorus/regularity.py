@@ -16,7 +16,7 @@ from .errors import ResidualTooLarge
 from .fitting import CONSTANT_SENTINEL, loglog_fit
 from .lma import stencil_rows
 from .ma import cofactor
-from .sections import extract_section
+from .sections import section_ladder
 
 # fields whose total variation falls below this fraction of machine scale
 # count as constant
@@ -46,10 +46,10 @@ def homogeneity_residual(u, pot, mask):
     return float(np.max(np.abs(res))) if res.size else 0.0
 
 
-def _require_homogeneous(u, pot, mask, tol):
+def _require_homogeneous(u, pot, mask):
     res = homogeneity_residual(u, pot, mask)
     scale = max(1.0, float(np.max(np.abs(np.asarray(u)[mask]))))
-    bound = tol * scale / pot.grid.spacing**2
+    bound = 1e-6 * scale / pot.grid.spacing**2
     if res > bound:
         raise ResidualTooLarge(
             f"field is not a homogeneous solution on the section: "
@@ -77,18 +77,18 @@ class DecayReport:
         return [r.ratio for r in self.rows if np.isfinite(r.ratio)]
 
 
-def oscillation_decay(u, pot, x0, h0, rungs=4, residual_tol=1e-6):
+def oscillation_decay(u, pot, x0, h0, rungs=4):
     """Oscillation of a homogeneous solution down a dyadic section ladder.
 
-    Requires L u = 0 on the interior of S(x0, h0) up to residual_tol
-    (relative, scaled by sup|u| / spacing^2); otherwise ResidualTooLarge.
+    Requires L u = 0 on the interior of S(x0, h0) up to 1e-6 (relative,
+    scaled by sup|u| / spacing^2); otherwise ResidualTooLarge.
     Rows pair each height with its half: ratio = osc(S(h/2)) / osc(S(h)).
     Zero oscillation at a rung yields the constant sentinel ratio (inf)
     and sets the constant flag.
     """
     u = np.asarray(u, dtype=float)
-    sections = [extract_section(pot, x0, h0 * 0.5**k) for k in range(rungs)]
-    res = _require_homogeneous(u, pot, sections[0].mask, residual_tol)
+    sections = section_ladder(pot, x0, h0, rungs)
+    res = _require_homogeneous(u, pot, sections[0].mask)
     oscs = [oscillation(u, s.mask) for s in sections]
     scale = max(float(np.max(np.abs(u[sections[0].mask]))), 1.0)
     rows, constant = [], False

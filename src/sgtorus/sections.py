@@ -22,6 +22,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import grid as gridmod
 from .errors import DegenerateSection, EmptySection, SectionWrapsTorus
+from .fitting import dyadic_ladder
 
 
 @dataclasses.dataclass
@@ -49,15 +50,13 @@ class Section:
         ext2 = self.offsets[:, 1].max() - self.offsets[:, 1].min()
         return float(np.hypot(ext1, ext2))
 
-    def contains_point(self, point, pad_cells=0):
-        """Does the (wrapped) point land on a member cell (or its
-        pad_cells-neighborhood)?"""
+    def contains_point(self, point):
+        """Does the (wrapped) point land on a member cell or one of its
+        eight neighbours?"""
         i, j = self.grid.index_of(np.asarray(point))
-        if pad_cells == 0:
-            return bool(self.mask[i, j])
         n = self.grid.n
-        for di in range(-pad_cells, pad_cells + 1):
-            for dj in range(-pad_cells, pad_cells + 1):
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
                 if self.mask[(i + di) % n, (j + dj) % n]:
                     return True
         return False
@@ -128,8 +127,9 @@ def extract_section(pot, x0, height):
 
 
 def section_ladder(pot, x0, top_height, rungs):
-    """Sections at heights top, top/2, ..., top/2^(rungs-1)."""
-    return [extract_section(pot, x0, top_height * 0.5**k) for k in range(rungs)]
+    """Sections at the heights of dyadic_ladder(top_height, rungs)."""
+    return [extract_section(pot, x0, h)
+            for h in dyadic_ladder(top_height, rungs)]
 
 
 # --- John normalization -------------------------------------------------------
@@ -153,12 +153,13 @@ class JohnNormalization:
     method: str
 
 
-def verify_containment(section, A, b, n_angles=64):
+def verify_containment(section, A, b):
     """Constructive sandwich check with one-cell tolerance.
 
     Outer: every member offset maps into B_2 (padded by a cell diagonal).
-    Inner: the image of the unit circle lands on member cells (or within
-    one cell of one); convexity of the section covers the interior.
+    Inner: the image of the unit circle, at 64 angles, lands on member
+    cells (or within one cell of one); convexity of the section covers
+    the interior.
     """
     h = section.grid.spacing
     Ainv = np.linalg.inv(A)
@@ -166,11 +167,11 @@ def verify_containment(section, A, b, n_angles=64):
     pad = 0.5 * np.sqrt(2.0) * h * np.linalg.norm(Ainv, 2)
     outer_ok = bool(np.max(np.hypot(z[:, 0], z[:, 1])) <= 2.0 + pad)
 
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     ys = circle @ A.T + b
     inner_ok = all(
-        section.contains_point(gridmod.wrap(section.center + y), pad_cells=1)
+        section.contains_point(gridmod.wrap(section.center + y))
         for y in ys
     )
     return outer_ok, inner_ok
@@ -187,21 +188,22 @@ def _principal_frame(pts, cell_h):
     return b, w, v
 
 
-def _min_area_ellipse(pts, tol=1e-8, max_iter=1000):
-    """Khachiyan's algorithm: minimal enclosing ellipse of a point set.
+def _min_area_ellipse(pts):
+    """Khachiyan's algorithm: minimal enclosing ellipse of a point set,
+    to a step of 1e-8 or 1000 iterations.
 
     Returns (center, E) with the ellipse {x: (x-c)^T E (x-c) <= 1}.
     """
     m = len(pts)
     q = np.column_stack([pts, np.ones(m)]).T  # (3, m)
     u = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
+    for _ in range(1000):
         x = (q * u) @ q.T
         xin = np.linalg.inv(x)
         marg = np.sum(q * (xin @ q), axis=0)
         jmax = int(np.argmax(marg))
         step = (marg[jmax] - 3.0) / (3.0 * (marg[jmax] - 1.0))
-        if step <= tol:
+        if step <= 1e-8:
             break
         u = u * (1.0 - step)
         u[jmax] += step

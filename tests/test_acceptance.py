@@ -1,9 +1,8 @@
-"""Full-scale verification suite, one test per criterion.
+"""Verification suite, one test per criterion.
 
-Each check runs at its production parameters (the same ones `sgtorus
-verify` uses without --quick) and prints its one-line PASS/FAIL summary
-with the measured numbers; run with -s or -rA to see the lines for
-passing tests too.
+Each check runs in the one configuration `sgtorus verify` runs and
+prints its one-line PASS/FAIL summary with the measured numbers; run
+with -s or -rA to see the lines for passing tests too.
 """
 
 import pytest
@@ -16,6 +15,6 @@ _CHECKS = {fn.__name__.removeprefix("check_"): fn
 
 @pytest.mark.parametrize("name", list(_CHECKS), ids=list(_CHECKS))
 def test_criterion(name):
-    result = _CHECKS[name](quick=False)
+    result = _CHECKS[name]()
     print(result.line())
     assert result.passed, result.line()

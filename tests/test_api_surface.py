@@ -80,3 +80,105 @@ def unused():
 def test_every_public_name_has_a_caller():
     # an allowed name that gains a caller, or is deleted, leaves the list
     assert sorted(set(unused()) ^ set(ALLOWED)) == []
+
+
+# optional parameters kept although no call outside the tests sets them,
+# with the reason
+UNSET_ALLOWED = {
+    "cg(callback)": "perfbench/spans.py injects it to count CG iterations",
+    "main(argv)": "the tests drive the CLI in-process through it",
+    "holder_fits(min_points)": "the oracle tests fit with fewer shells",
+    "factorize(tol_fact)": "the error-path test forces a residual failure",
+    "shear_map(sigma)": "shear_map is on ALLOWED; its tests vary sigma",
+    "solve_periodic_lma(tol)": "solve_periodic_lma is on ALLOWED",
+}
+
+
+def _functions(body, in_class=None):
+    """(node, qualified name, names that call it, positional parameters
+    a caller fills) of every function in body, nested ones included."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, node.name)
+        elif isinstance(node, ast.FunctionDef):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            if in_class and not static:
+                params = params[1:]  # self or cls
+            callers = {node.name}
+            if in_class and node.name == "__init__":
+                callers.add(in_class)
+            qualname = f"{in_class}.{node.name}" if in_class else node.name
+            yield node, qualname, callers, params
+            yield from _functions(node.body)
+
+
+def optional_parameters():
+    """(path, node, qualified name, callers, parameter, position) of each
+    parameter with a default; position is its index among the positional
+    parameters a caller fills, None for a keyword-only one."""
+    out = []
+    for path in modules():
+        for node, qualname, callers, params in _functions(
+                ast.parse(path.read_text()).body):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for a in positional[len(positional) - len(args.defaults):]:
+                out.append((path, node, qualname, callers, a.arg,
+                            params.index(a.arg) if a.arg in params else None))
+            out.extend((path, node, qualname, callers, a.arg, None)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None)
+    return out
+
+
+def calls():
+    """(path, line, called name, positional count, keyword names) of every
+    call; starred arguments and **kwargs set nothing by name."""
+    paths = modules() + sorted((ROOT / "scripts").glob("*.py")) \
+        + sorted((ROOT / "perfbench").glob("*.py"))
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name is None:
+                continue
+            positional = 0
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional += 1
+            out.append((path, node.lineno, name, positional,
+                        {kw.arg for kw in node.keywords if kw.arg}))
+    return out
+
+
+def unset():
+    """`name(parameter)` of each optional parameter that no call outside
+    its own function sets, by keyword or by position."""
+    found = []
+    all_calls = calls()
+    for path, node, qualname, callers, param, position in \
+            optional_parameters():
+        set_somewhere = any(
+            name in callers
+            and (param in keywords
+                 or (position is not None and positional > position))
+            and not (cpath == path
+                     and node.lineno <= line <= node.end_lineno)
+            for cpath, line, name, positional, keywords in all_calls)
+        if not set_somewhere:
+            found.append(f"{qualname}({param})")
+    return found
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    # a parameter only its default reaches is a constant; an allowed one
+    # that gains a caller, or is deleted, leaves the list
+    assert sorted(set(unset()) ^ set(UNSET_ALLOWED)) == []

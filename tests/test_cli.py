@@ -86,11 +86,15 @@ FOREIGN_FLAGS = {
 
 
 class TestFlagTables:
-    @pytest.mark.parametrize("command", list(cli.COMMANDS))
-    def test_foreign_flag_is_config_error(self, command, tmp_path, capsys):
-        flag, value = FOREIGN_FLAGS[command]
+    # verify --quick: verify has one configuration and no such flag
+    @pytest.mark.parametrize(
+        "command, flags",
+        list(FOREIGN_FLAGS.items()) + [("verify", ("--quick",))],
+        ids=list(FOREIGN_FLAGS) + ["verify-quick"])
+    def test_foreign_flag_is_config_error(self, command, flags, tmp_path,
+                                          capsys):
         out = tmp_path / "o"
-        assert run_cli(command, flag, value, "--out", str(out)) == 1
+        assert run_cli(command, *flags, "--out", str(out)) == 1
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -284,6 +288,20 @@ class TestReports:
             (sdir / "manifest.json").write_text(json.dumps(manifest))
         return sdir
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "64"), ("--n", "2"), ("--steps", "6"), ("--t-end", "0.5"),
+    ], ids=["n", "n-below-four", "steps", "t-end"])
+    def test_polar_run_series_rejects_family_flags(self, flag, value,
+                                                   tmp_path, capsys):
+        # the series fixes its own grid and timestamps
+        sdir = self.write_bad_series(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("polar-run", "--series", str(sdir), flag, value,
+                       "--out", str(out)) == 1
+        assert (f"config error: {flag} does not apply with --series"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_polar_run_missing_series_dir(self, tmp_path, capsys):
         assert run_cli("polar-run", "--series", str(tmp_path / "none"),
                        "--out", str(tmp_path / "o")) == 1
@@ -331,9 +349,9 @@ class TestVerify:
     def test_failing_check_exits_three(self, tmp_path, capsys,
                                        monkeypatch):
         monkeypatch.setattr(cli.acceptance, "run_all",
-                            lambda quick=False, names=None: self._fake(False))
+                            lambda: self._fake(False))
         out = tmp_path / "v"
-        assert run_cli("verify", "--quick", "--out", str(out)) == 3
+        assert run_cli("verify", "--out", str(out)) == 3
         captured = capsys.readouterr()
         assert "FAIL fake_check" in captured.out
         assert "fake_check" in captured.err
@@ -342,17 +360,27 @@ class TestVerify:
 
     def test_soft_downgrades_to_warning(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.acceptance, "run_all",
-                            lambda quick=False, names=None: self._fake(False))
-        assert run_cli("verify", "--quick", "--soft",
+                            lambda: self._fake(False))
+        assert run_cli("verify", "--soft",
                        "--out", str(tmp_path / "v")) == 0
         assert "failed checks" in capsys.readouterr().err
 
     def test_passing_suite_exits_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.acceptance, "run_all",
-                            lambda quick=False, names=None: self._fake(True))
-        assert run_cli("verify", "--quick",
-                       "--out", str(tmp_path / "v")) == 0
+                            lambda: self._fake(True))
+        assert run_cli("verify", "--out", str(tmp_path / "v")) == 0
         assert "PASS fake_check" in capsys.readouterr().out
+
+    def test_default_out_dir_gets_metadata(self, tmp_path, monkeypatch):
+        # the suite report and its metadata land in the same directory
+        monkeypatch.setattr(cli.acceptance, "run_all",
+                            lambda: self._fake(True))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("verify") == 0
+        out = tmp_path / "sgtorus_out"
+        assert (out / "suite.json").exists()
+        metadata = json.loads((out / "metadata.json").read_text())
+        assert metadata["command"] == "verify"
 
 
 class TestThreadIndependence:

@@ -112,7 +112,7 @@ class TestGrid:
         # a section across both seams: its offsets are the wrapped N x N
         # meshgrid gathered at the mask
         grid = TorusGrid(64)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         sec = extract_section(pot, (0.99, 0.01), 0.02)
         assert sec.mask[0].any() and sec.mask[-1].any()
         assert sec.mask[:, 0].any() and sec.mask[:, -1].any()

@@ -50,7 +50,7 @@ class TestOperator:
 
     def test_symmetry_and_semidefiniteness(self, rng):
         grid = TorusGrid(32)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         op = DivergenceFormOperator(grid, cofactor(pot))
         d = op.matrix - op.matrix.T
         assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
@@ -105,7 +105,7 @@ def rough_flux(grid):
 
 class TestPeriodicSolve:
     @pytest.mark.parametrize("potential", [
-        lambda grid: presets.perturbed_potential(grid, 0.01),
+        lambda grid: presets.perturbed_potential(grid),
         pinched_potential,
     ], ids=["perturbed", "pinch-2500"])
     def test_manufactured_solution(self, potential, rng):
@@ -120,7 +120,7 @@ class TestPeriodicSolve:
 
     def test_flux_form_entry_point(self):
         grid = TorusGrid(32)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         x1, x2 = grid.centers()
         F = (np.sin(TWO_PI * x1), np.cos(TWO_PI * x2))
         u, info = solve_periodic_lma(cofactor(pot), F, grid, tol=1e-12)
@@ -154,7 +154,7 @@ class TestPeriodicSolve:
 @pytest.fixture(scope="module")
 def problem():
     grid = TorusGrid(64)
-    pot = presets.perturbed_potential(grid, 0.01)
+    pot = presets.perturbed_potential(grid)
     sec = extract_section(pot, (0.5, 0.5), 0.04)
     return grid, pot, sec
 
@@ -164,8 +164,7 @@ def green():
     grid = TorusGrid(64)
     pot = presets.quadratic_potential(grid)
     sec = extract_section(pot, (0.5, 0.5), 0.02)
-    g = green_function(cofactor(pot), sec.mask, sec.center_index, grid,
-                       tol=1e-12)
+    g = green_function(cofactor(pot), sec.mask, sec.center_index, grid)
     return grid, sec, g
 
 
@@ -217,7 +216,7 @@ class TestGreenFunction:
         grid, sec, g = green
         other = (sec.center_index[0] + 3, sec.center_index[1] - 2)
         g2 = green_function(cofactor(presets.quadratic_potential(grid)),
-                            sec.mask, other, grid, tol=1e-12)
+                            sec.mask, other, grid)
         a = g.values[other]
         b = g2.values[sec.center_index]
         assert abs(a - b) <= 1e-10 * max(a, 1.0)
@@ -229,7 +228,7 @@ class TestGreenFunction:
         for h in (0.02, 0.01):
             sec = extract_section(pot, (0.5, 0.5), h)
             g = green_function(cofactor(pot), sec.mask, sec.center_index,
-                               grid, tol=1e-12)
+                               grid)
             masses.append(g.integral_p(1.0))
         assert 1.5 < masses[0] / masses[1] < 2.6
 
@@ -492,7 +491,7 @@ class TestMultigrid:
 
     def test_unreachable_tolerance_stalls(self):
         grid = TorusGrid(32)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         sec = extract_section(pot, (0.5, 0.5), 0.04)
         op = DivergenceFormOperator(grid, cofactor(pot), mask=sec.mask)
         with pytest.raises(SolverStall):

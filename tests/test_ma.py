@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sgtorus import dynamics, ma, presets
 from sgtorus.errors import (
     BadDensity,
-    ConfigError,
     InvariantViolation,
     LostConvexity,
     NonConvergence,
@@ -129,7 +128,7 @@ class TestConvexPotential:
         errs = []
         for n in (32, 64):
             grid = TorusGrid(n)
-            q, rho = presets.manufactured_potential(grid, 0.01)
+            q, rho = presets.manufactured_potential(grid)
             pot = ConvexPotential(grid, q)
             errs.append(np.max(np.abs(pot.det - rho.values)))
         assert 3.4 < errs[0] / errs[1] < 4.6
@@ -185,14 +184,14 @@ class TestSolver:
         errs = []
         for n in (16, 32):
             grid = TorusGrid(n)
-            q_exact, rho = presets.manufactured_potential(grid, 0.01)
+            q_exact, rho = presets.manufactured_potential(grid)
             pot = solve_ma_periodic(rho, grid)
             errs.append(np.max(np.abs(pot.q - (q_exact - q_exact.mean()))))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_residual_certificate(self):
         grid = TorusGrid(32)
-        _, rho = presets.manufactured_potential(grid, 0.01)
+        _, rho = presets.manufactured_potential(grid)
         pot = solve_ma_periodic(rho, grid, tol=1e-10)
         assert pot.residual <= 1e-10
         ok, (lo, hi) = pot.check_det_bounds()
@@ -200,7 +199,7 @@ class TestSolver:
 
     def test_warm_start_converges_immediately(self):
         grid = TorusGrid(32)
-        _, rho = presets.manufactured_potential(grid, 0.01)
+        _, rho = presets.manufactured_potential(grid)
         pot = solve_ma_periodic(rho, grid)
         again = solve_ma_periodic(rho, grid, initial=pot)
         assert again.newton_iters <= 1
@@ -393,7 +392,7 @@ class TestCofactor:
     def test_contract_own_hessian_doubles_determinant(self):
         # 2x2 algebra: cof(H) : H = 2 det H, exactly, stencil for stencil
         grid = TorusGrid(32)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         cof = cofactor(pot)
         out = cof.contract(pot.p11, pot.p12, pot.p22)
         assert np.max(np.abs(out - 2.0 * pot.det)) <= 1e-13
@@ -403,14 +402,14 @@ class TestCofactor:
         defects = []
         for n in (32, 64):
             grid = TorusGrid(n)
-            cof = cofactor(presets.perturbed_potential(grid, 0.01))
+            cof = cofactor(presets.perturbed_potential(grid))
             defects.append(max(
                 np.max(np.abs(periodic_divergence(cof.c11, cof.c12, grid))),
                 np.max(np.abs(periodic_divergence(cof.c12, cof.c22, grid)))))
         assert 3.4 < defects[0] / defects[1] < 4.6
 
     def test_eigen_range_positive(self):
-        pot = presets.perturbed_potential(TorusGrid(32), 0.01)
+        pot = presets.perturbed_potential(TorusGrid(32))
         lo, hi = eigen_range(cofactor(pot))
         assert 0.0 < lo <= hi
 
@@ -423,7 +422,7 @@ class TestLegendre:
 
     def test_inversion_certificate(self):
         grid = TorusGrid(64)
-        _, rho = presets.manufactured_potential(grid, 0.01)
+        _, rho = presets.manufactured_potential(grid)
         pot = solve_ma_periodic(rho, grid)
         leg = legendre(pot)
         diag = leg.diagnostics
@@ -432,7 +431,7 @@ class TestLegendre:
 
     def test_involution_returns_to_input(self):
         grid = TorusGrid(64)
-        _, rho = presets.manufactured_potential(grid, 0.01)
+        _, rho = presets.manufactured_potential(grid)
         pot = solve_ma_periodic(rho, grid)
         back = legendre(legendre(pot))
         assert np.max(np.abs(back.q - pot.q)) <= 5e-4
@@ -518,12 +517,8 @@ class TestConjugateRows:
 
 
 class TestPresets:
-    def test_manufactured_amplitude_guard(self):
-        with pytest.raises(ConfigError):
-            presets.manufactured_potential(TorusGrid(16), amplitude=0.03)
-
     def test_manufactured_density_has_unit_mass(self):
-        _, rho = presets.manufactured_potential(TorusGrid(32), 0.01)
+        _, rho = presets.manufactured_potential(TorusGrid(32))
         assert np.mean(rho.values) == pytest.approx(1.0, abs=1e-13)
 
     def test_density_presets_match_declared_bounds(self):

@@ -80,7 +80,7 @@ def assert_matches_brute(*args, **kwargs):
 def harmonic_problem():
     """Homogeneous solution of the linearized operator on a section."""
     grid = TorusGrid(64)
-    pot = presets.perturbed_potential(grid, 0.01)
+    pot = presets.perturbed_potential(grid)
     x1, x2 = grid.centers()
     bdata = np.sin(TWO_PI * x1) + np.cos(2 * TWO_PI * x2)
     sec = extract_section(pot, (0.5, 0.5), 0.08)

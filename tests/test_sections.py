@@ -31,7 +31,7 @@ class TestExtraction:
 
     def test_connected_single_component(self):
         grid = TorusGrid(64)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         sec = sections.extract_section(pot, (0.31, 0.47), 0.03)
         labels, count = ndimage.label(sec.mask)
         assert count == 1
@@ -60,7 +60,7 @@ class TestExtraction:
 
     def test_ladder_is_nested(self):
         grid = TorusGrid(64)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         ladder = sections.section_ladder(pot, (0.5, 0.5), 0.04, 3)
         assert [s.height for s in ladder] == [0.04, 0.02, 0.01]
         for big, small in zip(ladder, ladder[1:]):
@@ -69,7 +69,7 @@ class TestExtraction:
     def test_area_scales_linearly_in_height(self):
         # det D^2 P* pinched near 1 forces |S(h)| comparable to h
         grid = TorusGrid(128)
-        pot = presets.perturbed_potential(grid, 0.01)
+        pot = presets.perturbed_potential(grid)
         ladder = sections.section_ladder(pot, (0.37, 0.83), 0.04, 4)
         ratios = [s.area / s.height for s in ladder]
         assert max(ratios) / min(ratios) <= 1.5
