@@ -315,7 +315,7 @@ def check_operator_algebra():
     f = rng.standard_normal((n, n))
     v1 = rng.standard_normal((n, n))
     v2 = rng.standard_normal((n, n))
-    g1, g2 = gridmod.periodic_gradient(gridmod.TorusField(grid, f))
+    g1, g2 = gridmod.periodic_gradient(f, grid)
     lhs = gridmod.integral(g1 * v1 + g2 * v2, grid)
     rhs = -gridmod.integral(f * gridmod.periodic_divergence(v1, v2, grid), grid)
     adjoint_defect = abs(lhs - rhs)

@@ -30,7 +30,11 @@ from .lma import green_integrability_report, solve_dirichlet_lma
 from .ma import cofactor, solve_ma_periodic
 from .sections import extract_section, john_normalize, section_ladder
 
-POTENTIAL_PRESETS = ("quadratic", "cosine")
+# potential commands also accept a density, whose solved potential they use
+POTENTIAL_PRESETS = {
+    "quadratic": presets.quadratic_potential,
+    "cosine": presets.perturbed_potential,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,10 +149,14 @@ def _resolve_density(name, grid):
 
 
 def _resolve_potential(name, grid):
-    if name == "quadratic":
-        return presets.quadratic_potential(grid)
-    if name == "cosine":
-        return presets.perturbed_potential(grid)
+    if name in POTENTIAL_PRESETS:
+        return POTENTIAL_PRESETS[name](grid)
+    if name not in presets.DENSITY_PRESETS and not os.path.exists(name):
+        raise ConfigError(
+            f"unknown potential {name!r} (presets: "
+            f"{', '.join(POTENTIAL_PRESETS)}; or a density preset: "
+            f"{', '.join(presets.DENSITY_PRESETS)}; or a density file)"
+        )
     rho, lam, Lam = _resolve_density(name, grid)
     return solve_ma_periodic(rho, lam=lam, Lam=Lam)
 
@@ -189,10 +197,10 @@ def cmd_sg_run(args, cfg):
                        Lam=Lam if Lam is not None else Lam0,
                        tol=tol)
     out = _out_dir(args)
-    rows = dynamics.certificates_csv(res).splitlines(keepends=True)
-    with open(os.path.join(out, "certificates.csv"), "w") as fh:
-        fh.write(rows[0])
-        fh.writelines(rows[1::every])
+    _write_csv(os.path.join(out, "certificates.csv"),
+               dynamics.CERTIFICATE_COLUMNS,
+               [[c[col] for col in dynamics.CERTIFICATE_COLUMNS]
+                for c in res.certificates[::every]])
     gridmod.field_to_binary(TorusField(grid, res.rho_history[-1]),
                             os.path.join(out, "final_rho.bin"))
     gridmod.field_to_binary(TorusField(grid, res.q_history[-1]),

@@ -18,8 +18,6 @@ the reports fit the spatial Holder regularity of dP*/dt.
 """
 
 import dataclasses
-import io
-import csv
 
 import numpy as np
 
@@ -301,7 +299,7 @@ def dtp_regularity(dtp, rho, centers, grid):
     norms of d(grad P*)/dt for kappa 0.1 and 0.2, keyed
     l<1+kappa>_dt_grad.  Returns (fits, row).
     """
-    g1, g2 = gridmod.periodic_gradient(TorusField(grid, dtp))
+    g1, g2 = gridmod.periodic_gradient(dtp, grid)
     mag = np.hypot(g1, g2)
     norms = {
         f"l{1.0 + kappa:g}_dt_grad":
@@ -377,18 +375,6 @@ def holder_in_time_report(result, n_centers=5, seed=0):
     return TimeSeriesDiagnostics(step_rows, summary)
 
 
+# the certificates.csv columns of sg-run, in order
 CERTIFICATE_COLUMNS = ("t", "mass", "min_rho", "max_rho", "u_inf",
                        "ma_residual", "lma_residual", "krylov_iters")
-# columns written as integers; the others are repr of a float
-COUNT_COLUMNS = frozenset({"krylov_iters"})
-
-
-def certificates_csv(result):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CERTIFICATE_COLUMNS)
-    for c in result.certificates:
-        writer.writerow([str(int(c[col])) if col in COUNT_COLUMNS
-                         else repr(float(c.get(col, float("nan"))))
-                         for col in CERTIFICATE_COLUMNS])
-    return buf.getvalue()

@@ -11,8 +11,9 @@ import numpy as np
 
 from .errors import InsufficientSamples
 
-# Below this fraction of the data scale a field counts as constant and
-# exponent fits return the sentinel instead of fitting noise.
+# Exponent (gamma, or oscillation ratio) reported for a field that counts
+# as constant, in place of a fit to noise; the constancy test itself is
+# regularity._CONSTANT_FLOOR.
 CONSTANT_SENTINEL = float("inf")
 
 

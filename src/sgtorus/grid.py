@@ -178,15 +178,16 @@ def _dx(values, axis, spacing):
     return (padded[:, 2:] - padded[:, :-2]) / (2.0 * spacing)
 
 
-def periodic_gradient(field):
-    """Centered-difference gradient; returns a pair of (N, N) arrays.
+def periodic_gradient(values, grid):
+    """Centered-difference gradient of cell-centered values; returns a
+    pair of (N, N) arrays.
 
     The stencil is antisymmetric under the periodic shift, so the pair
     (periodic_gradient, -periodic_divergence) is exactly adjoint in the
     midpoint inner product.
     """
-    values, grid = _values_and_grid(field)
     h = grid.spacing
+    values = np.asarray(values, dtype=float)
     return _dx(values, 0, h), _dx(values, 1, h)
 
 

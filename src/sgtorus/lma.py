@@ -441,9 +441,7 @@ class GreenFunction:
 
     def gradient_norm(self, kappa):
         """L^(1+kappa) norm of grad g over the mask (zero extension)."""
-        g1, g2 = gridmod.periodic_gradient(
-            gridmod.TorusField(self.grid, self.values)
-        )
+        g1, g2 = gridmod.periodic_gradient(self.values, self.grid)
         mag = np.hypot(g1, g2)[self.mask]
         p = 1.0 + kappa
         return float(np.sum(mag**p) * self.grid.cell_area) ** (1.0 / p)

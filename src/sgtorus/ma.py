@@ -90,9 +90,7 @@ class ConvexPotential:
         self.q = mean_zero(np.asarray(q, dtype=float))
         if self.q.shape != (grid.n, grid.n):
             raise gridmod.GridMismatch("potential periodic part does not match grid")
-        self.g1, self.g2 = gridmod.periodic_gradient(
-            gridmod.TorusField(grid, self.q)
-        )
+        self.g1, self.g2 = gridmod.periodic_gradient(self.q, grid)
         # grad P* - id as sampled by gradient_displacement / sample_gradient
         self.displacement = (self.g1, self.g2)
         self.p11, self.p12, self.p22, self.det = _hessian_and_det(

@@ -9,16 +9,16 @@ stays below half a period (otherwise SectionWrapsTorus).
 John normalization produces T z = A z + b with B_1 inside T^{-1}(S)
 inside B_2 up to one cell width: A comes from the second-moment ellipse
 of the member cells, outer-calibrated so the farthest member sits exactly
-on the radius-2 sphere, and is verified constructively; if verification
-fails the minimum-area enclosing ellipse of the hull (Khachiyan) is used
-with the John factor 2.
+on the radius-2 sphere, and is verified constructively.  The moments
+alone suffice: a planar convex body in isotropic position lies between
+the balls of radius sqrt(2) and sqrt(8) (Kannan, Lovasz & Simonovits,
+Discrete Comput. Geom. 13, 1995), which is John's factor 2.
 """
 
 import dataclasses
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import ConvexHull, QhullError
 
 from . import grid as gridmod
 from .errors import DegenerateSection, EmptySection, SectionWrapsTorus
@@ -49,17 +49,6 @@ class Section:
         ext1 = self.offsets[:, 0].max() - self.offsets[:, 0].min()
         ext2 = self.offsets[:, 1].max() - self.offsets[:, 1].min()
         return float(np.hypot(ext1, ext2))
-
-    def contains_point(self, point):
-        """Does the (wrapped) point land on a member cell or one of its
-        eight neighbours?"""
-        i, j = self.grid.index_of(np.asarray(point))
-        n = self.grid.n
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if self.mask[(i + di) % n, (j + dj) % n]:
-                    return True
-        return False
 
 
 def extract_section(pot, x0, height):
@@ -140,7 +129,8 @@ class JohnNormalization:
 
     b is expressed in lifted offset coordinates relative to the section
     center; containment_ok records the constructive sandwich check
-    B_1 in T^{-1}(S) in B_2 (one-cell tolerance).
+    B_1 in T^{-1}(S) in B_2 (one-cell tolerance).  method names the
+    construction; the second-moment ellipse is the only one.
     """
 
     A: np.ndarray
@@ -150,7 +140,7 @@ class JohnNormalization:
     containment_ok: bool
     outer_ok: bool
     inner_ok: bool
-    method: str
+    method: str = "moments"
 
 
 def verify_containment(section, A, b):
@@ -158,8 +148,8 @@ def verify_containment(section, A, b):
 
     Outer: every member offset maps into B_2 (padded by a cell diagonal).
     Inner: the image of the unit circle, at 64 angles, lands on member
-    cells (or within one cell of one); convexity of the section covers
-    the interior.
+    cells (or within one cell of one, read off the 3 x 3 periodic
+    dilation of the mask); convexity of the section covers the interior.
     """
     h = section.grid.spacing
     Ainv = np.linalg.inv(A)
@@ -170,10 +160,9 @@ def verify_containment(section, A, b):
     angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     ys = circle @ A.T + b
-    inner_ok = all(
-        section.contains_point(gridmod.wrap(section.center + y))
-        for y in ys
-    )
+    i, j = section.grid.index_of(gridmod.wrap(section.center + ys))
+    near = ndimage.maximum_filter(section.mask, size=3, mode="wrap")
+    inner_ok = bool(np.all(near[i, j]))
     return outer_ok, inner_ok
 
 
@@ -188,39 +177,14 @@ def _principal_frame(pts, cell_h):
     return b, w, v
 
 
-def _min_area_ellipse(pts):
-    """Khachiyan's algorithm: minimal enclosing ellipse of a point set,
-    to a step of 1e-8 or 1000 iterations.
-
-    Returns (center, E) with the ellipse {x: (x-c)^T E (x-c) <= 1}.
-    """
-    m = len(pts)
-    q = np.column_stack([pts, np.ones(m)]).T  # (3, m)
-    u = np.full(m, 1.0 / m)
-    for _ in range(1000):
-        x = (q * u) @ q.T
-        xin = np.linalg.inv(x)
-        marg = np.sum(q * (xin @ q), axis=0)
-        jmax = int(np.argmax(marg))
-        step = (marg[jmax] - 3.0) / (3.0 * (marg[jmax] - 1.0))
-        if step <= 1e-8:
-            break
-        u = u * (1.0 - step)
-        u[jmax] += step
-    c = pts.T @ u
-    s = (pts * u[:, None]).T @ pts - np.outer(c, c)
-    return c, np.linalg.inv(s) / 2.0
-
-
 def john_normalize(section):
     """Normalizing map from the second-moment ellipse of the member cells.
 
     Principal axes are matched to the covariance (exact for an ellipse),
     then the axes are scaled so the farthest member cell sits, including a
     one-cell pad, exactly on radius 2 -- this pins the outer inclusion and
-    leaves the inner one to verify.  If verification fails the Khachiyan
-    minimum-area ellipse of the hull replaces the moment estimate with the
-    John shrink factor 2.
+    leaves the inner one to verify.  A failed check is reported through
+    containment_ok, outer_ok and inner_ok, not raised.
     """
     grid = section.grid
     h = grid.spacing
@@ -237,40 +201,12 @@ def john_normalize(section):
     semi = semi * (rmax / 2.0)
     A = v @ np.diag(semi)
     outer_ok, inner_ok = verify_containment(section, A, b)
-    method = "moments"
-
-    if not (outer_ok and inner_ok):
-        method = "hull"
-        try:
-            hull = ConvexHull(pts)
-            hull_pts = pts[hull.vertices]
-        except QhullError as exc:
-            raise DegenerateSection(f"hull construction failed: {exc}") from exc
-        c, emat = _min_area_ellipse(hull_pts)
-        ew, ev = np.linalg.eigh(emat)
-        if np.min(ew) <= 0:
-            raise DegenerateSection("enclosing ellipse is degenerate")
-        axes = 1.0 / np.sqrt(ew)
-        if np.linalg.det(ev) < 0:
-            ev = ev[:, ::-1].copy()
-            axes = axes[::-1].copy()
-        if np.min(axes) < 1.5 * h:
-            raise DegenerateSection(
-                f"section thinner than 3 cells across (axes {axes})"
-            )
-        # T(B_2) is the enclosing ellipse; John gives T(B_1) inside the hull
-        semi = axes / 2.0
-        A = ev @ np.diag(semi)
-        b = c
-        outer_ok, inner_ok = verify_containment(section, A, b)
-
     return JohnNormalization(
         A=A,
-        b=np.asarray(b, dtype=float),
+        b=b,
         det_A=float(np.linalg.det(A)),
-        semi_axes=np.asarray(semi, dtype=float),
-        containment_ok=bool(outer_ok and inner_ok),
-        outer_ok=bool(outer_ok),
-        inner_ok=bool(inner_ok),
-        method=method,
+        semi_axes=semi,
+        containment_ok=outer_ok and inner_ok,
+        outer_ok=outer_ok,
+        inner_ok=inner_ok,
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sgtorus
-from sgtorus import acceptance, cli, polar, presets
+from sgtorus import acceptance, cli, dynamics, polar, presets
 from sgtorus.grid import TorusGrid, TorusField, field_from_binary, field_to_binary
 
 
@@ -26,6 +26,19 @@ class TestParsing:
                        "--out", str(tmp_path / "o"))
         assert code == 1
         assert "unknown density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lma-dirichlet", "green-report",
+                                         "sections-report",
+                                         "regularity-report"])
+    def test_unknown_potential_names_potential_presets(self, command,
+                                                       tmp_path, capsys):
+        code = run_cli(command, "--preset", "nope",
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown potential 'nope'" in err
+        assert ", ".join(cli.POTENTIAL_PRESETS) in err
+        assert ", ".join(presets.DENSITY_PRESETS) in err
 
     def test_nonpositive_parameter(self, tmp_path, capsys):
         assert run_cli("ma-solve", "--n", "-8",
@@ -201,6 +214,35 @@ class TestSgRun:
         assert summary["lma_residual_max"] > 0.0
         final = field_from_binary(out / "final_rho.bin")
         assert final.values.mean() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _short_run_csv(out):
+        # the arguments of the shared short_run fixture
+        assert run_cli("sg-run", "--n", "32", "--dt", "2e-3",
+                       "--t-end", "0.05", "--preset", "two-mode",
+                       "--out", str(out)) == 0
+        return (out / "certificates.csv").read_bytes()
+
+    def test_certificates_csv_layout(self, tmp_path, short_run):
+        lines = self._short_run_csv(tmp_path / "run").decode().splitlines()
+        assert lines[0] == ",".join(dynamics.CERTIFICATE_COLUMNS)
+        assert len(lines) == 1 + 26
+        row = [float(v) for v in lines[1].split(",")]
+        assert row[0] == 0.0
+        assert row[1] == pytest.approx(1.0)
+        # floats as their repr; the solver counter is an integer, the cold
+        # solve's Krylov total
+        assert lines[1:] == [
+            ",".join(str(c[col]) if col == "krylov_iters"
+                     else repr(float(c[col]))
+                     for col in dynamics.CERTIFICATE_COLUMNS)
+            for c in short_run.certificates]
+        krylov = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert int(krylov[0]) > int(krylov[1]) >= 1
+
+    def test_certificates_csv_byte_identical(self, tmp_path):
+        assert (self._short_run_csv(tmp_path / "a")
+                == self._short_run_csv(tmp_path / "b"))
 
     def test_run_of_no_step_is_config_error(self, tmp_path, capsys):
         # t_end / dt rounds to 0: nothing to certify, and NaN is no JSON

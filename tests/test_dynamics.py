@@ -303,22 +303,3 @@ class TestTimeRegularity:
         a = dynamics.holder_in_time_report(short_run, seed=4)
         b = dynamics.holder_in_time_report(short_run, seed=4)
         assert a.summary == b.summary
-
-
-class TestCertificatesCsv:
-    def test_layout_and_roundtrip(self, short_run):
-        text = dynamics.certificates_csv(short_run)
-        lines = text.splitlines()
-        assert lines[0] == ",".join(dynamics.CERTIFICATE_COLUMNS)
-        assert len(lines) == 1 + 26
-        row = [float(v) for v in lines[1].split(",")]
-        assert row[0] == 0.0
-        assert row[1] == pytest.approx(1.0)
-        # the solver counter is an integer, the cold solve's Krylov total
-        krylov = [line.rsplit(",", 1)[1] for line in lines[1:]]
-        assert krylov == [str(c["krylov_iters"]) for c in short_run.certificates]
-        assert int(krylov[0]) > int(krylov[1]) >= 1
-
-    def test_byte_identical_for_same_run(self, short_run):
-        assert (dynamics.certificates_csv(short_run)
-                == dynamics.certificates_csv(short_run))

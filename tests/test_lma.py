@@ -5,7 +5,7 @@ from scipy.sparse.linalg import spsolve
 
 from sgtorus import lma, presets
 from sgtorus.errors import IndefiniteOperator, SolverStall
-from sgtorus.grid import TorusGrid, periodic_gradient, TorusField
+from sgtorus.grid import TorusGrid, periodic_gradient
 from sgtorus.krylov import cg, dot, norm
 from sgtorus.lma import (
     DivergenceFormOperator,
@@ -85,7 +85,7 @@ class TestOperator:
         grid, op = identity_operator(32)
         x1, x2 = grid.centers()
         q = 0.1 * np.cos(TWO_PI * x1) * np.sin(TWO_PI * x2)
-        g1, g2 = periodic_gradient(TorusField(grid, q))
+        g1, g2 = periodic_gradient(q, grid)
         div = op.divergence_rhs(g2, -g1)
         assert np.max(np.abs(div)) <= 1e-10
 

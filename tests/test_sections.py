@@ -5,6 +5,7 @@ from scipy import ndimage
 from sgtorus import presets, sections
 from sgtorus.errors import DegenerateSection, EmptySection, SectionWrapsTorus
 from sgtorus.grid import TorusGrid
+from sgtorus.ma import solve_ma_periodic
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ class TestExtraction:
         sec = disc_section
         assert sec.center_index == (64, 64)
         assert np.allclose(sec.center, [0.50390625, 0.50390625])
-        assert sec.contains_point((0.5, 0.5))
+        assert sec.mask[sec.grid.index_of(np.array([0.5, 0.5]))]
 
     def test_connected_single_component(self):
         grid = TorusGrid(64)
@@ -128,3 +129,44 @@ class TestJohnNormalization:
         john = sections.john_normalize(sec)
         ratio = np.max(john.semi_axes) / np.min(john.semi_axes)
         assert 1.05 < ratio < (half2 / half1) * 1.05
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (0.02, 50.0)])
+    def test_two_bump_sections_certified_by_moments(self, lo, hi):
+        # pinch ratios 4 and 2500: every section that normalizes passes
+        # the sandwich check with the second-moment ellipse alone
+        grid = TorusGrid(48)
+        rho, lam, Lam = presets.two_bump_density(grid, lo, hi)
+        pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        centers = np.random.default_rng(0).random((12, 2))
+        normalized = 0
+        for c in centers:
+            for height in (0.04, 0.02, 0.01, 0.005):
+                try:
+                    john = sections.john_normalize(
+                        sections.extract_section(pot, c, height))
+                except (SectionWrapsTorus, EmptySection, DegenerateSection):
+                    continue
+                normalized += 1
+                assert john.containment_ok
+                assert john.method == "moments"
+        assert normalized >= 40
+
+    def test_ring_fails_inner_check_without_raising(self):
+        # an annulus of radii 11 and 15 cells: the moment ellipse is
+        # calibrated to the outer rim, so its half-size inner ellipse
+        # (radius about 7.5 cells) falls into the hole
+        grid = TorusGrid(64)
+        i0 = j0 = 32
+        di, dj = np.meshgrid(np.arange(64) - i0, np.arange(64) - j0,
+                             indexing="ij")
+        r = np.hypot(di, dj)
+        mask = (r >= 11) & (r <= 15)
+        h = grid.spacing
+        offsets = np.column_stack([di[mask], dj[mask]]) * h
+        center = np.array([(i0 + 0.5) * h, (j0 + 0.5) * h])
+        ring = sections.Section(grid, center, (i0, j0), 0.01, mask, offsets)
+        john = sections.john_normalize(ring)
+        assert john.outer_ok
+        assert not john.inner_ok
+        assert not john.containment_ok
+        assert john.method == "moments"
