@@ -9,14 +9,16 @@ warm-started from it, then LEGENDRE_REPS Legendre transforms of the cold
 potential, then GREEN_REPS masked Green's functions (operator set-up plus
 CG solve at rtol 1e-12) with the pole at the centre of each section
 S(GREEN_CENTRE, h) of the cold potential, h in GREEN_HEIGHTS, then
+dynamics.lma_residual on each interior record of the warm steps with its
+centred dP*/dt (their median is lma_residual_s), then
 dynamics.dtp_regularity at HOLDER_CENTRES seeded centres
 on the centred dP*/dt of the warm steps: once on the first (holder_first_s,
 which builds any per-centre tables) and HOLDER_REPS times on the next ones
 in turn (their median is holder_s).  Prints one JSON object per N: cold_s,
-the median step_s, legendre_s and holder_s, holder_first_s, Newton and
-Krylov iteration counts, green_s and green_iters (the median Green time
-and the CG iterations of one Green solve, keyed by h), and the child's
-peak RSS.
+the median step_s, legendre_s, lma_residual_s and holder_s,
+holder_first_s, Newton and Krylov iteration counts, green_s and
+green_iters (the median Green time and the CG iterations of one Green
+solve, keyed by h), and the child's peak RSS.
 With --pinch, each N instead times cold solves of the two-bump density
 mapped onto [P^-1/2, P^1/2] for each pinch P (the pinch Lambda/lambda is
 P before the mass normalization), PINCH_REPS solves each, and then
@@ -106,21 +108,27 @@ def measure(n, steps):
         green_s[repr(h)] = statistics.median(times)
         green_iters[repr(h)] = cg_iters[-1]
     lma.cg = cg
-    # (rho, dP*/dt) at the interior records, centred as RunResult.dtp_field
-    records = [(history[k].rho,
+    # (state, dP*/dt) at the interior records, centred as RunResult.dtp_field
+    records = [(history[k],
                 mean_zero((history[k + 1].pot.q - history[k - 1].pot.q)
                           / (2.0 * DT)))
                for k in range(1, len(history) - 1)]
+    lma_residual_s = []
+    for state, dtp in records:
+        t = time.perf_counter()
+        dynamics.lma_residual(state.pot, state.rho, state.velocity, dtp)
+        lma_residual_s.append(time.perf_counter() - t)
     centers = np.random.default_rng(0).random((HOLDER_CENTRES, 2))
     holder_s = []
     for r in range(HOLDER_REPS + 1):
-        rho, dtp = records[r % len(records)]
+        state, dtp = records[r % len(records)]
         t = time.perf_counter()
-        dynamics.dtp_regularity(dtp, rho, centers, grid)
+        dynamics.dtp_regularity(dtp, state.rho, centers, grid)
         holder_s.append(time.perf_counter() - t)
     return {
         "n": n, "cold_s": cold_s, "step_s": statistics.median(step_s),
         "legendre_s": statistics.median(legendre_s),
+        "lma_residual_s": statistics.median(lma_residual_s),
         "holder_first_s": holder_s[0],
         "holder_s": statistics.median(holder_s[1:]),
         "green_s": green_s, "green_iters": green_iters,

@@ -14,7 +14,9 @@ once the next record exists, checks each state against the identity
 
     div(Phi grad dP*/dt) = div(-rho U);
 
-the reports fit the spatial Holder regularity of dP*/dt.
+the periodic 9-point stencil of the linearized operator is applied
+to dP*/dt directly, with no matrix assembled.  The reports fit the
+spatial Holder regularity of dP*/dt.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ from . import grid as gridmod
 from .errors import CFLViolation, InsufficientSamples, InvariantViolation
 from .grid import PeriodicDisplacement, TorusField, mean_zero
 from .krylov import norm
-from .lma import stencil_rows
+from .lma import apply_stencil
 from .ma import ConvexPotential, cofactor, solve_ma_periodic
 from .regularity import holder_fits
 
@@ -270,14 +272,14 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
 def lma_residual(pot, rho, velocity, dtp):
     """Relative L2 residual of div(Phi grad dtp) = div(-rho U).
 
-    The assembled operator computes -div(Phi grad .), so the identity
+    The periodic stencil, applied without assembling its matrix
+    (lma.apply_stencil), computes -div(Phi grad .), so the identity
     reads  L dtp = div(rho U).
     """
     grid = pot.grid
-    rows = stencil_rows(grid, cofactor(pot), np.arange(grid.n**2))
     rhs = gridmod.periodic_divergence(rho * velocity.d1, rho * velocity.d2,
                                       grid).ravel()
-    lhs = rows @ np.asarray(dtp, dtype=float).ravel()
+    lhs = apply_stencil(grid, cofactor(pot), dtp).ravel()
     scale = norm(rhs) or 1.0
     return norm(lhs - rhs) / scale
 

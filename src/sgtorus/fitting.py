@@ -2,7 +2,9 @@
 
 All exponent estimates in the package go through one ordinary least
 squares fit in log-log coordinates so that reports agree on slope,
-prefactor, and R^2 conventions.
+prefactor, and R^2 conventions.  The line is fitted in closed form from
+the centred sums (slope = sum dx dy / sum dx^2), not by a general least
+squares solver.
 """
 
 import dataclasses
@@ -48,7 +50,9 @@ def loglog_fit(x, y, min_points=4):
 
 
 def linear_fit(x, y, min_points=4):
-    """Plain OLS fit y = slope*x + intercept with R^2 (no log transform)."""
+    """Plain OLS fit y = slope*x + intercept with R^2 (no log transform),
+    in closed form from the centred sums.  Raises InsufficientSamples on
+    fewer than min_points finite pairs or on equal abscissae."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(x) & np.isfinite(y)
@@ -57,12 +61,18 @@ def linear_fit(x, y, min_points=4):
         raise InsufficientSamples(
             f"fit needs {min_points} usable samples, got {x.size}"
         )
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    x_mean, y_mean = x.sum() / x.size, y.sum() / y.size
+    dx, dy = x - x_mean, y - y_mean
+    sxx = float((dx * dx).sum())
+    if sxx == 0.0:
+        raise InsufficientSamples("fit needs two distinct abscissae")
+    slope = float((dx * dy).sum()) / sxx
+    intercept = float(y_mean - slope * x_mean)
+    res = y - (slope * x + intercept)
+    ss_res = float((res * res).sum())
+    ss_tot = float((dy * dy).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(float(slope), float(intercept), r2, int(x.size))
+    return PowerLawFit(slope, intercept, r2, int(x.size))
 
 
 def dyadic_ladder(top, rungs):

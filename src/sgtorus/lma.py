@@ -11,8 +11,10 @@ The matrix is symmetric by construction, has exactly the constants in its
 periodic kernel, and collapses to the standard 5-point Laplacian when
 Phi is the identity.  Dirichlet problems live on a cell mask with the
 one-cell ring outside held at zero (or at supplied boundary values).
-Every operator and residual assembles only the rows it reads
-(stencil_rows).  Both modes solve by preconditioned CG with a
+Every operator and masked residual assembles only the rows it reads
+(stencil_rows); the periodic residual of the time loop applies the
+stencil without assembling it (apply_stencil), bit for bit the product
+with the assembled rows.  Both modes solve by preconditioned CG with a
 preconditioner built once per operator: periodic ones with the
 trace-scaled FFT inverse that the Newton update of the Monge-Ampere
 solve also uses (grid.trace_scaled_inverse), Dirichlet ones with one
@@ -77,13 +79,12 @@ def _stencil_layout(n):
     return columns, order, seam
 
 
-def stencil_rows(grid, coeffs, cells):
-    """Rows `cells` (flat indices) of the periodic 9-point matrix of the
-    energy, in CSR with global column indices and nine entries per row.
+def _weights(grid, coeffs, at):
+    """The nine stencil weights of the energy, in _OFFSETS order, for the
+    cells that the accessor at(a, di, dj) reads: it returns the
+    coefficient array a at (i + di, j + dj) for each such cell (i, j).
     Raises IndefiniteOperator unless the coefficient tensor is positive
-    definite in every cell.  The weights are computed from the
-    coefficients of the cells and their stencil neighbours only, so past
-    that check the cost is O(cells).
+    definite in every cell.
 
     Faces: cells (i,j),(i+1,j) with harmonic c11 weight wx, cells
     (i,j),(i,j+1) with harmonic c22 weight wy.  Corners: cells a=(i,j),
@@ -101,13 +102,7 @@ def stencil_rows(grid, coeffs, cells):
             f"(min diag {min(np.min(c11), np.min(c22)):.3e}, "
             f"min det {np.min(det):.3e})"
         )
-    n, h = grid.n, grid.spacing
-    columns, order, seam = _stencil_layout(n)
-    where = _neighbours(n, cells)
-
-    def at(a, di, dj):  # a at (i + di, j + dj) for each cell (i, j)
-        return a.ravel()[where[di, dj]]
-
+    h = grid.spacing
     a12 = {o: at(c12, *o) for o in _OFFSETS}
 
     def corner(i, j):  # wc of the 2x2 block whose first cell is (i, j)
@@ -123,8 +118,30 @@ def stencil_rows(grid, coeffs, cells):
     wc, wc_mm = corner(0, 0), corner(-1, -1)
     wc_m0, wc_0m = corner(-1, 0), corner(0, -1)
     diag = wx + wx_m + wy + wy_m + wc + wc_mm - wc_m0 - wc_0m
-    data = np.stack([-wc_mm, -wx_m, wc_m0, -wy_m, diag, -wy, wc_0m, -wx, -wc],
-                    axis=-1)
+    return [-wc_mm, -wx_m, wc_m0, -wy_m, diag, -wy, wc_0m, -wx, -wc]
+
+
+def _row_sums(weights, values):
+    """sum_k weights[k] * values[k], added left to right as a CSR row
+    product adds its entries."""
+    total = weights[0] * values[0]
+    for w, v in zip(weights[1:], values[1:]):
+        total += w * v
+    return total
+
+
+def stencil_rows(grid, coeffs, cells):
+    """Rows `cells` (flat indices) of the periodic 9-point matrix of the
+    energy (_weights), in CSR with global column indices and nine entries
+    per row.  The weights are computed from the coefficients of the cells
+    and their stencil neighbours only, so past the positive-definiteness
+    check the cost is O(cells)."""
+    n = grid.n
+    where = _neighbours(n, cells)
+    data = np.stack(
+        _weights(grid, coeffs, lambda a, di, dj: a.ravel()[where[di, dj]]),
+        axis=-1)
+    columns, order, seam = _stencil_layout(n)
     # rows on the array seam list their columns in another order
     wrap = np.flatnonzero(seam[cells])
     data[wrap] = np.take_along_axis(data[wrap], order[cells[wrap]], axis=1)
@@ -133,6 +150,33 @@ def stencil_rows(grid, coeffs, cells):
          np.arange(0, 9 * cells.size + 1, 9)),
         shape=(cells.size, n * n),
     )
+
+
+def apply_stencil(grid, coeffs, u):
+    """stencil_rows(grid, coeffs, every cell) @ u bit for bit, as an N x N
+    array, without assembling the matrix: the weights are computed on
+    the whole grid, each array read through views of one periodically
+    padded copy, and the nine products summed in _OFFSETS order, which
+    is each row's column order away from the array seam; the seam rows
+    are summed again in their own column order."""
+    n = grid.n
+    u = np.asarray(u, dtype=float).reshape(n, n)
+    # keyed by identity: _weights hands the accessor the arrays themselves
+    padded = {id(a): np.pad(a, 1, mode="wrap")
+              for a in (coeffs.c11, coeffs.c12, coeffs.c22, u)}
+
+    def at(a, di, dj):  # a at (i + di, j + dj)
+        return padded[id(a)][1 + di:n + 1 + di, 1 + dj:n + 1 + dj]
+
+    weights = _weights(grid, coeffs, at)
+    out = _row_sums(weights, [at(u, *o) for o in _OFFSETS])
+    columns, order, seam = _stencil_layout(n)
+    cells = np.flatnonzero(seam)
+    data = np.take_along_axis(
+        np.stack([w.ravel()[cells] for w in weights], axis=-1),
+        order[cells], axis=1)
+    np.put(out, cells, _row_sums(data.T, u.ravel()[columns[cells]].T))
+    return out
 
 
 # --- aggregation multigrid -----------------------------------------------------

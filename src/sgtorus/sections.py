@@ -148,8 +148,8 @@ def verify_containment(section, A, b):
 
     Outer: every member offset maps into B_2 (padded by a cell diagonal).
     Inner: the image of the unit circle, at 64 angles, lands on member
-    cells (or within one cell of one, read off the 3 x 3 periodic
-    dilation of the mask); convexity of the section covers the interior.
+    cells (or within one cell of one, _near_member); convexity of the
+    section covers the interior.
     """
     h = section.grid.spacing
     Ainv = np.linalg.inv(A)
@@ -161,9 +161,18 @@ def verify_containment(section, A, b):
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
     ys = circle @ A.T + b
     i, j = section.grid.index_of(gridmod.wrap(section.center + ys))
-    near = ndimage.maximum_filter(section.mask, size=3, mode="wrap")
-    inner_ok = bool(np.all(near[i, j]))
+    inner_ok = bool(np.all(_near_member(section.mask, i, j)))
     return outer_ok, inner_ok
+
+
+def _near_member(mask, i, j):
+    """Whether each cell (i, j) has a member of the mask in its 3 x 3
+    periodic neighbourhood: the periodic 3 x 3 dilation of the mask read
+    at those cells only."""
+    n = mask.shape[0]
+    d = np.arange(-1, 2)
+    near = mask[(i[:, None, None] + d[:, None]) % n, (j[:, None, None] + d) % n]
+    return np.any(near, axis=(1, 2))
 
 
 def _principal_frame(pts, cell_h):

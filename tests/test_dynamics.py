@@ -9,7 +9,8 @@ from sgtorus.grid import (
     mean_zero,
     periodic_divergence,
 )
-from sgtorus.lma import DivergenceFormOperator
+from sgtorus.krylov import norm
+from sgtorus.lma import DivergenceFormOperator, stencil_rows
 from sgtorus.ma import cofactor, solve_ma_periodic
 
 TWO_PI = 2.0 * np.pi
@@ -148,6 +149,25 @@ class TestRun:
             ref = (np.linalg.norm((op.apply(dtp) - rhs).ravel())
                    / np.linalg.norm(rhs))
             assert c["lma_residual"] == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_lma_residual_is_assembled_row_product(self, monkeypatch):
+        # every record, bit for bit, against the product with the
+        # assembled rows of all cells on the record's own state
+        states = []
+        residual = dynamics.lma_residual
+        monkeypatch.setattr(
+            dynamics, "lma_residual",
+            lambda *args: states.append(args) or residual(*args))
+        grid = TorusGrid(32)
+        rho0, lam, Lam = presets.two_mode_density(grid)
+        res = dynamics.run(rho0, grid, dt=2e-3, t_end=0.02, lam=lam, Lam=Lam)
+        assert len(states) == len(res.certificates)
+        for c, (pot, rho, vel, dtp) in zip(res.certificates, states):
+            rows = stencil_rows(grid, cofactor(pot), np.arange(32 * 32))
+            rhs = periodic_divergence(rho * vel.d1, rho * vel.d2,
+                                      grid).ravel()
+            ref = norm(rows @ dtp.ravel() - rhs) / (norm(rhs) or 1.0)
+            assert c["lma_residual"] == ref
 
     def test_one_potential_per_record(self, monkeypatch):
         # the residuals reuse each step's own potential: the solver's

@@ -9,6 +9,7 @@ from sgtorus.grid import TorusGrid, periodic_gradient
 from sgtorus.krylov import cg, dot, norm
 from sgtorus.lma import (
     DivergenceFormOperator,
+    apply_stencil,
     boundary_ring,
     green_function,
     green_integrability_report,
@@ -77,9 +78,12 @@ class TestOperator:
         cof = CofactorField(grid, c11, c12, c22)
         with pytest.raises(IndefiniteOperator):
             DivergenceFormOperator(grid, cof)
-        # the residual paths assemble rows without an operator
+        # the residual paths assemble rows, or apply the stencil, without
+        # an operator
         with pytest.raises(IndefiniteOperator):
             stencil_rows(grid, cof, np.arange(16 * 16))
+        with pytest.raises(IndefiniteOperator):
+            apply_stencil(grid, cof, np.ones((16, 16)))
 
     def test_divergence_of_rotated_gradient_vanishes(self):
         grid, op = identity_operator(32)
@@ -355,6 +359,27 @@ class TestRowAssembly:
                            [0, n - 1, n * (n - 1), n * n - 1])
         assert_same_csr(stencil_rows(grid, cof, cells),
                         oracle[cells])
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 33])
+    def test_applied_stencil_is_row_product(self, n):
+        rng = np.random.default_rng(n)
+        grid = TorusGrid(n)
+        c11, c22 = 0.5 + rng.random((2, n, n))
+        c12 = 0.4 * (rng.random((n, n)) - 0.5)
+        cof = CofactorField(grid, c11, c12, c22)
+        # some rows list their columns out of _OFFSETS order
+        assert np.any(lma._stencil_layout(n)[2])
+        u = rng.standard_normal((n, n))
+        product = stencil_rows(grid, cof, np.arange(n * n)) @ u.ravel()
+        assert np.array_equal(apply_stencil(grid, cof, u),
+                              product.reshape(n, n))
+
+    def test_two_bump_applied_stencil_is_row_product(self, two_bump, rng):
+        grid, pot, cof = two_bump
+        u = rng.standard_normal((grid.n, grid.n))
+        product = stencil_rows(grid, cof, np.arange(grid.n**2)) @ u.ravel()
+        assert np.array_equal(apply_stencil(grid, cof, u),
+                              product.reshape(grid.n, grid.n))
 
     def test_two_bump_rows_match_rolled_oracle(self, two_bump):
         grid, pot, cof = two_bump

@@ -93,6 +93,21 @@ class TestJohnNormalization:
         inner, outer = sections.verify_containment(disc_section, john.A, john.b)
         assert inner and outer
 
+    def test_near_member_is_wrapped_dilation(self, rng):
+        # the 3 x 3 neighbourhoods read directly agree with the periodic
+        # dilation of the whole mask, at seam and corner cells too
+        n = 16
+        mask = rng.random((n, n)) < 0.1
+        mask[0, 0] = mask[5, n - 1] = True
+        near = ndimage.maximum_filter(mask, size=3, mode="wrap")
+        assert not np.all(near)
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        i, j = i.ravel(), j.ravel()
+        assert np.array_equal(sections._near_member(mask, i, j), near[i, j])
+        # (0, 0) is a member, so every corner of the array is near one
+        corners = np.array([0, 0, n - 1, n - 1]), np.array([0, n - 1, 0, n - 1])
+        assert np.all(sections._near_member(mask, *corners))
+
     def test_degenerate_thin_section(self):
         # five cells in a plus shape extract fine but cannot be normalized
         pot = presets.quadratic_potential(TorusGrid(32))
