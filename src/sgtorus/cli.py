@@ -74,9 +74,9 @@ def _merge(args, cfg, key, cast, default):
 
 
 def _positive(value, name):
-    if value is None or value > 0:
+    if value is None or (np.isfinite(value) and value > 0):
         return value
-    raise ConfigError(f"{name} must be positive, got {value}")
+    raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def _grid_size(args, cfg, default):
@@ -171,8 +171,8 @@ def cmd_ma_solve(args, cfg):
     rho, lam, Lam = _resolve_density(rho0, grid)
     pot = solve_ma_periodic(rho, lam=lam, Lam=Lam, tol=tol)
     out = _out_dir(args)
-    gridmod.field_to_binary(TorusField(grid, pot.q), os.path.join(out, "q.bin"))
-    gridmod.field_to_binary(TorusField(grid, pot.det), os.path.join(out, "det.bin"))
+    gridmod.field_to_binary(pot.q, os.path.join(out, "q.bin"))
+    gridmod.field_to_binary(pot.det, os.path.join(out, "det.bin"))
     _write_json(os.path.join(out, "solution.json"), pot.header_dict())
     return 0
 
@@ -184,8 +184,8 @@ def cmd_sg_run(args, cfg):
     tol = _positive(_merge(args, cfg, "tol", float, None), "tol")
     every = _positive(_merge(args, cfg, "report_every", int, 1), "report_every")
     rho0 = args.preset or cfg.get("rho0", "perturbed")
-    lam = _merge(args, cfg, "lambda", float, None)
-    Lam = _merge(args, cfg, "Lambda", float, None)
+    lam = _positive(_merge(args, cfg, "lambda", float, None), "lambda")
+    Lam = _positive(_merge(args, cfg, "Lambda", float, None), "Lambda")
     if round(t_end / dt) < 1:
         raise ConfigError(f"t_end={t_end} rounds to no step of dt={dt}")
 
@@ -201,9 +201,9 @@ def cmd_sg_run(args, cfg):
                dynamics.CERTIFICATE_COLUMNS,
                [[c[col] for col in dynamics.CERTIFICATE_COLUMNS]
                 for c in res.certificates[::every]])
-    gridmod.field_to_binary(TorusField(grid, res.rho_history[-1]),
+    gridmod.field_to_binary(res.rho_history[-1],
                             os.path.join(out, "final_rho.bin"))
-    gridmod.field_to_binary(TorusField(grid, res.q_history[-1]),
+    gridmod.field_to_binary(res.q_history[-1],
                             os.path.join(out, "final_q.bin"))
     violated = [(k, v) for k, c in enumerate(res.certificates)
                 for v in c.get("violations", [])]
@@ -243,7 +243,7 @@ def cmd_lma_dirichlet(args, cfg):
     u, info = solve_dirichlet_lma(cofactor(pot), sec.mask, grid, F=(F1, F2),
                                   tol=1e-12)
     out = _out_dir(args)
-    gridmod.field_to_binary(TorusField(grid, u), os.path.join(out, "u.bin"))
+    gridmod.field_to_binary(u, os.path.join(out, "u.bin"))
     _write_json(os.path.join(out, "solve.json"), {
         "n": n, "height": height, "center": list(center),
         "cells": info["cells"], "relative_residual": info["relative_residual"],
@@ -350,8 +350,8 @@ def cmd_regularity_report(args, cfg):
 
 def cmd_polar_run(args, cfg):
     seed = _merge(args, cfg, "seed", int, 0)
-    lam = _merge(args, cfg, "lambda", float, None)
-    Lam = _merge(args, cfg, "Lambda", float, None)
+    lam = _positive(_merge(args, cfg, "lambda", float, None), "lambda")
+    Lam = _positive(_merge(args, cfg, "Lambda", float, None), "Lambda")
     if args.series:
         # the series fixes its own grid and timestamps
         for flag in ("--n", "--steps", "--t-end"):

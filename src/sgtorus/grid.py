@@ -73,9 +73,7 @@ class TorusGrid:
         return np.array([(i + 0.5) * self.spacing, (j + 0.5) * self.spacing])
 
 
-def check_same_grid(a, b):
-    ga = a.grid if hasattr(a, "grid") else a
-    gb = b.grid if hasattr(b, "grid") else b
+def check_same_grid(ga, gb):
     if ga.n != gb.n:
         raise GridMismatch(f"grids differ: {ga.n} vs {gb.n}")
 
@@ -259,9 +257,8 @@ def trace_scaled_inverse(c11, c12, c22):
         *(float(np.mean(c * inv_t)) for c in (c11, c12, c22)), c11.shape[0])
 
 
-def integral(field, grid=None):
+def integral(values, grid):
     """Midpoint quadrature over the torus (exact for the stored samples)."""
-    values, grid = _values_and_grid(field, grid)
     return float(np.sum(values)) * grid.cell_area
 
 
@@ -269,14 +266,6 @@ def mean_zero(values):
     """Subtract the grid mean."""
     values = np.asarray(values, dtype=float)
     return values - values.mean()
-
-
-def _values_and_grid(field, grid=None):
-    if isinstance(field, TorusField):
-        return field.values, field.grid
-    if grid is None:
-        raise ValueError("grid required when passing a bare array")
-    return np.asarray(field, dtype=float), grid
 
 
 # --- interpolation ----------------------------------------------------------
@@ -315,12 +304,13 @@ def sample_vector_bilinear(v1, v2, points, grid):
 # (as a float), then the N*N values row-major.  CSV mirrors the same
 # row-major order with full round-trip precision.
 
-def field_to_binary(field, path):
-    values, grid = _values_and_grid(field)
-    header = np.array([float(grid.n)], dtype="<f8")
+def field_to_binary(values, path):
+    """Write an (N, N) array of cell values, N taken from its shape."""
+    values = np.asarray(values, dtype="<f8")
+    header = np.array([float(values.shape[0])], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
-        fh.write(values.astype("<f8").tobytes())
+        fh.write(values.tobytes())
 
 
 def field_from_binary(path):

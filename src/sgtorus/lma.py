@@ -12,8 +12,9 @@ periodic kernel, and collapses to the standard 5-point Laplacian when
 Phi is the identity.  Dirichlet problems live on a cell mask with the
 one-cell ring outside held at zero (or at supplied boundary values).
 Every operator and masked residual assembles only the rows it reads
-(stencil_rows); the periodic residual of the time loop applies the
-stencil without assembling it (apply_stencil), bit for bit the product
+(stencil_rows), each row's nine entries in _OFFSETS order; the
+periodic residual of the time loop applies the stencil in that order
+without assembling it (apply_stencil), bit for bit the product
 with the assembled rows.  Both modes solve by preconditioned CG with a
 preconditioner built once per operator: periodic ones with the
 trace-scaled FFT inverse that the Newton update of the Monge-Ampere
@@ -24,7 +25,6 @@ near linear in the number of cells.
 """
 
 import dataclasses
-import functools
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -46,8 +46,7 @@ def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
 
 
-# (di, dj) of the nine stencil entries of a row, in the order of their
-# columns away from the array seam
+# (di, dj) of the nine stencil entries of a row, in their stored order
 _OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1))
 
@@ -58,25 +57,6 @@ def _neighbours(n, cells):
     rows = {d: (i + d) % n * n for d in (-1, 0, 1)}
     cols = {d: (j + d) % n for d in (-1, 0, 1)}
     return {(di, dj): rows[di] + cols[dj] for di, dj in _OFFSETS}
-
-
-@functools.lru_cache(maxsize=8)
-def _stencil_layout(n):
-    """CSR layout of the periodic 9-point stencil: each cell's neighbour
-    indices in ascending order (the column indices of its row), the
-    permutation that takes them from _OFFSETS order to that order, and
-    whether it is not the identity, which happens only on the array
-    seam.  Read-only, so the cached arrays cannot be altered through a
-    matrix built on them."""
-    neighbours = np.stack(list(_neighbours(n, np.arange(n * n)).values()),
-                          axis=-1)
-    order = np.argsort(neighbours, axis=1)
-    columns = np.take_along_axis(neighbours, order, axis=1)
-    seam = np.any(order != np.arange(9), axis=1)
-    order = order.astype(np.int8)
-    for a in (columns, order, seam):
-        a.flags.writeable = False
-    return columns, order, seam
 
 
 def _weights(grid, coeffs, at):
@@ -123,7 +103,7 @@ def _weights(grid, coeffs, at):
 
 def _row_sums(weights, values):
     """sum_k weights[k] * values[k], added left to right as a CSR row
-    product adds its entries."""
+    product adds a row's entries in their stored order."""
     total = weights[0] * values[0]
     for w, v in zip(weights[1:], values[1:]):
         total += w * v
@@ -132,21 +112,17 @@ def _row_sums(weights, values):
 
 def stencil_rows(grid, coeffs, cells):
     """Rows `cells` (flat indices) of the periodic 9-point matrix of the
-    energy (_weights), in CSR with global column indices and nine entries
-    per row.  The weights are computed from the coefficients of the cells
-    and their stencil neighbours only, so past the positive-definiteness
-    check the cost is O(cells)."""
+    energy (_weights), in CSR with global column indices and each row's
+    nine entries in _OFFSETS order.  The weights are computed from the
+    coefficients of the cells and their stencil neighbours only, so past
+    the positive-definiteness check the cost is O(cells)."""
     n = grid.n
     where = _neighbours(n, cells)
     data = np.stack(
         _weights(grid, coeffs, lambda a, di, dj: a.ravel()[where[di, dj]]),
         axis=-1)
-    columns, order, seam = _stencil_layout(n)
-    # rows on the array seam list their columns in another order
-    wrap = np.flatnonzero(seam[cells])
-    data[wrap] = np.take_along_axis(data[wrap], order[cells[wrap]], axis=1)
     return sparse.csr_matrix(
-        (data.ravel(), np.take(columns, cells, axis=0).ravel(),
+        (data.ravel(), np.stack(list(where.values()), axis=-1).ravel(),
          np.arange(0, 9 * cells.size + 1, 9)),
         shape=(cells.size, n * n),
     )
@@ -156,9 +132,8 @@ def apply_stencil(grid, coeffs, u):
     """stencil_rows(grid, coeffs, every cell) @ u bit for bit, as an N x N
     array, without assembling the matrix: the weights are computed on
     the whole grid, each array read through views of one periodically
-    padded copy, and the nine products summed in _OFFSETS order, which
-    is each row's column order away from the array seam; the seam rows
-    are summed again in their own column order."""
+    padded copy, and the nine products summed in _OFFSETS order, the
+    order of every row's entries."""
     n = grid.n
     u = np.asarray(u, dtype=float).reshape(n, n)
     # keyed by identity: _weights hands the accessor the arrays themselves
@@ -168,15 +143,8 @@ def apply_stencil(grid, coeffs, u):
     def at(a, di, dj):  # a at (i + di, j + dj)
         return padded[id(a)][1 + di:n + 1 + di, 1 + dj:n + 1 + dj]
 
-    weights = _weights(grid, coeffs, at)
-    out = _row_sums(weights, [at(u, *o) for o in _OFFSETS])
-    columns, order, seam = _stencil_layout(n)
-    cells = np.flatnonzero(seam)
-    data = np.take_along_axis(
-        np.stack([w.ravel()[cells] for w in weights], axis=-1),
-        order[cells], axis=1)
-    np.put(out, cells, _row_sums(data.T, u.ravel()[columns[cells]].T))
-    return out
+    return _row_sums(_weights(grid, coeffs, at),
+                     [at(u, *o) for o in _OFFSETS])
 
 
 # --- aggregation multigrid -----------------------------------------------------
@@ -271,7 +239,7 @@ class DivergenceFormOperator:
     periodic mode, the masked cells' rows in Dirichlet mode.  The
     constructor also builds the preconditioner that every solve with
     this operator reuses: the trace-scaled FFT inverse in periodic mode,
-    the multigrid hierarchy (vcycle) in Dirichlet mode.
+    the multigrid hierarchy (AggregationVCycle) in Dirichlet mode.
 
     Parameters
     ----------
@@ -300,7 +268,6 @@ class DivergenceFormOperator:
                        else self.rows[:, self.cells].tocsr())
         self._min_ritz()
         # the preconditioner, reused by every right-hand side
-        self.vcycle = None
         if mask is None:
             # L ~ -t S, S the FFT operator of mean(Phi / t), inverted as
             # -t^-1/2 S^-1 t^-1/2 to keep CG's preconditioner symmetric
@@ -310,7 +277,7 @@ class DivergenceFormOperator:
             self.precondition = lambda v: -(
                 s * inverse(s * v.reshape(s.shape))).ravel()
         else:
-            self.vcycle = self.precondition = AggregationVCycle(
+            self.precondition = AggregationVCycle(
                 self.matrix, grid.n, self.cells)
 
     # -- structure checks ----------------------------------------------------
@@ -349,7 +316,7 @@ class DivergenceFormOperator:
         and S the exact FFT-diagonal operator of the grid mean of Phi / t
         (grid.trace_scaled_inverse), positive definite on mean-zero v and
         exact when Phi / tr Phi is constant; Dirichlet mode is
-        preconditioned by one aggregation-multigrid V-cycle (vcycle), which
+        preconditioned by one aggregation-multigrid V-cycle, which
         keeps the iteration count nearly flat in N.  Every reduction has a
         fixed order, so the result does not depend on the BLAS thread
         count.

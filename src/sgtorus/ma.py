@@ -278,6 +278,9 @@ def validate_density(rho, lam=None, Lam=None):
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise BadDensity("density has non-finite entries")
+    for name, bound in (("lambda", lam), ("Lambda", Lam)):
+        if bound is not None and not np.isfinite(bound):
+            raise BadDensity(f"{name}={bound} is not finite")
     if np.min(rho) <= 0.0:
         raise BadDensity(f"density must be positive, min={np.min(rho):.3e}")
     mass = float(np.mean(rho))
@@ -318,8 +321,8 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         Certified pinch bounds of rho (default: its min/max).
     tol : float, optional
         Sup-norm tolerance on det - rho - mu (default 1e-8 * max(1, Lam)).
-    initial : ConvexPotential or array, optional
-        Warm start for the periodic part q.
+    initial : ConvexPotential, optional
+        Warm start: its periodic part q and Hessian (default q = 0).
     guess : (N, N) array, optional
         Predicted first Newton update of q, say extrapolated from earlier
         solves.  It is only the Krylov start of that update's GMRES
@@ -343,15 +346,17 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     Lam = float(Lam) if Lam is not None else float(np.max(rho))
     if tol is None:
         tol = default_tolerance(Lam)
+    elif not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
     n, h = grid.n, grid.spacing
-    if isinstance(initial, ConvexPotential):
+    if initial is None:
+        q = np.zeros((n, n))
+        p11, p12, p22, det = _hessian_and_det(q, h)
+    else:
         # its Hessian has the bits of _hessian_and_det(q); read, never written
         q = initial.q
         p11, p12, p22, det = initial.p11, initial.p12, initial.p22, initial.det
-    else:
-        q = mean_zero(np.zeros((n, n)) if initial is None else initial)
-        p11, p12, p22, det = _hessian_and_det(q, h)
 
     det_floor = max(DET_FLOOR, lam / 10.0)
 

@@ -140,10 +140,8 @@ def write_series(series, directory):
     entries = []
     for k, (t, m) in enumerate(zip(series.times, series.maps)):
         names = (f"map_{k:04d}_d1.bin", f"map_{k:04d}_d2.bin")
-        gridmod.field_to_binary(TorusField(series.grid, m.d1),
-                                os.path.join(directory, names[0]))
-        gridmod.field_to_binary(TorusField(series.grid, m.d2),
-                                os.path.join(directory, names[1]))
+        gridmod.field_to_binary(m.d1, os.path.join(directory, names[0]))
+        gridmod.field_to_binary(m.d2, os.path.join(directory, names[1]))
         entries.append({"t": t, "d1": names[0], "d2": names[1]})
     manifest = {"n": series.grid.n, "times": list(series.times),
                 "entries": entries}

@@ -6,7 +6,9 @@ such as a getattr or patch target) outside its own definition; the
 package __init__ re-exports are not callers.  A public method counts as
 used when some `.name` attribute access reaches it.  The match is by
 name only, so a method that shares its name with another (say `copy`)
-is not caught.
+is not caught.  The same walk over the source also fails on an
+optional parameter that no caller sets and on an import that nothing in
+its file reads.
 """
 
 import ast
@@ -20,7 +22,7 @@ ALLOWED = {
     "shear_map": "input of the pushforward and factorization tests",
     "compose_maps": "input of the pushforward and factorization tests",
     "write_series": "the polar-run --series format, read by read_series",
-    "solve_periodic_lma": "waits for the solved dP*/dt (ROADMAP item 3)",
+    "solve_periodic_lma": "waits for the solved dP*/dt (ROADMAP item 6)",
 }
 
 
@@ -182,3 +184,27 @@ def test_every_optional_parameter_is_set_by_a_caller():
     # a parameter only its default reaches is a constant; an allowed one
     # that gains a caller, or is deleted, leaves the list
     assert sorted(set(unset()) ^ set(UNSET_ALLOWED)) == []
+
+
+def unused_imports():
+    """`path: name` of each name an import binds that nothing else in its
+    file reads, in src/sgtorus (but its __init__ re-exports), scripts/
+    and tests/."""
+    paths = modules() + sorted((ROOT / "scripts").glob("*.py")) \
+        + sorted((ROOT / "tests").glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found.extend(f"{path.relative_to(ROOT)}: {name}"
+                     for name in bound if name not in read)
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

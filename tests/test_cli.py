@@ -9,7 +9,7 @@ import pytest
 
 import sgtorus
 from sgtorus import acceptance, cli, dynamics, polar, presets
-from sgtorus.grid import TorusGrid, TorusField, field_from_binary, field_to_binary
+from sgtorus.grid import TorusGrid, field_from_binary, field_to_binary
 
 
 def run_cli(*argv):
@@ -66,6 +66,21 @@ class TestParsing:
                            "--out", str(out)) == 1
             assert "both finite" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command, flag", [
+        ("sg-run", "--lambda"), ("sg-run", "--Lambda"), ("sg-run", "--tol"),
+        ("polar-run", "--lambda"), ("polar-run", "--Lambda"),
+        ("ma-solve", "--tol")])
+    def test_nonfinite_bound_or_tolerance_is_config_error(
+            self, command, flag, value, tmp_path, capsys):
+        # an infinite Lambda or tol would end the Monge-Ampere solve
+        # before its first Newton step, and a NaN fail only after it
+        out = tmp_path / "o"
+        assert run_cli(command, "--n", "16", flag, value,
+                       "--out", str(out)) == 1
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -143,7 +158,7 @@ class TestMaSolve:
         grid = TorusGrid(24)
         rho, _, _ = presets.two_mode_density(grid)
         path = tmp_path / "rho.bin"
-        field_to_binary(rho, path)
+        field_to_binary(rho.values, path)
         out = tmp_path / "o"
         assert run_cli("ma-solve", "--n", "24", "--preset", str(path),
                        "--out", str(out)) == 0
@@ -152,7 +167,7 @@ class TestMaSolve:
         grid = TorusGrid(24)
         rho, _, _ = presets.two_mode_density(grid)
         path = tmp_path / "rho.bin"
-        field_to_binary(rho, path)
+        field_to_binary(rho.values, path)
         assert run_cli("ma-solve", "--n", "32", "--preset", str(path),
                        "--out", str(tmp_path / "o")) == 1
 
@@ -165,11 +180,10 @@ class TestMaSolve:
         assert "no whole grid size" in capsys.readouterr().err
 
     def test_negative_density_file_is_solver_error(self, tmp_path, capsys):
-        grid = TorusGrid(16)
         vals = np.ones((16, 16))
         vals[3, 4] = -0.2
         path = tmp_path / "rho.bin"
-        field_to_binary(TorusField(grid, vals), path)
+        field_to_binary(vals, path)
         code = run_cli("ma-solve", "--n", "16", "--preset", str(path),
                        "--out", str(tmp_path / "o"))
         assert code == 2

@@ -310,7 +310,10 @@ def two_bump():
 
 
 def assert_same_csr(a, b):
+    """The same (row, column, value bits) entries, whatever order each
+    row stores its columns in."""
     assert a.shape == b.shape
+    a, b = a.sorted_indices(), b.sorted_indices()
     assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.indptr, b.indptr)
@@ -361,14 +364,27 @@ class TestRowAssembly:
                         oracle[cells])
 
     @pytest.mark.parametrize("n", [4, 5, 16, 33])
+    def test_rows_store_columns_in_offset_order(self, n):
+        grid = TorusGrid(n)
+        # the four corners and a cell on each array seam
+        cells = np.array([0, n - 1, n * (n - 1), n * n - 1, n // 2,
+                          n * (n // 2)])
+        columns = stencil_rows(grid, identity_cofactor(grid),
+                               cells).indices.reshape(-1, 9)
+        i, j = np.divmod(cells, n)
+        expected = np.stack([(i + di) % n * n + (j + dj) % n
+                             for di, dj in lma._OFFSETS], axis=-1)
+        assert np.array_equal(columns, expected)
+        if n == 4:  # cell (0, 0): its neighbours wrap over both seams
+            assert list(columns[0]) == [15, 12, 13, 3, 0, 1, 7, 4, 5]
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 33])
     def test_applied_stencil_is_row_product(self, n):
         rng = np.random.default_rng(n)
         grid = TorusGrid(n)
         c11, c22 = 0.5 + rng.random((2, n, n))
         c12 = 0.4 * (rng.random((n, n)) - 0.5)
         cof = CofactorField(grid, c11, c12, c22)
-        # some rows list their columns out of _OFFSETS order
-        assert np.any(lma._stencil_layout(n)[2])
         u = rng.standard_normal((n, n))
         product = stencil_rows(grid, cof, np.arange(n * n)) @ u.ravel()
         assert np.array_equal(apply_stencil(grid, cof, u),
@@ -471,11 +487,11 @@ class TestMultigrid:
             for axis in (0, 1):
                 edges = np.take(sec.mask, [0, -1], axis=axis)
                 assert edges.any(axis=1 - axis).all()
-        assert len(op.vcycle.levels) >= 2
+        assert len(op.precondition.levels) >= 2
         rng = np.random.default_rng(1)
         for _ in range(4):
             x, y = rng.standard_normal((2, op.cells.size))
-            mx, my = op.vcycle(x), op.vcycle(y)
+            mx, my = op.precondition(x), op.precondition(y)
             # relative to the Cauchy-Schwarz scale of the products
             assert abs(dot(mx, y) - dot(x, my)) <= 1e-14 * norm(mx) * norm(y)
             assert dot(mx, x) > 0.0
@@ -528,7 +544,7 @@ class TestMultigrid:
         mask = np.zeros((16, 16), dtype=bool)
         mask[3:9, 14:] = mask[3:9, :4] = True  # 48 cells across the seam
         op = DivergenceFormOperator(grid, identity_cofactor(grid), mask=mask)
-        assert op.vcycle.levels == []
+        assert op.precondition.levels == []
         b = np.random.default_rng(2).standard_normal(op.cells.size)
-        x = op.vcycle(b)
+        x = op.precondition(b)
         assert norm(op.matrix @ x - b) <= 1e-12 * norm(b)

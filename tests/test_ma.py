@@ -172,6 +172,17 @@ class TestValidateDensity:
         with pytest.raises(BadDensity):
             validate_density(rho)
 
+    def test_solver_rejects_nonfinite_bounds_and_tolerance(self):
+        # an infinite Lambda or tol would end the solve before its first
+        # Newton step, at q = 0
+        rho = presets.uniform_density(TorusGrid(8))
+        for bounds in (dict(Lam=np.inf), dict(lam=np.nan), dict(Lam=np.nan)):
+            with pytest.raises(BadDensity):
+                solve_ma_periodic(rho, **bounds)
+        for tol in (np.inf, np.nan, 0.0, -1e-8):
+            with pytest.raises(ValueError):
+                solve_ma_periodic(rho, tol=tol)
+
 
 class TestSolver:
     def test_uniform_density_yields_identity(self):
