@@ -14,7 +14,6 @@ from .errors import (
     InvariantViolation,
     LostConvexity,
     NonConvergence,
-    NonConvexInput,
     ResidualTooLarge,
     SectionWrapsTorus,
     SGTorusError,

@@ -86,6 +86,13 @@ def _grid_size(args, cfg, default):
     return n
 
 
+def _seed(args, cfg):
+    seed = _merge(args, cfg, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _parse_center(text):
     try:
         center = tuple(float(x) for x in text.split(","))
@@ -229,7 +236,7 @@ def cmd_lma_dirichlet(args, cfg):
     height = _positive(_merge(args, cfg, "h0", float, 0.05), "h0")
     center = _parse_center(args.center or cfg.get("center", "0.5,0.5"))
     name = args.preset or cfg.get("potential", "cosine")
-    seed = _merge(args, cfg, "seed", int, 0)
+    seed = _seed(args, cfg)
 
     grid = TorusGrid(n)
     pot = _resolve_potential(name, grid)
@@ -281,7 +288,7 @@ def cmd_sections_report(args, cfg):
     h0 = _positive(_merge(args, cfg, "h0", float, 0.02), "h0")
     rungs = _positive(_merge(args, cfg, "rungs", int, 4), "rungs")
     n_centers = _positive(_merge(args, cfg, "centers", int, 5), "centers")
-    seed = _merge(args, cfg, "seed", int, 0)
+    seed = _seed(args, cfg)
     name = args.preset or cfg.get("potential", "perturbed")
 
     grid = TorusGrid(n)
@@ -349,7 +356,7 @@ def cmd_regularity_report(args, cfg):
 
 
 def cmd_polar_run(args, cfg):
-    seed = _merge(args, cfg, "seed", int, 0)
+    seed = _seed(args, cfg)
     lam = _positive(_merge(args, cfg, "lambda", float, None), "lambda")
     Lam = _positive(_merge(args, cfg, "Lambda", float, None), "Lambda")
     if args.series:

@@ -32,10 +32,6 @@ class LostConvexity(SolverError):
     """Iterate left the discretely convex cone and no step could restore it."""
 
 
-class NonConvexInput(SolverError):
-    """A potential that must be discretely convex is not."""
-
-
 class SolverStall(SolverError):
     """Linear solver failed to reach the requested residual."""
 

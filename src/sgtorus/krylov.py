@@ -22,22 +22,20 @@ def norm(a, out=None):
     return dot(a, a, out) ** 0.5
 
 
-def gmres(apply, b, precondition, rtol, restart, max_cycles, atol=0.0):
+def gmres(apply, b, precondition, restart, max_cycles, target):
     """Right-preconditioned GMRES(restart) for apply(x) = b from x = 0
-    (Saad and Schultz, 1986).
+    (Saad and Schultz, 1986), to the absolute residual target.
 
-    The target is max(rtol |b|, atol): atol lets a caller such as an
-    inexact Newton method stop as soon as the residual is small enough
-    for its own use.  Each cycle builds a modified Gram-Schmidt Arnoldi
-    basis of apply(precondition(.)) and keeps its least-squares residual
-    with Givens rotations; it stops once that residual meets the target,
-    and then adds precondition(V y) to x, so the preconditioned basis is
-    never stored.  Convergence is decided by the explicit residual
-    |b - apply(x)| at the end of each cycle.  Returns (x, iterations,
-    converged), converged False after max_cycles cycles short of the
-    target.
+    A caller such as an inexact Newton method sets target to stop as soon
+    as the residual is small enough for its own use.  Each cycle builds a
+    modified Gram-Schmidt Arnoldi basis of apply(precondition(.)) and
+    keeps its least-squares residual with Givens rotations; it stops once
+    that residual meets the target, and then adds precondition(V y) to x,
+    so the preconditioned basis is never stored.  Convergence is decided
+    by the explicit residual |b - apply(x)| at the end of each cycle.
+    Returns (x, iterations, converged), converged False after max_cycles
+    cycles short of the target.
     """
-    target = max(rtol * norm(b), atol)
     x = np.zeros_like(b)
     r = b
     basis = np.empty((restart + 1, b.size))

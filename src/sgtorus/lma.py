@@ -30,6 +30,7 @@ import numpy as np
 from scipy import ndimage, sparse
 
 from . import grid as gridmod
+from . import sections
 from .errors import (
     GridMismatch,
     IndefiniteOperator,
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .fitting import PowerLawFit, linear_fit, loglog_fit
 from .krylov import cg, dot, norm
+from .ma import cofactor
 
 DEFAULT_CG_TOL = 1e-10
 
@@ -442,7 +444,6 @@ class GreenFunction:
 
     grid: gridmod.TorusGrid
     mask: np.ndarray
-    pole_index: tuple
     values: np.ndarray  # full grid, zero outside mask
 
     def integral_p(self, p):
@@ -474,7 +475,7 @@ def green_function(coeffs, mask, pole_index, grid, operator=None):
     op = operator or DivergenceFormOperator(grid, coeffs, mask=mask)
     rhs = op.point_source(pole_index)
     g = op.solve(rhs, tol=1e-12)
-    return GreenFunction(grid, mask, tuple(pole_index), op.scatter(g))
+    return GreenFunction(grid, mask, op.scatter(g))
 
 
 def level_set_decay(green):
@@ -514,12 +515,9 @@ def green_integrability_report(pot, x0, heights, ps=(1.0, 2.0),
     height.  Returns a dict with per-(h, p) and per-(h, kappa) rows (slope
     and R^2 of the h-ladder fits repeated on each row of a group).
     """
-    from . import sections as sectionsmod
-    from .ma import cofactor
-
     cof = cofactor(pot)
     grid = pot.grid
-    secs = [sectionsmod.extract_section(pot, x0, h) for h in heights]
+    secs = [sections.extract_section(pot, x0, h) for h in heights]
     sec = secs[0]
     # the top rung's operator also serves the symmetry probe below
     top_op = DivergenceFormOperator(grid, cof, mask=sec.mask)

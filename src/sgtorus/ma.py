@@ -3,7 +3,13 @@
 A potential is stored through its periodic part q, with
 P*(x) = |x|^2/2 + q(x); the quadratic growth is handled analytically, so
 discrete Hessians are I + D^2 q and the identity map corresponds to q = 0
-exactly.  solve_ma_periodic runs a damped Newton iteration on
+exactly.  A ConvexPotential is discretely convex by construction (P11 > 0
+and det D^2 P* > 0 cellwise, or LostConvexity), so nothing that takes one
+checks again.  Its Legendre transform P need not be discretely convex on
+the grid, so legendre returns it as a LegendrePotential: the periodic
+part of P and the gradient map grad P, with no Hessian.
+
+solve_ma_periodic runs a damped Newton iteration on
 
     det(I + D^2 q) = rho + mu,      mean(q) = 0,
 
@@ -49,13 +55,7 @@ import dataclasses
 import numpy as np
 
 from . import grid as gridmod
-from .errors import (
-    BadDensity,
-    InvariantViolation,
-    LostConvexity,
-    NonConvergence,
-    NonConvexInput,
-)
+from .errors import BadDensity, InvariantViolation, LostConvexity, NonConvergence
 from .grid import TorusGrid, PeriodicDisplacement, mean_zero, second_differences
 from .krylov import gmres, norm
 
@@ -77,15 +77,37 @@ def default_tolerance(Lam):
     return 1e-8 * max(1.0, float(Lam))
 
 
-class ConvexPotential:
+class _GradientMap:
+    """grad P - id as sampled from self.displacement on self.grid."""
+
+    def gradient_displacement(self):
+        """Displacement grad P - id as a wrapped field."""
+        d1, d2 = self.displacement
+        reach = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
+        if not reach < 0.5:
+            raise InvariantViolation(
+                "displacement_bound",
+                f"gradient displacement component {reach!r} reached half a period",
+            )
+        return PeriodicDisplacement(self.grid, d1, d2)
+
+    def sample_gradient(self, points):
+        """grad P at arbitrary points: p + (interpolated displacement)(p)."""
+        pts = np.asarray(points, dtype=float)
+        s1, s2 = gridmod.sample_vector_bilinear(*self.displacement, pts, self.grid)
+        return np.stack([pts[..., 0] + s1, pts[..., 1] + s2], axis=-1)
+
+
+class ConvexPotential(_GradientMap):
     """Discretely convex potential P* = |x|^2/2 + q with mean(q) = 0.
 
     Carries its gradient and compact-stencil Hessian samples, the Hessian
-    determinant, and solver diagnostics.  Discrete convexity means
-    P11 > 0 and det D^2 P* > 0 cellwise.
+    determinant, and solver diagnostics.  Discrete convexity, P11 > 0 and
+    det D^2 P* > 0 cellwise, is checked on construction (LostConvexity
+    otherwise, also for a q with NaN entries).
     """
 
-    def __init__(self, grid, q, lam=None, Lam=None, diagnostics=None, strict=True):
+    def __init__(self, grid, q, lam=None, Lam=None, diagnostics=None):
         self.grid = grid
         self.q = mean_zero(np.asarray(q, dtype=float))
         if self.q.shape != (grid.n, grid.n):
@@ -95,15 +117,14 @@ class ConvexPotential:
         self.displacement = (self.g1, self.g2)
         self.p11, self.p12, self.p22, self.det = _hessian_and_det(
             self.q, grid.spacing)
-        self.lam = float(lam) if lam is not None else float(np.min(self.det))
-        self.Lam = float(Lam) if Lam is not None else float(np.max(self.det))
-        self.diagnostics = dict(diagnostics or {})
-        self.convexity_margin = float(min(np.min(self.p11), np.min(self.det)))
-        if strict and self.convexity_margin <= 0.0:
+        if not (np.min(self.p11) > 0.0 and np.min(self.det) > 0.0):
             raise LostConvexity(
                 f"potential is not discretely convex "
                 f"(min P11={np.min(self.p11):.3e}, min det={np.min(self.det):.3e})"
             )
+        self.lam = float(lam) if lam is not None else float(np.min(self.det))
+        self.Lam = float(Lam) if Lam is not None else float(np.max(self.det))
+        self.diagnostics = dict(diagnostics or {})
 
     # -- solver certificates ------------------------------------------------
 
@@ -130,25 +151,6 @@ class ConvexPotential:
         s = self.bound_tolerance
         return (lo >= self.lam - s) and (hi <= self.Lam + s), (lo, hi)
 
-    # -- fields --------------------------------------------------------------
-
-    def gradient_displacement(self):
-        """Displacement grad P* - id as a wrapped field."""
-        d1, d2 = self.displacement
-        reach = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
-        if not reach < 0.5:
-            raise InvariantViolation(
-                "displacement_bound",
-                f"gradient displacement component {reach!r} reached half a period",
-            )
-        return PeriodicDisplacement(self.grid, d1, d2)
-
-    def sample_gradient(self, points):
-        """grad P* at arbitrary points: p + (interpolated displacement)(p)."""
-        pts = np.asarray(points, dtype=float)
-        s1, s2 = gridmod.sample_vector_bilinear(*self.displacement, pts, self.grid)
-        return np.stack([pts[..., 0] + s1, pts[..., 1] + s2], axis=-1)
-
     def header_dict(self):
         return {
             "n": self.grid.n,
@@ -160,19 +162,19 @@ class ConvexPotential:
         }
 
 
-class LegendrePotential(ConvexPotential):
-    """Legendre transform of a ConvexPotential, same representation.
+class LegendrePotential(_GradientMap):
+    """Legendre transform P = |x|^2/2 + q of a ConvexPotential, mean(q) = 0.
 
     Its displacement is the refined argmax gradient map (grad P as a
-    displacement from the identity), not the stencil gradient of q; the
-    diagnostics carry the inversion residual max_x dist(grad P*(grad P(x)), x).
+    displacement from the identity), not a stencil gradient of q.  P need
+    not be discretely convex on the grid, so it carries no Hessian.
     """
 
-    def __init__(self, grid, q, grad_d1, grad_d2, diagnostics=None):
-        super().__init__(grid, q, diagnostics=diagnostics, strict=False)
-        self.grad_d1 = np.asarray(grad_d1, dtype=float)
-        self.grad_d2 = np.asarray(grad_d2, dtype=float)
-        self.displacement = (self.grad_d1, self.grad_d2)
+    def __init__(self, grid, q, grad_d1, grad_d2):
+        self.grid = grid
+        self.q = mean_zero(np.asarray(q, dtype=float))
+        self.displacement = (np.asarray(grad_d1, dtype=float),
+                             np.asarray(grad_d2, dtype=float))
 
 
 @dataclasses.dataclass
@@ -261,7 +263,7 @@ def _newton_update(p11, p12, p22, rhs, h, atol, guess=None):
     if guess is not None:
         start = np.append(guess.ravel(), 0.0)
         shifted = b - apply(start)
-    sol, iters, converged = gmres(apply, shifted, precondition, 0.0,
+    sol, iters, converged = gmres(apply, shifted, precondition,
                                   GMRES_RESTART, GMRES_MAX_CYCLES, target)
     if guess is not None:
         sol += start
@@ -359,9 +361,6 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         p11, p12, p22, det = initial.p11, initial.p12, initial.p22, initial.det
 
     det_floor = max(DET_FLOOR, lam / 10.0)
-
-    if np.min(det) <= 0.0 or np.min(p11) <= 0.0:
-        raise LostConvexity("initial guess is not discretely convex")
     mu = float(np.mean(det - rho))
 
     iters = linear_iters = 0
@@ -501,14 +500,11 @@ def legendre(pot):
     x_i y_k + H[k, j] (stage 2) at it, so the result is bitwise that of
     the full scan.  The gradient map is the argmax refined by one Newton
     step on the inner objective.  The result is re-expressed in the
-    quadratic-plus-periodic split and mean-normalized.
-
-    Raises NonConvexInput if the input is not discretely convex.
+    quadratic-plus-periodic split and mean-normalized, and returned as a
+    LegendrePotential: q and the gradient map, no Hessian.
     """
-    if pot.convexity_margin <= 0.0:
-        raise NonConvexInput("legendre transform needs a discretely convex input")
     grid = pot.grid
-    n, h = grid.n, grid.spacing
+    n = grid.n
     x = grid.axis_centers()
     y = (np.arange(3 * n) + 0.5) / n - 1.0  # tiled centers in [-1, 2)
 
@@ -539,12 +535,4 @@ def legendre(pot):
     r = mean_zero(p_vals - 0.5 * (x1**2 + x2**2))
     d1 = gridmod.wrap_delta(y1 - x1)
     d2 = gridmod.wrap_delta(y2 - x2)
-
-    # inversion certificate: grad P*(grad P(x)) should return to x
-    targets = np.stack([x1 + d1, x2 + d2], axis=-1)
-    back = pot.sample_gradient(targets)
-    dist = gridmod.periodic_distance(back, np.stack([x1, x2], axis=-1))
-    inversion = float(np.max(dist))
-
-    diagnostics = {"inversion_residual": inversion, "tol_inv": 5.0 * h}
-    return LegendrePotential(grid, r, d1, d2, diagnostics=diagnostics)
+    return LegendrePotential(grid, r, d1, d2)

@@ -55,7 +55,6 @@ def _require_homogeneous(u, pot, mask):
             f"field is not a homogeneous solution on the section: "
             f"interior residual {res:.3e} > {bound:.3e}"
         )
-    return res
 
 
 @dataclasses.dataclass
@@ -71,7 +70,6 @@ class DecayReport:
     rows: list
     beta_max: float
     constant: bool
-    interior_residual: float
 
     def ratios(self):
         return [r.ratio for r in self.rows if np.isfinite(r.ratio)]
@@ -88,7 +86,7 @@ def oscillation_decay(u, pot, x0, h0, rungs=4):
     """
     u = np.asarray(u, dtype=float)
     sections = section_ladder(pot, x0, h0, rungs)
-    res = _require_homogeneous(u, pot, sections[0].mask)
+    _require_homogeneous(u, pot, sections[0].mask)
     oscs = [oscillation(u, s.mask) for s in sections]
     scale = max(float(np.max(np.abs(u[sections[0].mask]))), 1.0)
     rows, constant = [], False
@@ -102,7 +100,7 @@ def oscillation_decay(u, pot, x0, h0, rungs=4):
                                  oscs[k + 1] / oscs[k]))
     finite = [r.ratio for r in rows if np.isfinite(r.ratio)]
     beta = max(finite) if finite else CONSTANT_SENTINEL
-    return DecayReport(rows, beta, constant, res)
+    return DecayReport(rows, beta, constant)
 
 
 @dataclasses.dataclass

@@ -35,7 +35,6 @@ class Section:
     height: float
     mask: np.ndarray  # (N, N) bool
     offsets: np.ndarray  # (M, 2) lifted member offsets from the center
-    discarded_cells: int = 0
 
     @property
     def n_cells(self):
@@ -101,7 +100,6 @@ def extract_section(pot, x0, height):
     rolled = np.roll(raw, shift, axis=(0, 1))
     labels, _ = ndimage.label(rolled)
     keep = labels == labels[n // 2, n // 2]
-    discarded = int(np.count_nonzero(rolled) - np.count_nonzero(keep))
     mask = np.roll(keep, (-shift[0], -shift[1]), axis=(0, 1))
 
     count = int(np.count_nonzero(mask))
@@ -112,7 +110,7 @@ def extract_section(pot, x0, height):
     offsets = np.column_stack([np.broadcast_to(d, mask.shape)[mask]
                                for d in (d1, d2)])
     return Section(grid, x0c, (int(i0), int(j0)), float(height), mask,
-                   offsets, discarded)
+                   offsets)
 
 
 def section_ladder(pot, x0, top_height, rungs):

@@ -7,8 +7,9 @@ package __init__ re-exports are not callers.  A public method counts as
 used when some `.name` attribute access reaches it.  The match is by
 name only, so a method that shares its name with another (say `copy`)
 is not caught.  The same walk over the source also fails on an
-optional parameter that no caller sets and on an import that nothing in
-its file reads.
+optional parameter that no caller sets, on an import that nothing in
+its file reads, and on a stored attribute (a dataclass field or a
+`self.x =` assignment) that no attribute load reads.
 """
 
 import ast
@@ -208,3 +209,53 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+# stored attributes kept although nothing outside the tests reads them,
+# with the reason
+STORED_ALLOWED = {
+    "JohnNormalization.containment_ok":
+        "the sandwich certificate B_1 in T^-1(S) in B_2 that the tests assert",
+    "JohnNormalization.outer_ok": "its outer half, asserted by the tests",
+    "JohnNormalization.inner_ok": "its inner half, asserted by the tests",
+}
+
+
+def stored_attributes():
+    """`Class.attribute` of every dataclass field and every `self.x = ...`
+    assignment of a class in src/sgtorus."""
+    out = []
+    for path in modules():
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [node.target.id for node in cls.body
+                     if isinstance(node, ast.AnnAssign)
+                     and isinstance(node.target, ast.Name)]
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    names.append(node.attr)
+            out.extend(f"{cls.name}.{name}" for name in dict.fromkeys(names))
+    return out
+
+
+def unread_attributes():
+    """Stored attributes that no attribute load in src/, scripts/ or
+    perfbench/ reaches; the match is by name only."""
+    paths = modules() + sorted((ROOT / "scripts").glob("*.py")) \
+        + sorted((ROOT / "perfbench").glob("*.py"))
+    loaded = {node.attr for path in paths
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    return [qualname for qualname in stored_attributes()
+            if qualname.split(".")[1] not in loaded]
+
+
+def test_every_stored_attribute_is_read():
+    # a result field nothing reads costs its computation on every call;
+    # an allowed one that gains a reader, or is deleted, leaves the list
+    assert sorted(set(unread_attributes()) ^ set(STORED_ALLOWED)) == []

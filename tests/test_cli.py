@@ -82,6 +82,24 @@ class TestParsing:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command", ["lma-dirichlet", "sections-report", "polar-run"])
+    def test_negative_seed_is_config_error(self, command, by, tmp_path,
+                                           capsys):
+        # numpy's default_rng rejects a negative seed with a ValueError
+        out = tmp_path / "o"
+        if by == "flag":
+            seed = ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            seed = ["--config", str(cfg)]
+        assert run_cli(command, "--n", "16", *seed, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "config error: seed must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n 64\n")

@@ -31,8 +31,8 @@ class TestGmres:
     def test_matches_dense_solve(self, rng, restart):
         a = _nonsymmetric(rng, 40)
         b = rng.standard_normal(40)
-        x, iters, converged = krylov.gmres(a.__matmul__, b, _jacobi(a),
-                                           1e-12, restart, 200)
+        x, iters, converged = krylov.gmres(a.__matmul__, b, _jacobi(a), restart,
+                                           200, 1e-12 * krylov.norm(b))
         assert converged
         assert 1 <= iters <= 40 + 200
         exact = np.linalg.solve(a, b)
@@ -44,7 +44,7 @@ class TestGmres:
         inv = np.linalg.inv(a)
         b = rng.standard_normal(30)
         x, iters, converged = krylov.gmres(a.__matmul__, b, inv.__matmul__,
-                                           1e-10, 10, 3)
+                                           10, 3, 1e-10 * krylov.norm(b))
         assert converged and iters == 1
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=0)
 
@@ -52,7 +52,7 @@ class TestGmres:
         a = _nonsymmetric(rng, 60)
         b = rng.standard_normal(60)
         x, iters, converged = krylov.gmres(a.__matmul__, b, lambda v: v,
-                                           1e-14, 2, 3)
+                                           2, 3, 1e-14 * krylov.norm(b))
         assert not converged
         assert iters == 6
         # each cycle still reduces the residual
@@ -60,7 +60,7 @@ class TestGmres:
 
     def test_zero_rhs_is_solved_by_zero(self):
         x, iters, converged = krylov.gmres(lambda v: 2.0 * v, np.zeros(5),
-                                           lambda v: v, 1e-10, 5, 2)
+                                           lambda v: v, 5, 2, 0.0)
         assert converged and iters == 0 and not x.any()
 
     def test_absolute_target_stops_at_first_cycle_meeting_it(self, rng):
@@ -68,7 +68,7 @@ class TestGmres:
         b = rng.standard_normal(60)
         restart, atol = 3, 1e-4 * np.linalg.norm(b)
         x, iters, converged = krylov.gmres(a.__matmul__, b, lambda v: v,
-                                           1e-14, restart, 50, atol)
+                                           restart, 50, atol)
         assert converged
         assert np.linalg.norm(a @ x - b) <= atol
         # the same solve cut one cycle earlier misses the target, so no
@@ -76,20 +76,23 @@ class TestGmres:
         cycles = -(-iters // restart)
         assert cycles >= 2
         x_early, early, met = krylov.gmres(a.__matmul__, b, lambda v: v,
-                                           1e-14, restart, cycles - 1, atol)
+                                           restart, cycles - 1, atol)
         assert not met and early == restart * (cycles - 1)
         assert np.linalg.norm(a @ x_early - b) > atol
-        # the relative target alone runs on
+        # a target at 1e-14 |b| runs on
         _, exact_iters, _ = krylov.gmres(a.__matmul__, b, lambda v: v,
-                                         1e-14, restart, 50)
+                                         restart, 50, 1e-14 * krylov.norm(b))
         assert exact_iters > iters
 
     def test_absolute_target_below_relative_one_changes_nothing(self, rng):
+        # a caller that floors its relative target, as the Newton update
+        # does, passes the larger of the two
         a = _nonsymmetric(rng, 40)
         b = rng.standard_normal(40)
-        plain = krylov.gmres(a.__matmul__, b, _jacobi(a), 1e-8, 8, 20)
-        floored = krylov.gmres(a.__matmul__, b, _jacobi(a), 1e-8, 8, 20,
-                               1e-9 * np.linalg.norm(b))
+        relative = 1e-8 * krylov.norm(b)
+        plain = krylov.gmres(a.__matmul__, b, _jacobi(a), 8, 20, relative)
+        floored = krylov.gmres(a.__matmul__, b, _jacobi(a), 8, 20,
+                               max(relative, 1e-9 * np.linalg.norm(b)))
         np.testing.assert_array_equal(plain[0], floored[0])
         assert plain[1:] == floored[1:]
 

@@ -36,7 +36,12 @@ class TestExtraction:
         sec = sections.extract_section(pot, (0.31, 0.47), 0.03)
         labels, count = ndimage.label(sec.mask)
         assert count == 1
-        assert sec.discarded_cells == 0
+        # the sublevel set has no other component, so no cell is dropped
+        i0, j0 = sec.center_index
+        d1, d2 = grid.offsets_from(i0, j0)
+        deficit = (0.5 * (d1**2 + d2**2) + pot.q - pot.q[i0, j0]
+                   - pot.g1[i0, j0] * d1 - pot.g2[i0, j0] * d2)
+        assert np.array_equal(sec.mask, deficit < 0.03)
 
     def test_wrapping_section_rejected(self):
         pot = presets.quadratic_potential(TorusGrid(64))
