@@ -11,7 +11,8 @@ CG solve at rtol 1e-12) with the pole at the centre of each section
 S(GREEN_CENTRE, h) of the cold potential, h in GREEN_HEIGHTS, then
 dynamics.lma_residual on each interior record of the warm steps with its
 centred dP*/dt (their median is lma_residual_s), then
-dynamics.dtp_regularity at HOLDER_CENTRES seeded centres
+dynamics.dtp_regularity, the Holder fits alone (the polar series adds
+the L^(1+kappa) gradient norms itself), at HOLDER_CENTRES seeded centres
 on the centred dP*/dt of the warm steps: once on the first (holder_first_s,
 which builds any per-centre tables) and HOLDER_REPS times on the next ones
 in turn (their median is holder_s).  Prints one JSON object per N: cold_s,
@@ -121,9 +122,9 @@ def measure(n, steps):
     centers = np.random.default_rng(0).random((HOLDER_CENTRES, 2))
     holder_s = []
     for r in range(HOLDER_REPS + 1):
-        state, dtp = records[r % len(records)]
+        _, dtp = records[r % len(records)]
         t = time.perf_counter()
-        dynamics.dtp_regularity(dtp, state.rho, centers, grid)
+        dynamics.dtp_regularity(dtp, centers, grid)
         holder_s.append(time.perf_counter() - t)
     return {
         "n": n, "cold_s": cold_s, "step_s": statistics.median(step_s),

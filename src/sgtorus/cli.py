@@ -383,6 +383,8 @@ def cmd_polar_run(args, cfg):
         if not t_end > 0.1:
             raise ConfigError(f"t_end must exceed 0.1, got {t_end}")
         times = [0.1 + k * (t_end - 0.1) / (steps - 1) for k in range(steps)]
+        if not np.all(np.isfinite(times)):
+            raise ConfigError(f"t_end={t_end} gives timestamps that are not finite")
         series = presets.cosine_family_series(TorusGrid(n), times)
     report = polar.polar_time_regularity(series, lam=lam, Lam=Lam, seed=seed)
     out = _out_dir(args)

@@ -199,8 +199,6 @@ class RunResult:
 
     grid: gridmod.TorusGrid
     dt: float
-    lam: float
-    Lam: float
     times: list
     rho_history: list
     q_history: list
@@ -261,8 +259,7 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
         check_identity(previous, k - 1)
     if n_steps:
         check_identity(state, n_steps)
-    return RunResult(grid, dt, state.lam_env, state.Lam_env, times,
-                     rho_history, q_history, certificates)
+    return RunResult(grid, dt, times, rho_history, q_history, certificates)
 
 
 def lma_residual(pot, rho, velocity, dtp):
@@ -289,21 +286,11 @@ class TimeSeriesDiagnostics:
     summary: dict
 
 
-def dtp_regularity(dtp, rho, centers, grid):
+def dtp_regularity(dtp, centers, grid):
     """Holder fits of dP*/dt at the centers, and its regularity row: the
     median gamma_hat and C_hat of the fits that are not constant (inf and
-    0, flagged constant, when none is) and the rho-weighted L^(1+kappa)
-    norms of d(grad P*)/dt for kappa 0.1 and 0.2, keyed
-    l<1+kappa>_dt_grad.  Returns (fits, row).
+    0, flagged constant, when none is).  Returns (fits, row).
     """
-    g1, g2 = gridmod.periodic_gradient(dtp, grid)
-    mag = np.hypot(g1, g2)
-    norms = {
-        f"l{1.0 + kappa:g}_dt_grad":
-        float(gridmod.integral(rho * mag ** (1.0 + kappa), grid))
-        ** (1.0 / (1.0 + kappa))
-        for kappa in (0.1, 0.2)
-    }
     fits = holder_fits(dtp, centers, grid)
     live = [f for f in fits if not f.constant]
     row = {
@@ -312,7 +299,6 @@ def dtp_regularity(dtp, rho, centers, grid):
         if live else float("inf"),
         "C_hat": float(np.median([f.prefactor for f in live]))
         if live else 0.0,
-        **norms,
     }
     return fits, row
 
@@ -346,27 +332,22 @@ def holder_in_time_report(result, n_centers=5, seed=0):
     centers = rng.random((n_centers, 2))
     grid = result.grid
 
-    step_rows, n_fits = [], 0
+    rows, n_fits = [], 0
     for k in range(1, n_records - 1):
-        fits, row = dtp_regularity(result.dtp_field(k), result.rho_history[k],
-                                   centers, grid)
+        fits, row = dtp_regularity(result.dtp_field(k), centers, grid)
         n_fits += sum(1 for f in fits if not f.constant)
-        step_rows.append({
-            "step": k,
-            "t": result.times[k],
-            "r2_ok": sum(1 for f in fits if not f.constant and f.r2 >= 0.8),
-            **row,
-        })
+        row["r2_ok"] = sum(1 for f in fits if not f.constant and f.r2 >= 0.8)
+        rows.append(row)
 
     summary = {
-        **regularity_summary(step_rows),
-        "gamma_max": max((r["gamma_hat"] for r in step_rows
+        **regularity_summary(rows),
+        "gamma_max": max((r["gamma_hat"] for r in rows
                           if not r["constant"]), default=float("inf")),
         "r2_ok_fraction": (
-            sum(r["r2_ok"] for r in step_rows) / n_fits if n_fits else 1.0
+            sum(r["r2_ok"] for r in rows) / n_fits if n_fits else 1.0
         ),
         "n_fits": n_fits,
-        "n_steps": len(step_rows),
+        "n_steps": len(rows),
         "n_centers": n_centers,
     }
     return TimeSeriesDiagnostics(summary)

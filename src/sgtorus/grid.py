@@ -62,8 +62,11 @@ class TorusGrid:
         return d1[:, None], d2[None, :]
 
     def index_of(self, points):
-        """Indices (i, j) of the cells containing ``points`` (..., 2)."""
+        """Indices (i, j) of the cells containing ``points`` (..., 2);
+        ValueError on a point that is not finite, which no cell contains."""
         pts = np.asarray(points, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"point not finite: {pts.tolist()}")
         idx = np.floor(pts * self.n).astype(int) % self.n
         return idx[..., 0], idx[..., 1]
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import BadDensity, InvariantViolation, LostConvexity, NonConvergence
-from .grid import TorusGrid, PeriodicDisplacement, mean_zero, second_differences
+from .grid import PeriodicDisplacement, mean_zero, second_differences
 from .krylov import gmres, norm
 
 MASS_TOL = 1e-8
@@ -188,7 +188,6 @@ class CofactorField:
     satisfies the algebraic identity Phi^{ij} phi_{ij} = 2 det D^2 phi.
     """
 
-    grid: TorusGrid
     c11: np.ndarray
     c12: np.ndarray
     c22: np.ndarray
@@ -200,8 +199,7 @@ class CofactorField:
 
 def cofactor(pot):
     """Cofactor field of a potential's discrete Hessian."""
-    return CofactorField(pot.grid, pot.p22.copy(), -pot.p12.copy(),
-                         pot.p11.copy())
+    return CofactorField(pot.p22.copy(), -pot.p12.copy(), pot.p11.copy())
 
 
 # --- Newton solver ----------------------------------------------------------

@@ -167,10 +167,11 @@ def polar_time_regularity(series, lam=None, Lam=None, seed=0):
     seeded centres.
 
     Returns per-timestamp rows, the dtp_regularity row plus t, defect,
-    residual and the smallest R^2 of the fits that are not constant
-    (r2_min), and their regularity_summary with the largest defect and
-    residual.  Constant (steady) time derivatives are flagged rather
-    than fitted.
+    residual, the smallest R^2 of the fits that are not constant
+    (r2_min) and the rho-weighted L^(1+kappa) norms of d(grad P*)/dt for
+    kappa 0.1 and 0.2, keyed l<1+kappa>_dt_grad, and their
+    regularity_summary with the largest defect and residual.  Constant
+    (steady) time derivatives are flagged rather than fitted.
     """
     if len(series.times) < 3:
         raise InsufficientSamples(
@@ -185,14 +186,19 @@ def polar_time_regularity(series, lam=None, Lam=None, seed=0):
     for k in range(1, len(series.times) - 1):
         span = series.times[k + 1] - series.times[k - 1]
         dtp = mean_zero((facts[k + 1].pot.q - facts[k - 1].pot.q) / span)
-        fits, row = dtp_regularity(dtp, facts[k].density.values, centers,
-                                   grid)
+        fits, row = dtp_regularity(dtp, centers, grid)
+        rho = facts[k].density.values
+        mag = np.hypot(*gridmod.periodic_gradient(dtp, grid))
         rows.append({
             "t": series.times[k],
             "defect": facts[k].defect,
             "residual": facts[k].residual_median,
             "r2_min": min((f.r2 for f in fits if not f.constant), default=1.0),
             **row,
+            **{f"l{1.0 + kappa:g}_dt_grad":
+               float(gridmod.integral(rho * mag ** (1.0 + kappa), grid))
+               ** (1.0 / (1.0 + kappa))
+               for kappa in (0.1, 0.2)},
         })
     summary = {
         **regularity_summary(rows),

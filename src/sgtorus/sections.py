@@ -66,6 +66,8 @@ def extract_section(pot, x0, height):
         Height below one-cell resolution (only the center cell qualifies).
     SectionWrapsTorus
         The sublevel set reaches half a period from the center.
+    ValueError
+        x0 is not finite (grid.index_of).
     """
     if height <= 0.0:
         raise EmptySection(f"section height must be positive, got {height}")

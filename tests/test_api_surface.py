@@ -9,7 +9,10 @@ name only, so a method that shares its name with another (say `copy`)
 is not caught.  The same walk over the source also fails on an
 optional parameter that no caller sets, on an import that nothing in
 its file reads, and on a stored attribute (a dataclass field or a
-`self.x =` assignment) that no attribute load reads.
+`self.x =` assignment) that no attribute load reads.  A `self.x` load
+reads x only of its own class, its bases and its subclasses; any other
+load still matches by name, so a field whose name some other object
+reads (say `grid`) is not caught.
 """
 
 import ast
@@ -242,17 +245,61 @@ def stored_attributes():
     return out
 
 
+def _attribute_loads(tree):
+    """(bases, self loads, other loads) of a module: the base names and
+    the `self.x` loads of each top-level class, and every other
+    attribute load."""
+    bases, self_loads, loads = {}, {}, set()
+    for top in tree.body:
+        cls = top.name if isinstance(top, ast.ClassDef) else None
+        if cls:
+            bases[cls] = {b.id if isinstance(b, ast.Name) else b.attr
+                          for b in top.bases
+                          if isinstance(b, (ast.Name, ast.Attribute))}
+            self_loads[cls] = set()
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            if cls and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self":
+                self_loads[cls].add(node.attr)
+            else:
+                loads.add(node.attr)
+    return bases, self_loads, loads
+
+
 def unread_attributes():
     """Stored attributes that no attribute load in src/, scripts/ or
-    perfbench/ reaches; the match is by name only."""
+    perfbench/ reaches.  A `self.x` load reads x of its own class, its
+    bases and its subclasses only; any other load matches by name."""
     paths = modules() + sorted((ROOT / "scripts").glob("*.py")) \
         + sorted((ROOT / "perfbench").glob("*.py"))
-    loaded = {node.attr for path in paths
-              for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.Attribute)
-              and isinstance(node.ctx, ast.Load)}
-    return [qualname for qualname in stored_attributes()
-            if qualname.split(".")[1] not in loaded]
+    bases, self_loads, loaded = {}, {}, set()
+    for path in paths:
+        b, s, loads = _attribute_loads(ast.parse(path.read_text()))
+        bases.update(b)
+        for name, attrs in s.items():
+            self_loads.setdefault(name, set()).update(attrs)
+        loaded |= loads
+
+    def ancestors(name):
+        out = set()
+        for base in bases.get(name, ()):
+            out |= {base} | ancestors(base)
+        return out
+
+    def related(name):
+        return ({name} | ancestors(name)
+                | {c for c in bases if name in ancestors(c)})
+
+    found = []
+    for qualname in stored_attributes():
+        cls, attr = qualname.split(".")
+        if attr not in loaded and not any(attr in self_loads.get(c, ())
+                                          for c in related(cls)):
+            found.append(qualname)
+    return found
 
 
 def test_every_stored_attribute_is_read():

@@ -414,6 +414,24 @@ class TestReports:
                        "--out", str(out)) == 1
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    @pytest.mark.parametrize("t_end", ["inf", "1e308"])
+    def test_polar_run_nonfinite_timestamps_are_config_error(
+            self, t_end, by, tmp_path, capsys):
+        # 1e308 passes as a float, but k * (t_end - 0.1) overflows to inf
+        out = tmp_path / "o"
+        if by == "flag":
+            source = ["--t-end", t_end]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"t_end = {t_end}\n")
+            source = ["--config", str(cfg)]
+        assert run_cli("polar-run", "--n", "16", *source,
+                       "--out", str(out)) == 1
+        assert ("timestamps that are not finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestVerify:
     def _fake(self, passed):

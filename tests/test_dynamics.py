@@ -121,13 +121,22 @@ class TestRun:
             assert 0.0 < c["min_rho"] <= c["max_rho"]
             assert np.isfinite(c["w2_proxy"])
 
-    def test_envelope_bookkeeping(self, short_run):
-        res = short_run
-        k = res.n_steps
-        assert res.lam <= 0.7 + 1e-12
-        assert res.lam >= 0.7 * (1.0 - dynamics.RENORM_DRIFT) ** k
-        assert res.Lam >= 1.3 - 1e-12
-        assert res.Lam <= 1.3 * (1.0 + dynamics.RENORM_DRIFT) ** k
+    def test_envelope_bookkeeping(self):
+        # the short_run steps, on the state: each step widens [lam, Lam]
+        # by its logged renormalization factor, within the drift allowance
+        grid = TorusGrid(32)
+        rho0, lam, Lam = presets.two_mode_density(grid)
+        state = dynamics.SGState.from_density(rho0, grid, lam=lam, Lam=Lam)
+        k = 25
+        for _ in range(k):
+            state = dynamics.step(state, 2e-3)
+            factor = state.certificates["renorm_factor"]
+            lam, Lam = lam * min(factor, 1.0), Lam * max(factor, 1.0)
+        assert (state.lam_env, state.Lam_env) == (lam, Lam)
+        assert state.lam_env <= 0.7 + 1e-12
+        assert state.lam_env >= 0.7 * (1.0 - dynamics.RENORM_DRIFT) ** k
+        assert state.Lam_env >= 1.3 - 1e-12
+        assert state.Lam_env <= 1.3 * (1.0 + dynamics.RENORM_DRIFT) ** k
 
     def test_linearized_identity_residual_is_small(self, short_run):
         # A dP*/dt = div(rho U): the discrete mismatch at this resolution

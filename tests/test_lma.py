@@ -26,7 +26,7 @@ TWO_PI = 2.0 * np.pi
 
 def identity_cofactor(grid):
     one = np.ones((grid.n, grid.n))
-    return CofactorField(grid, one, np.zeros_like(one), one.copy())
+    return CofactorField(one, np.zeros_like(one), one.copy())
 
 
 def identity_operator(n):
@@ -75,7 +75,7 @@ class TestOperator:
         c11 = np.ones((16, 16))
         c22 = np.ones((16, 16))
         c12 = np.full((16, 16), 1.5)  # det = 1 - 2.25 < 0
-        cof = CofactorField(grid, c11, c12, c22)
+        cof = CofactorField(c11, c12, c22)
         with pytest.raises(IndefiniteOperator):
             DivergenceFormOperator(grid, cof)
         # the residual paths assemble rows, or apply the stencil, without
@@ -354,7 +354,7 @@ class TestRowAssembly:
         grid = TorusGrid(n)
         c11, c22 = 0.5 + rng.random((2, n, n))
         c12 = 0.4 * (rng.random((n, n)) - 0.5)
-        cof = CofactorField(grid, c11, c12, c22)
+        cof = CofactorField(c11, c12, c22)
         oracle = rolled_rows(grid, c11, c12, c22)
         assert_same_csr(stencil_rows(grid, cof, np.arange(n * n)), oracle)
         # seam and corner cells among a random subset, in ascending order
@@ -384,7 +384,7 @@ class TestRowAssembly:
         grid = TorusGrid(n)
         c11, c22 = 0.5 + rng.random((2, n, n))
         c12 = 0.4 * (rng.random((n, n)) - 0.5)
-        cof = CofactorField(grid, c11, c12, c22)
+        cof = CofactorField(c11, c12, c22)
         u = rng.standard_normal((n, n))
         product = stencil_rows(grid, cof, np.arange(n * n)) @ u.ravel()
         assert np.array_equal(apply_stencil(grid, cof, u),

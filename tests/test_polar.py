@@ -9,7 +9,14 @@ from sgtorus.errors import (
     FactorizationResidualTooLarge,
     InsufficientSamples,
 )
-from sgtorus.grid import PeriodicDisplacement, TorusGrid, periodic_distance
+from sgtorus.grid import (
+    PeriodicDisplacement,
+    TorusGrid,
+    integral,
+    mean_zero,
+    periodic_distance,
+    periodic_gradient,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -194,3 +201,23 @@ class TestTimeRegularity:
         assert s["defect_max"] < 0.05
         assert s["residual_max"] <= 2.0 * 5.0 * grid.spacing
         assert np.isfinite(s["gamma_min"])
+
+    def test_gradient_norms_match_oracle(self):
+        # the rho-weighted L^(1+kappa) norms of d(grad P*)/dt, recomputed
+        # from the returned factorizations, bit for bit
+        grid = TorusGrid(16)
+        series = presets.cosine_family_series(grid, [0.1, 0.25, 0.4, 0.55])
+        out = polar.polar_time_regularity(series, seed=2)
+        facts, times = out["factorizations"], series.times
+        for k, row in enumerate(out["rows"], start=1):
+            dtp = mean_zero((facts[k + 1].pot.q - facts[k - 1].pot.q)
+                            / (times[k + 1] - times[k - 1]))
+            g1, g2 = periodic_gradient(dtp, grid)
+            mag = np.hypot(g1, g2)
+            rho = facts[k].density.values
+            for kappa, key in ((0.1, "l1.1_dt_grad"), (0.2, "l1.2_dt_grad")):
+                p = 1.0 + kappa
+                assert row[key] == float(integral(rho * mag ** p, grid)) \
+                    ** (1.0 / p)
+            # rho has unit mass, so the norm grows with the exponent
+            assert 0.0 < row["l1.1_dt_grad"] < row["l1.2_dt_grad"]

@@ -204,6 +204,15 @@ class TestHolderFit:
         with pytest.raises(InsufficientSamples):
             holder_fit(u, (0.5, 0.5), grid, radii=[0.1, 0.2])
 
+    @pytest.mark.parametrize("center", [(np.nan, 0.5), (0.5, np.inf),
+                                        (-np.inf, np.nan)])
+    def test_nonfinite_center_rejected(self, center):
+        # a NaN once cast to cell 0 and fitted there; a finite centre
+        # next to it does not hide it
+        grid, u = self.grid_distance_power(64, (0.5, 0.5), 0.5)
+        with pytest.raises(ValueError, match="not finite"):
+            regularity.holder_fits(u, [(0.3, 0.3), center], grid)
+
 
 class TestHolderFitOracle:
     """holder_fits reads cached shell tables of many centres at once;

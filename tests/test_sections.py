@@ -55,6 +55,14 @@ class TestExtraction:
         with pytest.raises(EmptySection):
             sections.extract_section(pot, (0.5, 0.5), -0.1)
 
+    @pytest.mark.parametrize("center", [(np.nan, 0.5), (0.5, np.inf),
+                                        (-np.inf, np.nan)])
+    def test_nonfinite_center_rejected(self, center):
+        # a NaN once cast to cell 0 and extracted a section there
+        pot = presets.quadratic_potential(TorusGrid(32))
+        with pytest.raises(ValueError, match="not finite"):
+            sections.extract_section(pot, center, 0.02)
+
     def test_sections_shift_with_center(self):
         # q = 0, so sections at different centers are translates
         pot = presets.quadratic_potential(TorusGrid(64))
