@@ -5,6 +5,15 @@ cell centers ((i+1/2)/N, (j+1/2)/N) and stored as (N, N) float arrays with
 axis 0 along x1 and axis 1 along x2.  Difference operators are centered
 and wrap periodically, so the discrete gradient and (minus) divergence are
 exact adjoints and every gradient integrates to zero exactly.
+
+Everything here is numpy alone.  Bilinear sampling equals SciPy's
+map_coordinates(order=1, mode="grid-wrap") bit for bit, and the tests use
+it as the reference: the fractional index c = x N - 0.5 is reduced mod N
+only where it lies outside [0, N), the weights are (1 - t, t) with
+t = c - floor(c), and the four corner terms (value * w0) * w1 are summed
+from 0.0 in SciPy's order.  The periodic 3 x 3 dilation of a cell mask (dilate) gives the
+Dirichlet ring (lma.boundary_ring) and, complemented, the erosion
+(regularity.interior_cells).
 """
 
 import csv
@@ -12,7 +21,6 @@ import dataclasses
 import functools
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridMismatch, InvariantViolation
 
@@ -273,11 +281,65 @@ def mean_zero(values):
 
 # --- interpolation ----------------------------------------------------------
 
+def _bilinear_cells(points, n):
+    """Where SciPy's map_coordinates(order=1, mode="grid-wrap") reads the
+    (N, N) values at ``points`` (..., 2): the flat index of each point's
+    cell in the (N + 1, N + 1) wrap-padded values of _bilinear_sum, and
+    the weights (1 - t, t) of each axis.  ValueError on a point that is
+    not finite."""
+    pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("sampling point not finite")
+    index, weights = [], []
+    for axis in (0, 1):
+        c = pts[..., axis] * n  # a new array, updated in place below
+        c -= 0.5  # fractional index
+        c = c.ravel()
+        if c.min() < 0.0 or c.max() >= n:
+            # reduced only where outside [0, N): reducing in-range
+            # entries too costs time, and so would a % N on the indices
+            out = (c < 0.0) | (c >= n)
+            r = np.mod(c[out], n)
+            r[r == n] = 0.0  # a tiny negative c rounds up to N: cell 0
+            c[out] = r
+        f = np.floor(c)
+        index.append(f.astype(np.intp))
+        t = np.subtract(c, f, out=c)
+        weights.append((1.0 - t, t))
+    flat = index[0]
+    flat *= n + 1
+    flat += index[1]
+    return flat, weights
+
+
+def _bilinear_sum(values, n, flat, weights):
+    """The four corner terms (value * w0) * w1 summed from 0.0 in the order
+    (0, 0), (0, 1), (1, 0), (1, 1), as map_coordinates sums them; the 0.0
+    start makes an all-(-0.0) field sample to +0.0 as there."""
+    # row 0 and column 0 repeated after the last: the neighbours (i + 1, j),
+    # (i, j + 1) and (i + 1, j + 1) of every cell (i, j) are n + 1, 1 and
+    # n + 2 flat steps away, without a % N
+    p = np.pad(np.asarray(values, dtype=float), ((0, 1), (0, 1)),
+               mode="wrap").ravel()
+    (a0, a1), (b0, b1) = weights
+    out = np.zeros(flat.shape)
+    for shift, wa, wb in ((0, a0, b0), (1, a0, b1), (n + 1, a1, b0),
+                          (n + 2, a1, b1)):
+        term = np.take(p[shift:], flat)
+        term *= wa
+        term *= wb
+        out += term
+    return out
+
+
 def sample_bilinear(values, points, grid):
     """Periodic bilinear interpolation at arbitrary points.
 
     Bilinear weights are convex, so sampled values stay inside
     [min(values), max(values)]; transport relies on that monotonicity.
+    Bit for bit SciPy's map_coordinates(order=1, mode="grid-wrap") at the
+    fractional indices points * N - 0.5, in numpy alone; ValueError on a
+    point that is not finite.
 
     Parameters
     ----------
@@ -286,19 +348,26 @@ def sample_bilinear(values, points, grid):
     points : (..., 2) array
         Query points anywhere in the plane (wrapped internally).
     """
-    pts = np.asarray(points, dtype=float)
-    coords = pts * grid.n - 0.5  # physical -> fractional index
-    stacked = np.stack([coords[..., 0].ravel(), coords[..., 1].ravel()])
-    out = ndimage.map_coordinates(
-        np.asarray(values, dtype=float), stacked, order=1, mode="grid-wrap"
-    )
-    return out.reshape(pts.shape[:-1])
+    flat, weights = _bilinear_cells(points, grid.n)
+    out = _bilinear_sum(values, grid.n, flat, weights)
+    return out.reshape(np.shape(points)[:-1])
 
 
 def sample_vector_bilinear(v1, v2, points, grid):
-    s1 = sample_bilinear(v1, points, grid)
-    s2 = sample_bilinear(v2, points, grid)
-    return s1, s2
+    """sample_bilinear of v1 and of v2 at the same points, bit for bit,
+    with the cells and weights computed once for both."""
+    flat, weights = _bilinear_cells(points, grid.n)
+    shape = np.shape(points)[:-1]
+    return tuple(_bilinear_sum(v, grid.n, flat, weights).reshape(shape)
+                 for v in (v1, v2))
+
+
+def dilate(mask):
+    """Periodic 3 x 3 dilation of a bool mask: the OR of its shifted
+    copies, one axis after the other."""
+    m = np.asarray(mask, dtype=bool)
+    rows = m | np.roll(m, 1, axis=0) | np.roll(m, -1, axis=0)
+    return rows | np.roll(rows, 1, axis=1) | np.roll(rows, -1, axis=1)
 
 
 # --- serialization ----------------------------------------------------------

@@ -22,12 +22,17 @@ solve also uses (grid.trace_scaled_inverse), Dirichlet ones with one
 aggregation-multigrid V-cycle (AggregationVCycle), so the CG iteration
 count grows only slowly with N and the Green's-function ladders stay
 near linear in the number of cells.
+
+The rows are CSR matrices of scipy.sparse, imported inside _csr, the one
+function that builds them: the time loop and the polar factorization
+never assemble a matrix, so they and `import sgtorus` run on numpy
+alone, and a process pays the scipy.sparse import only with its first
+assembled operator.
 """
 
 import dataclasses
 
 import numpy as np
-from scipy import ndimage, sparse
 
 from . import grid as gridmod
 from . import sections
@@ -112,6 +117,15 @@ def _row_sums(weights, values):
     return total
 
 
+def _csr(arg, shape):
+    """scipy.sparse.csr_matrix(arg, shape=shape), the one place the package
+    builds a sparse matrix.  The import is here and not at the top: the
+    time loop and the polar factorization never build one, and importing
+    scipy.sparse takes a fresh process about twice as long as numpy."""
+    from scipy import sparse
+    return sparse.csr_matrix(arg, shape=shape)
+
+
 def stencil_rows(grid, coeffs, cells):
     """Rows `cells` (flat indices) of the periodic 9-point matrix of the
     energy (_weights), in CSR with global column indices and each row's
@@ -123,7 +137,7 @@ def stencil_rows(grid, coeffs, cells):
     data = np.stack(
         _weights(grid, coeffs, lambda a, di, dj: a.ravel()[where[di, dj]]),
         axis=-1)
-    return sparse.csr_matrix(
+    return _csr(
         (data.ravel(), np.stack(list(where.values()), axis=-1).ravel(),
          np.arange(0, 9 * cells.size + 1, 9)),
         shape=(cells.size, n * n),
@@ -180,8 +194,7 @@ def _galerkin(matrix, agg, size):
     entries of A summed by (aggregate of row, aggregate of column).  Its
     entry-sized index arrays die on return, before the next level."""
     rows = np.repeat(agg, np.diff(matrix.indptr))
-    return sparse.csr_matrix((matrix.data, (rows, agg[matrix.indices])),
-                             shape=(size, size))
+    return _csr((matrix.data, (rows, agg[matrix.indices])), shape=(size, size))
 
 
 class AggregationVCycle:
@@ -372,7 +385,7 @@ def boundary_ring(mask):
     """One-cell ring outside the mask (8-connected, matching the stencil),
     wrapping across the periodic seam as the operator does."""
     mask = np.asarray(mask, bool)
-    return ndimage.maximum_filter(mask, size=3, mode="wrap") & ~mask
+    return gridmod.dilate(mask) & ~mask
 
 
 def solve_periodic_lma(coeffs, F, grid, tol=DEFAULT_CG_TOL):

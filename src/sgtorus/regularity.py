@@ -10,10 +10,10 @@ import dataclasses
 import functools
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ResidualTooLarge
 from .fitting import CONSTANT_SENTINEL, loglog_fit
+from .grid import dilate
 from .lma import stencil_rows
 from .ma import cofactor
 from .sections import section_ladder
@@ -26,7 +26,7 @@ _CONSTANT_FLOOR = 1e-13
 def interior_cells(mask):
     """Cells whose full 9-point stencil stays inside the mask, wrapping
     across the periodic seam."""
-    return ndimage.minimum_filter(np.asarray(mask, bool), size=3, mode="wrap")
+    return ~dilate(~np.asarray(mask, bool))
 
 
 def oscillation(values, mask):

@@ -13,15 +13,28 @@ on the radius-2 sphere, and is verified constructively.  The moments
 alone suffice: a planar convex body in isotropic position lies between
 the balls of radius sqrt(2) and sqrt(8) (Kannan, Lovasz & Simonovits,
 Discrete Comput. Geom. 13, 1995), which is John's factor 2.
+
+The section keeps the 4-connected component of the center, found through
+row runs.  Inside the half-period window the tangent deficit along a row
+has second difference h^2 p22, and p22 > 0 because a ConvexPotential has
+p11 > 0 and p11 p22 - p12^2 > 0; so each row of the sublevel set is one
+run of cells, and the component is the block of rows around the center
+row whose consecutive runs share a column.  A row of several runs
+(rounding could only cause one where p22 is near zero) is an
+InvariantViolation, never a silently different mask.
 """
 
 import dataclasses
 
 import numpy as np
-from scipy import ndimage
 
 from . import grid as gridmod
-from .errors import DegenerateSection, EmptySection, SectionWrapsTorus
+from .errors import (
+    DegenerateSection,
+    EmptySection,
+    InvariantViolation,
+    SectionWrapsTorus,
+)
 from .fitting import dyadic_ladder
 
 
@@ -72,7 +85,7 @@ def extract_section(pot, x0, height):
     if height <= 0.0:
         raise EmptySection(f"section height must be positive, got {height}")
     grid = pot.grid
-    n, h = grid.n, grid.spacing
+    h = grid.spacing
     i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
     x0c = np.array([(i0 + 0.5) * h, (j0 + 0.5) * h])
 
@@ -96,13 +109,7 @@ def extract_section(pot, x0, height):
             f"section at height {height} reaches half a period from {x0c}"
         )
 
-    # keep the 4-connected component containing the center (rolled so the
-    # component cannot straddle the array seam)
-    shift = (n // 2 - i0, n // 2 - j0)
-    rolled = np.roll(raw, shift, axis=(0, 1))
-    labels, _ = ndimage.label(rolled)
-    keep = labels == labels[n // 2, n // 2]
-    mask = np.roll(keep, (-shift[0], -shift[1]), axis=(0, 1))
+    mask = raw & _component_rows(raw, i0, j0)[:, None]
 
     count = int(np.count_nonzero(mask))
     if count < 2:
@@ -113,6 +120,39 @@ def extract_section(pot, x0, height):
                                for d in (d1, d2)])
     return Section(grid, x0c, (int(i0), int(j0)), float(height), mask,
                    offsets)
+
+
+def _component_rows(raw, i0, j0):
+    """Rows of the 4-connected component of raw around cell (i0, j0),
+    as an (N,) bool array, for a raw mask with one run per row.
+
+    Rolled so the center sits at (N // 2, N // 2), raw stays clear of the
+    array edges (the half-period window), so no run or row straddles the
+    seam.  With one run per row the component is the block of rows around
+    the center row whose consecutive runs share a column.  Raises
+    InvariantViolation on a row of raw with more than one run.
+    """
+    n = raw.shape[0]
+    shift = (n // 2 - i0, n // 2 - j0)
+    rolled = np.roll(raw, shift, axis=(0, 1))
+    first = np.argmax(rolled, axis=1)
+    last = n - 1 - np.argmax(rolled[:, ::-1], axis=1)
+    count = np.count_nonzero(rolled, axis=1)
+    if np.any((count > 0) & (count != last - first + 1)):
+        raise InvariantViolation(
+            "section_row_runs",
+            "a row of the sublevel set splits into several runs, which a "
+            "discretely convex potential rules out")
+    # link[k]: rows k and k + 1 both have runs and they share a column;
+    # rows 0 and N - 1 are empty, so there is a break on either side
+    link = ((count[:-1] > 0) & (count[1:] > 0)
+            & (first[1:] <= last[:-1]) & (first[:-1] <= last[1:]))
+    c = n // 2
+    lo = np.flatnonzero(~link[:c])[-1] + 1
+    hi = c + np.flatnonzero(~link[c:])[0]
+    keep = np.zeros(n, dtype=bool)
+    keep[lo:hi + 1] = True
+    return np.roll(keep, -shift[0])
 
 
 def section_ladder(pot, x0, top_height, rungs):

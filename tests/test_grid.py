@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from sgtorus import grid as gridmod
 from sgtorus import presets
@@ -279,6 +280,56 @@ class TestSampling:
         expected = 0.3 + 1.7 * pts[:, 0] - 0.9 * pts[:, 1]
         assert np.max(np.abs(out - expected)) <= 1e-12
 
+    @staticmethod
+    def map_coordinates(values, pts, n):
+        # the scipy.ndimage call sample_bilinear replaces, as the reference
+        c = pts * n - 0.5
+        out = ndimage.map_coordinates(
+            values, np.stack([c[..., 0].ravel(), c[..., 1].ravel()]),
+            order=1, mode="grid-wrap")
+        return out.reshape(pts.shape[:-1])
+
+    @staticmethod
+    def oracle_points(n, rng):
+        k = np.arange(-3 * 2 * n, 4 * 2 * n)
+        lines = k / (2 * n)  # cell centres and cell edges, +-3 periods
+        near = np.concatenate([lines, lines + 1e-18, lines - 1e-18,
+                               np.nextafter(lines, np.inf),
+                               np.nextafter(lines, -np.inf)])
+        edges = np.array([-1e-20, 1.0, 1.0 - 1e-17, 0.0, -0.0, 3.0, -3.0,
+                          1e-20, 3.0 - 1e-16, -3.0 + 1e-16])
+        xs = np.concatenate([near, edges, rng.uniform(-3.0, 4.0, 500)])
+        ys = rng.permutation(xs)
+        return np.concatenate([np.stack([xs, ys], axis=-1),
+                               np.stack([ys, xs], axis=-1),
+                               np.stack([xs, xs], axis=-1)])
+
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_equals_map_coordinates_bitwise(self, n, rng):
+        pts = self.oracle_points(n, rng)
+        grid = TorusGrid(n)
+        centres = np.stack(grid.centers(), axis=-1)
+        for vals in (rng.standard_normal((n, n)), -np.zeros((n, n)),
+                     np.where(rng.random((n, n)) < 0.5, -0.0, 1e-300)):
+            out = gridmod.sample_bilinear(vals, pts, grid)
+            assert same_bits(out, self.map_coordinates(vals, pts, n))
+            assert same_bits(gridmod.sample_bilinear(vals, centres, grid),
+                             self.map_coordinates(vals, centres, n))
+        # ndimage returns +0.0 on an all-(-0.0) field
+        zero = gridmod.sample_bilinear(-np.zeros((n, n)), pts, grid)
+        assert not np.any(np.signbit(zero))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        grid = TorusGrid(8)
+        vals = np.ones((8, 8))
+        pts = np.full((3, 2), 0.25)
+        pts[1, 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            gridmod.sample_bilinear(vals, pts, grid)
+        with pytest.raises(ValueError, match="not finite"):
+            gridmod.sample_vector_bilinear(vals, vals, pts, grid)
+
     def test_vector_sampling_matches_componentwise(self, rng):
         grid = TorusGrid(16)
         v1, v2 = rng.standard_normal((2, 16, 16))
@@ -286,6 +337,15 @@ class TestSampling:
         s1, s2 = gridmod.sample_vector_bilinear(v1, v2, pts, grid)
         assert np.array_equal(s1, gridmod.sample_bilinear(v1, pts, grid))
         assert np.array_equal(s2, gridmod.sample_bilinear(v2, pts, grid))
+
+
+@pytest.mark.parametrize("n", [5, 7, 33])
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.7])
+def test_dilate_equals_maximum_filter(n, density, rng):
+    mask = rng.random((n, n)) < density
+    mask[0, 0] = mask[n - 1, n // 2] = True  # members on the seam
+    assert np.array_equal(gridmod.dilate(mask),
+                          ndimage.maximum_filter(mask, size=3, mode="wrap"))
 
 
 class TestDisplacement:

@@ -114,6 +114,15 @@ class TestBasics:
         assert np.array_equal(interior, np.roll(rolled, -5, axis=1))
         assert np.count_nonzero(interior) == 9
 
+    @pytest.mark.parametrize("n", [5, 7, 33])
+    @pytest.mark.parametrize("density", [0.3, 0.7, 0.95])
+    def test_interior_cells_equals_minimum_filter(self, n, density, rng):
+        mask = rng.random((n, n)) < density
+        mask[0, :] = True  # a full row along the seam
+        assert np.array_equal(
+            regularity.interior_cells(mask),
+            ndimage.minimum_filter(mask, size=3, mode="wrap"))
+
     def test_homogeneity_residual_separates(self, harmonic_problem, rng):
         grid, pot, sec, u = harmonic_problem
         good = regularity.homogeneity_residual(u, pot, sec.mask)

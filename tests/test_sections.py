@@ -3,9 +3,39 @@ import pytest
 from scipy import ndimage
 
 from sgtorus import presets, sections
-from sgtorus.errors import DegenerateSection, EmptySection, SectionWrapsTorus
+from sgtorus.errors import (
+    DegenerateSection,
+    EmptySection,
+    InvariantViolation,
+    SectionWrapsTorus,
+)
 from sgtorus.grid import TorusGrid
 from sgtorus.ma import solve_ma_periodic
+
+
+def deficit_below(pot, center_index, height):
+    """The raw sublevel set {deficit < h} of the tangent at a cell."""
+    i0, j0 = center_index
+    d1, d2 = pot.grid.offsets_from(i0, j0)
+    deficit = (0.5 * (d1**2 + d2**2) + pot.q - pot.q[i0, j0]
+               - pot.g1[i0, j0] * d1 - pot.g2[i0, j0] * d2)
+    return deficit < height
+
+
+def label_component(raw, i0, j0):
+    """The 4-connected component of cell (i0, j0) by ndimage.label on the
+    mask rolled to put it mid-array, the reference for the row runs."""
+    n = raw.shape[0]
+    shift = (n // 2 - i0, n // 2 - j0)
+    labels, _ = ndimage.label(np.roll(raw, shift, axis=(0, 1)))
+    keep = labels == labels[n // 2, n // 2]
+    return np.roll(keep, (-shift[0], -shift[1]), axis=(0, 1))
+
+
+@pytest.fixture(scope="module")
+def pinch_100_potential():
+    rho, lam, Lam = presets.two_bump_density(TorusGrid(64), lo=0.1, hi=10.0)
+    return solve_ma_periodic(rho, lam=lam, Lam=Lam)
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +67,47 @@ class TestExtraction:
         labels, count = ndimage.label(sec.mask)
         assert count == 1
         # the sublevel set has no other component, so no cell is dropped
-        i0, j0 = sec.center_index
-        d1, d2 = grid.offsets_from(i0, j0)
-        deficit = (0.5 * (d1**2 + d2**2) + pot.q - pot.q[i0, j0]
-                   - pot.g1[i0, j0] * d1 - pot.g2[i0, j0] * d2)
-        assert np.array_equal(sec.mask, deficit < 0.03)
+        assert np.array_equal(sec.mask,
+                              deficit_below(pot, sec.center_index, 0.03))
+
+    @pytest.mark.parametrize("center", [(0.3, 0.3), (0.62, 0.41),
+                                        (0.01, 0.5), (0.5, 0.995),
+                                        (0.996, 0.004)],
+                             ids=["bump", "saddle", "seam-x1", "seam-x2",
+                                  "corner"])
+    def test_component_matches_label_on_pinch_100_ladder(
+            self, pinch_100_potential, center):
+        pot = pinch_100_potential
+        compared = 0
+        for h in 0.12 * 0.5 ** np.arange(8):
+            try:
+                sec = sections.extract_section(pot, center, h)
+            except (EmptySection, SectionWrapsTorus):
+                continue
+            raw = deficit_below(pot, sec.center_index, h)
+            assert np.array_equal(sec.mask,
+                                  label_component(raw, *sec.center_index))
+            compared += 1
+        assert compared >= 4
+
+    @pytest.mark.parametrize("shift", [(0, 0), (8, 8), (9, 7)])
+    def test_component_drops_row_touching_at_a_corner(self, shift):
+        # rows 7 and 8 share columns; row 9 meets row 8 only at a corner,
+        # and row 10 continues row 9: 4-connectivity keeps rows 7 and 8
+        raw = np.zeros((16, 16), dtype=bool)
+        raw[7, 7:9] = raw[8, 6:10] = raw[9, 10:13] = raw[10, 9:12] = True
+        raw = np.roll(raw, shift, axis=(0, 1))
+        i0, j0 = (8 + shift[0]) % 16, (8 + shift[1]) % 16
+        keep = raw & sections._component_rows(raw, i0, j0)[:, None]
+        assert np.array_equal(keep, label_component(raw, i0, j0))
+        assert np.count_nonzero(keep) == 6
+
+    def test_row_with_two_runs_is_invariant_violation(self):
+        raw = np.zeros((16, 16), dtype=bool)
+        raw[8, 6:10] = True
+        raw[9, 5:7] = raw[9, 8:10] = True
+        with pytest.raises(InvariantViolation, match="section_row_runs"):
+            sections._component_rows(raw, 8, 8)
 
     def test_wrapping_section_rejected(self):
         pot = presets.quadratic_potential(TorusGrid(64))
