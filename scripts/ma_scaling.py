@@ -8,7 +8,10 @@ the two-bump preset density, then --steps time-loop steps (dt = 2.5e-4)
 warm-started from it, then LEGENDRE_REPS Legendre transforms of the cold
 potential, then GREEN_REPS masked Green's functions (operator set-up plus
 CG solve at rtol 1e-12) with the pole at the centre of each section
-S(GREEN_CENTRE, h) of the cold potential, h in GREEN_HEIGHTS, then
+S(GREEN_CENTRE, h) of the cold potential, h in GREEN_HEIGHTS; one
+untimed call before each of these timings takes the first call's
+one-time costs (the scipy.sparse import of the first masked operator,
+say) out of the median.  Then
 dynamics.lma_residual on each interior record of the warm steps with its
 centred dP*/dt (their median is lma_residual_s), then
 dynamics.dtp_regularity, the Holder fits alone (the polar series adds
@@ -42,12 +45,12 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LEGENDRE_REPS = 3
+LEGENDRE_REPS = 7
 HOLDER_CENTRES = 20
 HOLDER_REPS = 3
 GREEN_CENTRE = (0.3, 0.3)
 GREEN_HEIGHTS = (0.02, 0.08)
-GREEN_REPS = 3
+GREEN_REPS = 7
 PINCH_REPS = 3
 DT = 2.5e-4
 
@@ -91,6 +94,7 @@ def measure(n, steps):
         newton += state.pot.newton_iters
         krylov += state.pot.diagnostics.get("linear_iters", 0)
         history.append(state)
+    ma.legendre(cold)
     legendre_s = []
     for _ in range(LEGENDRE_REPS):
         t = time.perf_counter()
@@ -101,6 +105,7 @@ def measure(n, steps):
     cg = count_cg(lma, cg_iters)
     for h in GREEN_HEIGHTS:
         sec = sections.extract_section(cold, GREEN_CENTRE, h)
+        lma.green_function(cof, sec.mask, sec.center_index, grid)
         times = []
         for _ in range(GREEN_REPS):
             t = time.perf_counter()

@@ -7,7 +7,10 @@ exactly.  A ConvexPotential is discretely convex by construction (P11 > 0
 and det D^2 P* > 0 cellwise, or LostConvexity), so nothing that takes one
 checks again.  Its Legendre transform P need not be discretely convex on
 the grid, so legendre returns it as a LegendrePotential: the periodic
-part of P and the gradient map grad P, with no Hessian.
+part of P and the gradient map grad P, with no Hessian.  legendre scans
+only the tiled centres y within sqrt(h^2/2 + 2 osc q) (plus a cell) of
+the queries, where every maximizer lies, so its result is bitwise that
+of the full 3x3 block of periodic copies.
 
 solve_ma_periodic runs a damped Newton iteration on
 
@@ -322,7 +325,8 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     tol : float, optional
         Sup-norm tolerance on det - rho - mu (default 1e-8 * max(1, Lam)).
     initial : ConvexPotential, optional
-        Warm start: its periodic part q and Hessian (default q = 0).
+        Warm start: its periodic part q and Hessian (default q = 0), on
+        the grid of rho (GridMismatch otherwise).
     guess : (N, N) array, optional
         Predicted first Newton update of q, say extrapolated from earlier
         solves.  It is only the Krylov start of that update's GMRES
@@ -354,6 +358,7 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         q = np.zeros((n, n))
         p11, p12, p22, det = _hessian_and_det(q, h)
     else:
+        gridmod.check_same_grid(initial.grid, grid)
         # its Hessian has the bits of _hessian_and_det(q); read, never written
         q = initial.q
         p11, p12, p22, det = initial.p11, initial.p12, initial.p22, initial.det
@@ -484,17 +489,30 @@ def _conjugate_block(x, y, f):
 def legendre(pot):
     """Discrete Legendre transform P(x) = sup_y (x.y - P*(y)).
 
-    The sup runs over the 3x3 block of periodic copies (enough because
-    optimal displacements are at most half a period) and is separable:
-    stage 1 conjugates each tiled row y1_k in the second variable,
-    H[k, j] = max_m (x2_j y_m - P*(y_k, y_m)), and stage 2 conjugates each
-    column of -H in the first variable.  Each 1D conjugate is a lower
-    envelope (Lucet, Numer. Algorithms 16, 1997; Felzenszwalb and
-    Huttenlocher, Theory Comput. 8, 2012): the queries x are placed among
-    the slopes of the row's lower convex hull, O(N) per row up to a log
-    factor and O(N^2) in all, instead of scanning all 3N candidates for
-    each of N queries.  Ties go to the first maximizer in y, and every
-    value is the score x_i y_m - P*(y_k, y_m) (stage 1) or
+    The sup runs over the tiled centres y_k = (k + 0.5) / n - 1 of the
+    3x3 block of periodic copies (enough because optimal displacements
+    are at most half a period), and only over the window of them that can
+    hold a maximizer.  Since x.y - P*(y) = |x|^2/2 - |y - x|^2/2 - q(y)
+    and some tiled centre lies within h / sqrt(2) of x, every maximizer
+    has |y - x|^2 <= reach^2 = h^2/2 + 2 osc q, osc q = max q - min q.
+    So each variable runs over the tiled indices n - pad to 2n + pad - 1
+    only, with pad = ceil(n reach) + 1 clamped to n (the full block): a
+    candidate outside scores at least 2h^2 below the sup, far beyond
+    rounding.  The window is a contiguous run of the same ordered
+    candidates, with the bits of y and P* of the full block, and it holds
+    every maximizer, ties included, so the first maximizers of both
+    passes, and their values, are those of the full block: a stage-1 row
+    that holds no maximizer can only lose value.
+
+    The sup is separable: stage 1 conjugates each tiled row y1_k in the
+    second variable, H[k, j] = max_m (x2_j y_m - P*(y_k, y_m)), and
+    stage 2 conjugates each column of -H in the first variable.  Each 1D
+    conjugate is a lower envelope (Lucet, Numer. Algorithms 16, 1997;
+    Felzenszwalb and Huttenlocher, Theory Comput. 8, 2012): the queries x
+    are placed among the slopes of the row's lower convex hull, O(N) per
+    row up to a log factor and O(N^2) in all, instead of scanning every
+    candidate for each of N queries.  Ties go to the first maximizer in
+    y, and every value is the score x_i y_m - P*(y_k, y_m) (stage 1) or
     x_i y_k + H[k, j] (stage 2) at it, so the result is bitwise that of
     the full scan.  The gradient map is the argmax refined by one Newton
     step on the inner objective.  The result is re-expressed in the
@@ -504,11 +522,16 @@ def legendre(pot):
     grid = pot.grid
     n = grid.n
     x = grid.axis_centers()
-    y = (np.arange(3 * n) + 0.5) / n - 1.0  # tiled centers in [-1, 2)
+    osc = float(np.max(pot.q) - np.min(pot.q))
+    reach = np.sqrt(0.5 * grid.spacing**2 + 2.0 * osc)
+    pad = min(n, int(np.ceil(n * reach)) + 1)
+    k = np.arange(n - pad, 2 * n + pad)  # tiled indices of the window
+    y = (k + 0.5) / n - 1.0  # their centers, in [-1, 2)
+    wrapped = k % n
 
     # P*(y_k, y_m) = |y_k|^2/2 + (|y_m|^2/2 + q); the rounding, and so the
     # first maximizer, depends on this order of the sums
-    p_star = np.tile(pot.q, (3, 3))
+    p_star = pot.q[np.ix_(wrapped, wrapped)]
     p_star += 0.5 * y[None, :] ** 2
     p_star += 0.5 * y[:, None] ** 2
     stage1_arg, stage1_vals = _conjugate_rows(x, y, p_star)
@@ -520,8 +543,8 @@ def legendre(pot):
     y1 = y[arg1]
     y2 = y[arg2]
 
-    i = arg1 % n
-    j = arg2 % n
+    i = wrapped[arg1]
+    j = wrapped[arg2]
     r1 = x[:, None] - (y1 + pot.g1[i, j])
     r2 = x[None, :] - (y2 + pot.g2[i, j])
     a, b, c = pot.p11[i, j], pot.p12[i, j], pot.p22[i, j]

@@ -7,7 +7,10 @@ Monge-Ampere equation for that density, and set g = grad P* o X.  P
 enters only through grad P, which the Legendre transform returns as a
 gradient map (ma.LegendrePotential).  For a time-dependent family the
 same per-timestamp pipeline feeds time differences of P* into the
-spatial regularity diagnostics.
+spatial regularity diagnostics.  Its Monge-Ampere solves start from the
+previous timestamp's potential, unless the first, cold solve took a
+single Newton iteration: then the cold start's preconditioner is exact,
+and the series stays cold.
 """
 
 import dataclasses
@@ -77,17 +80,25 @@ class PolarFactorization:
     defect: float  # L1 distance of (uniform pushed through g) from 1
 
 
-def factorize(mapping, lam=None, Lam=None, tol_fact=None):
+def factorize(mapping, lam=None, Lam=None, tol_fact=None, initial=None):
     """Polar-factor a torus map X given as a PeriodicDisplacement.
 
     The pushforward density must stay within the supplied pinch bounds for
     the Monge-Ampere solve to certify them.  The factorization residual
-    (does grad P o g return X?) is checked against tol_fact, defaulting to
-    ten cell widths: twice the 5h that grad P*(grad P(x)) keeps to x.
+    (does grad P o g return X?) is checked against tol_fact, positive and
+    finite (ValueError otherwise), defaulting to ten cell widths: twice
+    the 5h that grad P*(grad P(x)) keeps to x.  initial, a
+    ConvexPotential on the grid of X, warm-starts the Monge-Ampere solve
+    (solve_ma_periodic); the default starts it from q = 0.
     """
     grid = mapping.grid
+    if tol_fact is None:
+        tol_fact = 10.0 * grid.spacing
+    elif not (np.isfinite(tol_fact) and tol_fact > 0):
+        raise ValueError("factorization tolerance must be positive and "
+                         f"finite, got {tol_fact}")
     density, _ = pushforward_density(mapping)
-    pot = solve_ma_periodic(density, lam=lam, Lam=Lam)
+    pot = solve_ma_periodic(density, lam=lam, Lam=Lam, initial=initial)
     leg = legendre(pot)
 
     x1, x2 = grid.centers()
@@ -98,8 +109,6 @@ def factorize(mapping, lam=None, Lam=None, tol_fact=None):
     back = leg.sample_gradient(gridmod.wrap(g_pts))
     dist = gridmod.periodic_distance(back, targets)
     res_med = float(np.median(dist))
-    if tol_fact is None:
-        tol_fact = 10.0 * grid.spacing
     if res_med > tol_fact:
         raise FactorizationResidualTooLarge(
             f"median factorization residual {res_med:.3e} > {tol_fact:.3e}"
@@ -172,6 +181,15 @@ def polar_time_regularity(series, lam=None, Lam=None, seed=0):
     kappa 0.1 and 0.2, keyed l<1+kappa>_dt_grad, and their
     regularity_summary with the largest defect and residual.  Constant
     (steady) time derivatives are flagged rather than fitted.
+
+    The first timestamp's Monge-Ampere solve starts from q = 0.  If it
+    takes more than one Newton iteration, each later timestamp starts
+    from its predecessor's potential, which saves Newton iterations on a
+    family that moves little between timestamps.  Otherwise the whole
+    series stays cold: one Newton iteration means the cold start's
+    preconditioner was exact (as on the cosine family, where det(I + D^2
+    q) is linear in the one-dimensional q), which a warm start would
+    lose.
     """
     if len(series.times) < 3:
         raise InsufficientSamples(
@@ -181,7 +199,11 @@ def polar_time_regularity(series, lam=None, Lam=None, seed=0):
     centers = rng.random((3, 2))
     grid = series.grid
 
-    facts = [factorize(m, lam=lam, Lam=Lam) for m in series.maps]
+    facts = [factorize(series.maps[0], lam=lam, Lam=Lam)]
+    warm = facts[0].pot.newton_iters > 1
+    for m in series.maps[1:]:
+        facts.append(factorize(m, lam=lam, Lam=Lam,
+                               initial=facts[-1].pot if warm else None))
     rows = []
     for k in range(1, len(series.times) - 1):
         span = series.times[k + 1] - series.times[k - 1]

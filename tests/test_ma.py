@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sgtorus import dynamics, ma, presets
 from sgtorus.errors import (
     BadDensity,
+    GridMismatch,
     InvariantViolation,
     LostConvexity,
     NonConvergence,
@@ -242,6 +243,12 @@ class TestSolver:
         assert all(np.array_equal(a, b) for a, b in zip(
             kept, (pot.q, pot.p11, pot.p12, pot.p22, pot.det)))
 
+    def test_warm_start_on_other_grid_is_grid_mismatch(self):
+        rho, lam, Lam = presets.two_bump_density(TorusGrid(64))
+        coarse = presets.quadratic_potential(TorusGrid(32))
+        with pytest.raises(GridMismatch):
+            solve_ma_periodic(rho, lam=lam, Lam=Lam, initial=coarse)
+
     def test_bad_density_rejected(self):
         grid = TorusGrid(16)
         rho = np.full((16, 16), 1.0)
@@ -465,6 +472,45 @@ class TestLegendre:
         rho, lam, Lam = presets.two_bump_density(grid)
         pot = solve_ma_periodic(rho, grid, lam=lam, Lam=Lam)
         leg, ref = legendre(pot), brute_legendre(pot)
+        assert np.array_equal(leg.q, ref.q)
+        assert np.array_equal(leg.displacement, ref.displacement)
+
+    @staticmethod
+    def window_widths(monkeypatch):
+        """Record the candidate count of each _conjugate_rows call."""
+        widths = []
+        conjugate = ma._conjugate_rows
+
+        def recorded(x, y, f):
+            widths.append(f.shape)
+            return conjugate(x, y, f)
+
+        monkeypatch.setattr(ma, "_conjugate_rows", recorded)
+        return widths
+
+    def test_clamped_window_matches_brute_force_bitwise(self, monkeypatch):
+        # a separable kinked parabola at N=4 has osc q near 1/8, the most
+        # a discretely convex q can have there: the window clamps to the
+        # full 3N block
+        grid = TorusGrid(4)
+        f = -0.99 * 0.5 * (grid.axis_centers() - 0.5) ** 2
+        pot = ConvexPotential(grid, f[:, None] + f[None, :])
+        widths = self.window_widths(monkeypatch)
+        leg, ref = legendre(pot), brute_legendre(pot)
+        assert widths == [(12, 12), (4, 12)]
+        assert np.array_equal(leg.q, ref.q)
+        assert np.array_equal(leg.displacement, ref.displacement)
+
+    def test_pinched_window_matches_brute_force_bitwise(self, monkeypatch):
+        # pinch 100 two-bump: the window is well inside the 3N block
+        grid = TorusGrid(32)
+        rho, lam, Lam = presets.two_bump_density(grid, lo=0.1, hi=10.0)
+        pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        widths = self.window_widths(monkeypatch)
+        leg, ref = legendre(pot), brute_legendre(pot)
+        (rows, cols), stage2 = widths
+        assert rows == cols <= 2 * grid.n
+        assert stage2 == (grid.n, cols)
         assert np.array_equal(leg.q, ref.q)
         assert np.array_equal(leg.displacement, ref.displacement)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgtorus import polar, presets
+from sgtorus.ma import solve_ma_periodic
 from sgtorus.errors import (
     DegenerateMap,
     FactorizationResidualTooLarge,
@@ -159,6 +160,12 @@ class TestFactorize:
         with pytest.raises(FactorizationResidualTooLarge):
             polar.factorize(mapping, tol_fact=1e-14)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_tolerance_rejected(self, tol):
+        # a NaN tolerance would pass every residual, as res > nan is False
+        with pytest.raises(ValueError, match="positive and finite"):
+            polar.factorize(presets.shear_map(TorusGrid(32)), tol_fact=tol)
+
 
 class TestSeries:
     def test_validation(self):
@@ -179,6 +186,25 @@ class TestSeries:
         for a, b in zip(back.maps, series.maps):
             assert np.array_equal(a.d1, b.d1)
             assert np.array_equal(a.d2, b.d2)
+
+
+FACTORIZE = polar.factorize
+
+
+def run_series(monkeypatch, series, cold=False):
+    """polar_time_regularity with polar.factorize wrapped: returns the
+    report and the initial potential of each call; cold=True drops it
+    before the call, which gives the cold series."""
+    starts = []
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs.get("initial"))
+        if cold:
+            kwargs["initial"] = None
+        return FACTORIZE(*args, **kwargs)
+
+    monkeypatch.setattr(polar, "factorize", spy)
+    return polar.polar_time_regularity(series, seed=1), starts
 
 
 class TestTimeRegularity:
@@ -221,3 +247,42 @@ class TestTimeRegularity:
                     ** (1.0 / p)
             # rho has unit mass, so the norm grows with the exponent
             assert 0.0 < row["l1.1_dt_grad"] < row["l1.2_dt_grad"]
+
+    def test_series_warm_starts_from_predecessor(self, monkeypatch):
+        # X_t = id + t grad q of a solved two-bump potential: its first,
+        # cold solve takes several Newton iterations, so every later one
+        # starts from its predecessor's potential, and saves some
+        grid = TorusGrid(32)
+        rho, lam, Lam = presets.two_bump_density(grid)
+        pot = solve_ma_periodic(rho, lam=lam, Lam=Lam)
+        times = [0.7, 0.8, 0.9, 1.0]
+        series = polar.MapTimeSeries(grid, times, [
+            PeriodicDisplacement(grid, t * pot.g1, t * pot.g2) for t in times])
+        warm, starts = run_series(monkeypatch, series)
+        cold, _ = run_series(monkeypatch, series, cold=True)
+        facts, cold_facts = warm["factorizations"], cold["factorizations"]
+        assert len(starts) == len(times)
+        assert starts[0] is None
+        assert all(s is f.pot for s, f in zip(starts[1:], facts))
+        assert facts[0].pot.newton_iters > 1
+        assert sum(f.pot.newton_iters for f in facts) \
+            < sum(f.pot.newton_iters for f in cold_facts)
+        for f, ref in zip(facts, cold_facts):
+            assert np.max(np.abs(f.pot.q - ref.pot.q)) <= 1e-9
+        for row, ref in zip(warm["rows"], cold["rows"]):
+            assert row.keys() == ref.keys()
+            for key, value in ref.items():
+                assert row[key] == pytest.approx(value, rel=1e-6)
+
+    def test_one_newton_series_stays_cold(self, monkeypatch):
+        # on the cosine family the cold start's preconditioner is exact,
+        # one Newton iteration, so no timestamp is warm-started
+        grid = TorusGrid(32)
+        series = presets.cosine_family_series(grid, [0.1, 0.2, 0.3, 0.4])
+        out, starts = run_series(monkeypatch, series)
+        assert starts == [None] * 4
+        assert out["factorizations"][0].pot.newton_iters == 1
+        for fact, mapping in zip(out["factorizations"], series.maps):
+            assert np.array_equal(fact.pot.q, FACTORIZE(mapping).pot.q)
+        cold, _ = run_series(monkeypatch, series, cold=True)
+        assert out["rows"] == cold["rows"]
