@@ -3,23 +3,23 @@
     python3 scripts/ma_scaling.py --n 64 128 256 512 [--src DIR] [--steps 5]
     python3 scripts/ma_scaling.py --n 128 256 --pinch 4 100 2500 [--src DIR]
 
-For each N, in a fresh process with one BLAS thread: the cold solve of
-the two-bump preset density, then --steps time-loop steps (dt = 2.5e-4)
-warm-started from it, then LEGENDRE_REPS Legendre transforms of the cold
-potential, then GREEN_REPS masked Green's functions (operator set-up plus
-CG solve at rtol 1e-12) with the pole at the centre of each section
-S(GREEN_CENTRE, h) of the cold potential, h in GREEN_HEIGHTS; one
-untimed call before each of these timings takes the first call's
-one-time costs (the scipy.sparse import of the first masked operator,
-say) out of the median.  Then
+For each N, in a fresh process with one BLAS thread: COLD_REPS cold
+solves of the two-bump preset density, then --steps time-loop steps
+(dt = 2.5e-4) warm-started from the last of them, then LEGENDRE_REPS
+Legendre transforms of the cold potential, then GREEN_REPS masked Green's
+functions (operator set-up plus CG solve at rtol 1e-12) with the pole at
+the centre of each section S(GREEN_CENTRE, h) of the cold potential, h
+in GREEN_HEIGHTS; one untimed call before each of these timings takes
+the first call's one-time costs (the scipy.sparse import of the first
+masked operator, say) out of the median.  Then
 dynamics.lma_residual on each interior record of the warm steps with its
 centred dP*/dt (their median is lma_residual_s), then
 dynamics.dtp_regularity, the Holder fits alone (the polar series adds
 the L^(1+kappa) gradient norms itself), at HOLDER_CENTRES seeded centres
 on the centred dP*/dt of the warm steps: once on the first (holder_first_s,
 which builds any per-centre tables) and HOLDER_REPS times on the next ones
-in turn (their median is holder_s).  Prints one JSON object per N: cold_s,
-the median step_s, legendre_s, lma_residual_s and holder_s,
+in turn (their median is holder_s).  Prints one JSON object per N: the
+median cold_s and step_s, legendre_s, lma_residual_s and holder_s,
 holder_first_s, Newton and Krylov iteration counts, green_s and
 green_iters (the median Green time and the CG iterations of one Green
 solve, keyed by h), and the child's peak RSS.
@@ -45,6 +45,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COLD_REPS = 5
 LEGENDRE_REPS = 7
 HOLDER_CENTRES = 20
 HOLDER_REPS = 3
@@ -81,9 +82,12 @@ def measure(n, steps):
 
     grid = TorusGrid(n)
     rho, lam, Lam = presets.two_bump_density(grid)
-    t = time.perf_counter()
-    state = dynamics.SGState.from_density(rho, grid, lam=lam, Lam=Lam)
-    cold_s = time.perf_counter() - t
+    dynamics.SGState.from_density(rho, grid, lam=lam, Lam=Lam)
+    cold_s = []
+    for _ in range(COLD_REPS):
+        t = time.perf_counter()
+        state = dynamics.SGState.from_density(rho, grid, lam=lam, Lam=Lam)
+        cold_s.append(time.perf_counter() - t)
     cold = state.pot
     step_s, newton, krylov = [], 0, 0
     history = [state]
@@ -132,7 +136,8 @@ def measure(n, steps):
         dynamics.dtp_regularity(dtp, centers, grid)
         holder_s.append(time.perf_counter() - t)
     return {
-        "n": n, "cold_s": cold_s, "step_s": statistics.median(step_s),
+        "n": n, "cold_s": statistics.median(cold_s),
+        "step_s": statistics.median(step_s),
         "legendre_s": statistics.median(legendre_s),
         "lma_residual_s": statistics.median(lma_residual_s),
         "holder_first_s": holder_s[0],

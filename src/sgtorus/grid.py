@@ -206,13 +206,10 @@ def periodic_divergence(v1, v2, grid):
     return _dx(np.asarray(v1, dtype=float), 0, h) + _dx(np.asarray(v2, dtype=float), 1, h)
 
 
-def second_differences(values, spacing):
-    """Compact Hessian stencils: 5-point pure, 4-corner mixed.
-
-    Returns (f11, f12, f22).  Exact on quadratics and cubics.
-    """
-    h2 = spacing * spacing
-    # p[i + 1, j + 1] = values[i, j], indices mod N: each neighbour is a slice
+def wrap_pad(values):
+    """values with one periodic ghost layer on each side,
+    p[i + 1, j + 1] = values[i mod N0, j mod N1]: np.pad(values, 1,
+    mode="wrap") by five slice copies, without np.pad's overhead."""
     n0, n1 = values.shape
     p = np.empty((n0 + 2, n1 + 2), dtype=values.dtype)
     p[1:-1, 1:-1] = values
@@ -220,6 +217,16 @@ def second_differences(values, spacing):
     p[-1, 1:-1] = values[0]
     p[:, 0] = p[:, -2]
     p[:, -1] = p[:, 1]
+    return p
+
+
+def second_differences(values, spacing):
+    """Compact Hessian stencils: 5-point pure, 4-corner mixed.
+
+    Returns (f11, f12, f22).  Exact on quadratics and cubics.
+    """
+    h2 = spacing * spacing
+    p = wrap_pad(values)  # each neighbour is a slice
     f11 = (p[2:, 1:-1] + p[:-2, 1:-1] - 2.0 * values) / h2
     f22 = (p[1:-1, 2:] + p[1:-1, :-2] - 2.0 * values) / h2
     f12 = (p[2:, 2:] + p[:-2, :-2] - p[2:, :-2] - p[:-2, 2:]) / (4.0 * h2)

@@ -15,7 +15,10 @@ Every operator and masked residual assembles only the rows it reads
 (stencil_rows), each row's nine entries in _OFFSETS order; the
 periodic residual of the time loop applies the stencil in that order
 without assembling it (apply_stencil), bit for bit the product
-with the assembled rows.  Both modes solve by preconditioned CG with a
+with the assembled rows.  On the whole grid each face and corner weight
+is computed once and read by its rows as views (_grid_weights); a
+subset of cells computes its weights from its own neighbourhoods
+(_cell_weights).  Both modes solve by preconditioned CG with a
 preconditioner built once per operator: periodic ones with the
 trace-scaled FFT inverse that the Newton update of the Monge-Ampere
 solve also uses (grid.trace_scaled_inverse), Dirichlet ones with one
@@ -66,17 +69,23 @@ def _neighbours(n, cells):
     return {(di, dj): rows[di] + cols[dj] for di, dj in _OFFSETS}
 
 
-def _weights(grid, coeffs, at):
+def _weights(grid, coeffs, shifted):
     """The nine stencil weights of the energy, in _OFFSETS order, for the
-    cells that the accessor at(a, di, dj) reads: it returns the
-    coefficient array a at (i + di, j + dj) for each such cell (i, j).
-    Raises IndefiniteOperator unless the coefficient tensor is positive
-    definite in every cell.
+    caller's cells.  Raises IndefiniteOperator unless the coefficient
+    tensor is positive definite in every cell.
 
     Faces: cells (i,j),(i+1,j) with harmonic c11 weight wx, cells
     (i,j),(i,j+1) with harmonic c22 weight wy.  Corners: cells a=(i,j),
     b=(i+1,j), c=(i,j+1), d=(i+1,j+1) with the averaged c12 weight wc,
     which adds +wc on a-a, d-d, b-c and -wc on b-b, c-c, a-d.
+
+    wx, wy and wc are written here once each, as functions of an accessor
+    at(a, di, dj) that returns the coefficient array a at (i + di, j + dj).
+    A row reads wx and wy at its cell and at the cell before it, and wc at
+    the four blocks that hold its cell: the caller's shifted(w, di, dj)
+    returns the weight w at (i + di, j + dj), di and dj in {-1, 0}, for
+    each of its cells (i, j), from the same formula on the same operands,
+    so every weight has the same bits however the caller evaluates it.
     """
     c11, c12, c22 = coeffs.c11, coeffs.c12, coeffs.c22
     for c in (c11, c12, c22):
@@ -90,22 +99,24 @@ def _weights(grid, coeffs, at):
             f"min det {np.min(det):.3e})"
         )
     h = grid.spacing
-    a12 = {o: at(c12, *o) for o in _OFFSETS}
 
-    def corner(i, j):  # wc of the 2x2 block whose first cell is (i, j)
-        p12c = (a12[i, j] + a12[i + 1, j] + a12[i, j + 1]
-                + a12[i + 1, j + 1]) / 4.0
+    def wx(at):
+        return _harmonic(at(c11, 0, 0), at(c11, 1, 0)) / h**2
+
+    def wy(at):
+        return _harmonic(at(c22, 0, 0), at(c22, 0, 1)) / h**2
+
+    def wc(at):  # the 2x2 block whose first cell is (i, j)
+        p12c = (at(c12, 0, 0) + at(c12, 1, 0) + at(c12, 0, 1)
+                + at(c12, 1, 1)) / 4.0
         return p12c / (2.0 * h**2)
 
-    c11_0, c22_0 = at(c11, 0, 0), at(c22, 0, 0)
-    wx = _harmonic(c11_0, at(c11, 1, 0)) / h**2
-    wx_m = _harmonic(at(c11, -1, 0), c11_0) / h**2
-    wy = _harmonic(c22_0, at(c22, 0, 1)) / h**2
-    wy_m = _harmonic(at(c22, 0, -1), c22_0) / h**2
-    wc, wc_mm = corner(0, 0), corner(-1, -1)
-    wc_m0, wc_0m = corner(-1, 0), corner(0, -1)
-    diag = wx + wx_m + wy + wy_m + wc + wc_mm - wc_m0 - wc_0m
-    return [-wc_mm, -wx_m, wc_m0, -wy_m, diag, -wy, wc_0m, -wx, -wc]
+    wx_0, wx_m = shifted(wx, 0, 0), shifted(wx, -1, 0)
+    wy_0, wy_m = shifted(wy, 0, 0), shifted(wy, 0, -1)
+    wc_0, wc_mm = shifted(wc, 0, 0), shifted(wc, -1, -1)
+    wc_m0, wc_0m = shifted(wc, -1, 0), shifted(wc, 0, -1)
+    diag = wx_0 + wx_m + wy_0 + wy_m + wc_0 + wc_mm - wc_m0 - wc_0m
+    return [-wc_mm, -wx_m, wc_m0, -wy_m, diag, -wy_0, wc_0m, -wx_0, -wc_0]
 
 
 def _row_sums(weights, values):
@@ -126,19 +137,71 @@ def _csr(arg, shape):
     return sparse.csr_matrix(arg, shape=shape)
 
 
+def _cell_weights(grid, coeffs, where):
+    """_weights at the cells whose stencil neighbours `where` lists
+    (_neighbours): each weight evaluated at each shift that a row reads,
+    from the coefficients gathered once per neighbour offset, so past the
+    positive-definiteness check the cost is O(cells)."""
+    gathered = {}
+
+    def at(a, di, dj):  # a at (i + di, j + dj), gathered on first use
+        key = id(a), di, dj
+        if key not in gathered:
+            gathered[key] = a.ravel()[where[di, dj]]
+        return gathered[key]
+
+    def shifted(w, di, dj):
+        return w(lambda a, ei, ej: at(a, di + ei, dj + ej))
+
+    return _weights(grid, coeffs, shifted)
+
+
+def _shift(a, n, di, dj):
+    """The N x N cells (i + di, j + dj) of an array whose first row and
+    column hold cell -1."""
+    return a[1 + di:n + 1 + di, 1 + dj:n + 1 + dj]
+
+
+def _grid_weights(grid, coeffs):
+    """_weights at every cell, as N x N views.  Each of wx, wy and wc is
+    computed once, on the (N+1) x (N+1) cells from -1 to N - 1 of one
+    periodically padded copy of its coefficients, and a row's nine weights
+    are views of these three arrays: wx one row up is the wx of the cell
+    before, and the four corners of a cell are one corner array shifted."""
+    n = grid.n
+    # keyed by identity: _weights hands the accessor the arrays themselves
+    padded = {id(a): gridmod.wrap_pad(a)
+              for a in (coeffs.c11, coeffs.c12, coeffs.c22)}
+
+    def at(a, di, dj):  # a at (i + di, j + dj) for i, j from -1 to n - 1
+        return padded[id(a)][di:n + 1 + di, dj:n + 1 + dj]
+
+    whole = {}
+
+    def shifted(w, di, dj):
+        if w not in whole:
+            whole[w] = w(at)
+        return _shift(whole[w], n, di, dj)
+
+    return _weights(grid, coeffs, shifted)
+
+
 def stencil_rows(grid, coeffs, cells):
     """Rows `cells` (flat indices) of the periodic 9-point matrix of the
     energy (_weights), in CSR with global column indices and each row's
-    nine entries in _OFFSETS order.  The weights are computed from the
-    coefficients of the cells and their stencil neighbours only, so past
-    the positive-definiteness check the cost is O(cells)."""
+    nine entries in _OFFSETS order.  Every cell in order takes its weights
+    from the whole grid (_grid_weights); any other set of cells computes
+    them from its own coefficients and its stencil neighbours' only
+    (_cell_weights), in O(cells).  Both give the same bits."""
     n = grid.n
     where = _neighbours(n, cells)
-    data = np.stack(
-        _weights(grid, coeffs, lambda a, di, dj: a.ravel()[where[di, dj]]),
-        axis=-1)
+    every_cell = (cells.size == n * n
+                  and np.array_equal(cells, np.arange(n * n)))
+    weights = (_grid_weights(grid, coeffs) if every_cell
+               else _cell_weights(grid, coeffs, where))
     return _csr(
-        (data.ravel(), np.stack(list(where.values()), axis=-1).ravel(),
+        (np.stack(weights, axis=-1).ravel(),
+         np.stack(list(where.values()), axis=-1).ravel(),
          np.arange(0, 9 * cells.size + 1, 9)),
         shape=(cells.size, n * n),
     )
@@ -146,21 +209,18 @@ def stencil_rows(grid, coeffs, cells):
 
 def apply_stencil(grid, coeffs, u):
     """stencil_rows(grid, coeffs, every cell) @ u bit for bit, as an N x N
-    array, without assembling the matrix: the weights are computed on
-    the whole grid, each array read through views of one periodically
-    padded copy, and the nine products summed in _OFFSETS order, the
-    order of every row's entries."""
+    array, without assembling the matrix: the nine weights of every row
+    are views of the three whole-grid weight arrays (_grid_weights), and
+    the nine products are summed in _OFFSETS order, the order of every
+    row's entries.  Raises GridMismatch unless u is N x N."""
     n = grid.n
-    u = np.asarray(u, dtype=float).reshape(n, n)
-    # keyed by identity: _weights hands the accessor the arrays themselves
-    padded = {id(a): np.pad(a, 1, mode="wrap")
-              for a in (coeffs.c11, coeffs.c12, coeffs.c22, u)}
-
-    def at(a, di, dj):  # a at (i + di, j + dj)
-        return padded[id(a)][1 + di:n + 1 + di, 1 + dj:n + 1 + dj]
-
-    return _row_sums(_weights(grid, coeffs, at),
-                     [at(u, *o) for o in _OFFSETS])
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n, n):
+        raise GridMismatch(f"field shape {u.shape} does not match the "
+                           f"{n} x {n} grid")
+    u = gridmod.wrap_pad(u)
+    return _row_sums(_grid_weights(grid, coeffs),
+                     [_shift(u, n, *o) for o in _OFFSETS])
 
 
 # --- aggregation multigrid -----------------------------------------------------

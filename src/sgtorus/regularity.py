@@ -11,8 +11,8 @@ import functools
 
 import numpy as np
 
-from .errors import ResidualTooLarge
-from .fitting import CONSTANT_SENTINEL, loglog_fit
+from .errors import GridMismatch, ResidualTooLarge
+from .fitting import CONSTANT_SENTINEL, loglog_fits
 from .grid import dilate
 from .lma import stencil_rows
 from .ma import cofactor
@@ -152,7 +152,8 @@ def holder_fits(u, centers, grid, radii=None, min_points=4):
 
     Shells are periodic-distance annuli [r, r + spacing).  A field that is
     constant to machine precision returns the sentinel gamma = inf with
-    constant=True instead of fitting noise.
+    constant=True instead of fitting noise.  Raises GridMismatch unless u
+    is N x N.
 
     The shells' cells and distances are cached per grid, center cell and
     radii (_shell_cells).  One gather reads u at the shell cells of every
@@ -161,39 +162,55 @@ def holder_fits(u, centers, grid, radii=None, min_points=4):
     distances are np.hypot of grid.offsets_from broadcast, the wrapped
     meshgrid's values bit for bit, and a shell maximum is the same maximum
     over the same cells, so the fits do not depend on the cache or on
-    which other centres are fitted with them.
+    which other centres are fitted with them.  The centres that are not
+    constant are fitted together (fitting.loglog_fits): those with the
+    same number of usable shells in one pass, each with the bits of
+    loglog_fit on its own shells, and the first centre whose fit fails
+    raises its InsufficientSamples.
     """
     u = np.asarray(u, dtype=float)
-    flat = u.ravel()
+    if u.shape != (grid.n, grid.n):
+        raise GridMismatch(f"field shape {u.shape} does not match the "
+                           f"{grid.n} x {grid.n} grid")
     if radii is not None:
         radii = tuple(float(r) for r in radii)
-    tables, origins = [], []
-    for x0 in centers:
-        i0, j0 = grid.index_of(np.asarray(x0, dtype=float))
-        tables.append(_shell_cells(grid, int(i0), int(j0), radii))
-        origins.append(u[i0, j0])
+    i0, j0 = grid.index_of(np.asarray(centers, dtype=float)
+                           .reshape(len(centers), 2))
+    tables = [_shell_cells(grid, i, j, radii)
+              for i, j in zip(i0.tolist(), j0.tolist())]
     cells = [c for table in tables for c, _ in table]
-    sizes = [c.size for c in cells]
+    sizes = np.array([c.size for c in cells], dtype=int)
     maxima = []
     if cells:
-        u0 = np.repeat([o for o, t in zip(origins, tables) for _ in t], sizes)
-        diff = np.abs(flat[np.concatenate(cells)] - u0)
-        maxima = np.maximum.reduceat(diff, np.cumsum([0] + sizes[:-1]))
+        u0 = np.repeat(np.repeat(u[i0, j0], [len(t) for t in tables]), sizes)
+        diff = np.abs(u.ravel()[np.concatenate(cells)] - u0)
+        maxima = np.maximum.reduceat(diff, np.cumsum(sizes) - sizes).tolist()
     maxima = iter(maxima)
     scale = max(float(np.max(np.abs(u))), 1.0)
 
-    fits = []
+    per_centre = []
     for table in tables:
         shells = {}
         for _, r_achieved in table:
-            m = float(next(maxima))
+            m = next(maxima)
             # overlapping windows can share their farthest sample; keep one
             shells[r_achieved] = max(m, shells.get(r_achieved, 0.0))
         shells = sorted(shells.items())
-        if not shells or max(m for _, m in shells) <= _CONSTANT_FLOOR * scale:
+        constant = (not shells
+                    or max(m for _, m in shells) <= _CONSTANT_FLOOR * scale)
+        per_centre.append((shells, constant))
+    live = [shells for shells, constant in per_centre if not constant]
+    # the live centres' (r, m) pairs, one row each, NaN past a short row
+    width = max(map(len, live), default=0)
+    pairs = np.array([shells + [(np.nan, np.nan)] * (width - len(shells))
+                      for shells in live]).reshape(len(live), width, 2)
+    fitted = iter(loglog_fits(pairs[..., 0], pairs[..., 1], min_points))
+    fits = []
+    for shells, constant in per_centre:
+        if constant:
             fits.append(HolderFit(CONSTANT_SENTINEL, 0.0, 1.0, shells, True))
-            continue
-        fit = loglog_fit([r for r, _ in shells], [m for _, m in shells],
-                         min_points=min_points)
-        fits.append(HolderFit(fit.slope, fit.prefactor, fit.r2, shells, False))
+        else:
+            fit = next(fitted)
+            fits.append(HolderFit(fit.slope, fit.prefactor, fit.r2, shells,
+                                  False))
     return fits

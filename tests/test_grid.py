@@ -348,6 +348,14 @@ def test_dilate_equals_maximum_filter(n, density, rng):
                           ndimage.maximum_filter(mask, size=3, mode="wrap"))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 4), (16, 16)])
+def test_wrap_pad_equals_np_pad(shape, rng):
+    values = rng.standard_normal(shape)
+    values.flat[0] = -0.0
+    assert same_bits(gridmod.wrap_pad(values),
+                     np.pad(values, 1, mode="wrap"))
+
+
 class TestDisplacement:
     def test_components_wrapped_to_shortest(self):
         grid = TorusGrid(8)

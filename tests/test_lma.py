@@ -4,7 +4,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from sgtorus import lma, presets
-from sgtorus.errors import IndefiniteOperator, SolverStall
+from sgtorus.errors import GridMismatch, IndefiniteOperator, SolverStall
 from sgtorus.grid import TorusGrid, periodic_gradient
 from sgtorus.krylov import cg, dot, norm
 from sgtorus.lma import (
@@ -396,6 +396,26 @@ class TestRowAssembly:
         product = stencil_rows(grid, cof, np.arange(grid.n**2)) @ u.ravel()
         assert np.array_equal(apply_stencil(grid, cof, u),
                               product.reshape(grid.n, grid.n))
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 33])
+    def test_every_cell_out_of_order_matches_rolled_oracle(self, n):
+        # only every cell in order reads the whole-grid weight arrays; a
+        # permutation of every cell gathers its rows cell by cell
+        rng = np.random.default_rng(n)
+        grid = TorusGrid(n)
+        c11, c22 = 0.5 + rng.random((2, n, n))
+        c12 = 0.4 * (rng.random((n, n)) - 0.5)
+        cells = rng.permutation(n * n)
+        cof = CofactorField(c11, c12, c22)
+        assert_same_csr(stencil_rows(grid, cof, cells),
+                        rolled_rows(grid, c11, c12, c22)[cells])
+
+    @pytest.mark.parametrize("shape", [(10, 10), (64,), (8, 9)],
+                             ids=["larger-grid", "flat", "rectangle"])
+    def test_applied_stencil_on_other_grid_is_grid_mismatch(self, shape):
+        grid = TorusGrid(8)
+        with pytest.raises(GridMismatch):
+            apply_stencil(grid, identity_cofactor(grid), np.ones(shape))
 
     def test_two_bump_rows_match_rolled_oracle(self, two_bump):
         grid, pot, cof = two_bump

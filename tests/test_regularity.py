@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from sgtorus import grid as gridmod
-from sgtorus import presets, regularity
-from sgtorus.errors import InsufficientSamples, ResidualTooLarge
+from sgtorus import fitting, presets, regularity
+from sgtorus.errors import GridMismatch, InsufficientSamples, ResidualTooLarge
 from sgtorus.fitting import CONSTANT_SENTINEL, loglog_fit
 from sgtorus.grid import TorusGrid, periodic_distance
 from sgtorus.lma import DivergenceFormOperator, solve_dirichlet_lma
@@ -222,6 +222,14 @@ class TestHolderFit:
         with pytest.raises(ValueError, match="not finite"):
             regularity.holder_fits(u, [(0.3, 0.3), center], grid)
 
+    @pytest.mark.parametrize("shape", [(10, 10), (64,), (8, 9)],
+                             ids=["larger-grid", "flat", "rectangle"])
+    def test_field_on_other_grid_is_grid_mismatch(self, shape):
+        # a 10 x 10 field on the 8 x 8 grid once fitted gamma 0, R^2 1
+        u = np.random.default_rng(0).standard_normal(shape)
+        with pytest.raises(GridMismatch):
+            regularity.holder_fits(u, [(0.3, 0.3)], TorusGrid(8))
+
 
 class TestHolderFitOracle:
     """holder_fits reads cached shell tables of many centres at once;
@@ -304,3 +312,68 @@ class TestHolderFitOracle:
             assert not cells.flags.writeable
             with pytest.raises(ValueError):
                 cells[0] = 0
+
+
+def bump_field():
+    """u > 0 only within 0.15 of (0.25, 0.25) on the 64 x 64 grid, so a
+    centre's inner shells can lie where u is flat (shell maximum 0) and
+    a far centre sees no change within its shells (constant)."""
+    grid = TorusGrid(64)
+    d = periodic_distance(np.stack(grid.centers(), axis=-1),
+                          np.array([0.25, 0.25]))
+    return grid, np.maximum(0.0, 0.15**2 - d**2)
+
+
+# centre: shells with a positive maximum (None: constant), on bump_field
+BUMP_CENTRES = {(0.25, 0.62): 2, (0.55, 0.25): 3, (0.75, 0.75): None,
+                (0.5, 0.3): 5, (0.25, 0.25): 8, (0.3, 0.2): 8}
+
+
+def usable(fit):
+    return None if fit.constant else sum(m > 0 for _, m in fit.shells)
+
+
+class TestBatchedFits:
+    """holder_fits fits the centres with the same number of usable shells
+    in one pass; each fit must keep the bits of its centre fitted alone."""
+
+    def test_mixed_counts_match_single_centre_and_brute(self):
+        grid, u = bump_field()
+        centres = list(BUMP_CENTRES)
+        fits = regularity.holder_fits(u, centres, grid, min_points=2)
+        assert [usable(f) for f in fits] == list(BUMP_CENTRES.values())
+        for fit, x0 in zip(fits, centres):
+            assert bits(fit) == bits(holder_fit(u, x0, grid, min_points=2))
+            assert bits(fit) == fit_bits(brute_holder_fit, u, x0, grid,
+                                         min_points=2)
+
+    def test_first_centre_short_of_points_raises_its_message(self):
+        # the two centres short of 4 usable shells have different counts;
+        # the first of them in order names its own count
+        grid, u = bump_field()
+        centres = [(0.25, 0.25), (0.75, 0.75), (0.55, 0.25), (0.25, 0.62)]
+        with pytest.raises(InsufficientSamples) as raised:
+            regularity.holder_fits(u, centres, grid)
+        assert str(raised.value) == "fit needs 4 usable samples, got 3"
+        assert fit_bits(brute_holder_fit, u, centres[2], grid) == (
+            "raises", str(raised.value))
+
+    def test_equal_counts_fit_in_one_pass(self, monkeypatch):
+        calls = {"loglog_fit": 0, "linear_fit": 0, "_line": 0}
+
+        def counted(name):
+            fn = getattr(fitting, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fitting, name, counted(name))
+        rng = np.random.default_rng(5)
+        grid = TorusGrid(64)
+        fits = regularity.holder_fits(rng.standard_normal((64, 64)),
+                                      rng.random((20, 2)), grid)
+        assert len({usable(f) for f in fits}) == 1
+        assert calls == {"loglog_fit": 0, "linear_fit": 0, "_line": 1}
