@@ -4,19 +4,20 @@
     python3 scripts/ma_scaling.py --n 128 256 --pinch 4 100 2500 [--src DIR]
 
 For each N, in a fresh process with one BLAS thread: COLD_REPS cold
-solves of the two-bump preset density, then --steps time-loop steps
-(dt = 2.5e-4) warm-started from the last of them, then LEGENDRE_REPS
+solves of the two-bump preset density, then one untimed time-loop step
+(dt = 2.5e-4) warm-started from the last of them and --steps timed ones
+from there (their median is step_s), then LEGENDRE_REPS
 Legendre transforms of the cold potential, then GREEN_REPS masked Green's
 functions (operator set-up plus CG solve at rtol 1e-12) with the pole at
 the centre of each section S(GREEN_CENTRE, h) of the cold potential, h
-in GREEN_HEIGHTS; one untimed call before each of these timings takes
+in GREEN_HEIGHTS; the untimed call before each of these timings takes
 the first call's one-time costs (the scipy.sparse import of the first
 masked operator, say) out of the median.  Then
-dynamics.lma_residual on each interior record of the warm steps with its
+dynamics.lma_residual on each interior record of the timed steps with its
 centred dP*/dt (their median is lma_residual_s), then
 dynamics.dtp_regularity, the Holder fits alone (the polar series adds
 the L^(1+kappa) gradient norms itself), at HOLDER_CENTRES seeded centres
-on the centred dP*/dt of the warm steps: once on the first (holder_first_s,
+on the centred dP*/dt of the timed steps: once on the first (holder_first_s,
 which builds any per-centre tables) and HOLDER_REPS times on the next ones
 in turn (their median is holder_s).  Prints one JSON object per N: the
 median cold_s and step_s, legendre_s, lma_residual_s and holder_s,
@@ -89,6 +90,7 @@ def measure(n, steps):
         state = dynamics.SGState.from_density(rho, grid, lam=lam, Lam=Lam)
         cold_s.append(time.perf_counter() - t)
     cold = state.pot
+    state = dynamics.step(state, DT)
     step_s, newton, krylov = [], 0, 0
     history = [state]
     for _ in range(steps):

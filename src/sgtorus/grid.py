@@ -291,7 +291,7 @@ def mean_zero(values):
 def _bilinear_cells(points, n):
     """Where SciPy's map_coordinates(order=1, mode="grid-wrap") reads the
     (N, N) values at ``points`` (..., 2): the flat index of each point's
-    cell in the (N + 1, N + 1) wrap-padded values of _bilinear_sum, and
+    cell in the (N + 2)-wide wrap-padded values of _bilinear_sum, and
     the weights (1 - t, t) of each axis.  ValueError on a point that is
     not finite."""
     pts = np.asarray(points, dtype=float)
@@ -314,7 +314,7 @@ def _bilinear_cells(points, n):
         t = np.subtract(c, f, out=c)
         weights.append((1.0 - t, t))
     flat = index[0]
-    flat *= n + 1
+    flat *= n + 2
     flat += index[1]
     return flat, weights
 
@@ -323,15 +323,14 @@ def _bilinear_sum(values, n, flat, weights):
     """The four corner terms (value * w0) * w1 summed from 0.0 in the order
     (0, 0), (0, 1), (1, 0), (1, 1), as map_coordinates sums them; the 0.0
     start makes an all-(-0.0) field sample to +0.0 as there."""
-    # row 0 and column 0 repeated after the last: the neighbours (i + 1, j),
-    # (i, j + 1) and (i + 1, j + 1) of every cell (i, j) are n + 1, 1 and
-    # n + 2 flat steps away, without a % N
-    p = np.pad(np.asarray(values, dtype=float), ((0, 1), (0, 1)),
-               mode="wrap").ravel()
+    # from cell (0, 0) of the wrap-padded values on: the neighbours
+    # (i + 1, j), (i, j + 1) and (i + 1, j + 1) of every cell (i, j) are
+    # n + 2, 1 and n + 3 flat steps away, without a % N
+    p = wrap_pad(np.asarray(values, dtype=float)).ravel()[n + 3:]
     (a0, a1), (b0, b1) = weights
     out = np.zeros(flat.shape)
-    for shift, wa, wb in ((0, a0, b0), (1, a0, b1), (n + 1, a1, b0),
-                          (n + 2, a1, b1)):
+    for shift, wa, wb in ((0, a0, b0), (1, a0, b1), (n + 2, a1, b0),
+                          (n + 3, a1, b1)):
         term = np.take(p[shift:], flat)
         term *= wa
         term *= wb

@@ -12,19 +12,21 @@ periodic kernel, and collapses to the standard 5-point Laplacian when
 Phi is the identity.  Dirichlet problems live on a cell mask with the
 one-cell ring outside held at zero (or at supplied boundary values).
 Every operator and masked residual assembles only the rows it reads
-(stencil_rows), each row's nine entries in _OFFSETS order; the
+(stencil_rows), each row's nine entries in _OFFSETS order and its
+weights computed from the cell's own neighbourhood (_cell_weights); the
 periodic residual of the time loop applies the stencil in that order
-without assembling it (apply_stencil), bit for bit the product
-with the assembled rows.  On the whole grid each face and corner weight
-is computed once and read by its rows as views (_grid_weights); a
-subset of cells computes its weights from its own neighbourhoods
-(_cell_weights).  Both modes solve by preconditioned CG with a
-preconditioner built once per operator: periodic ones with the
-trace-scaled FFT inverse that the Newton update of the Monge-Ampere
-solve also uses (grid.trace_scaled_inverse), Dirichlet ones with one
-aggregation-multigrid V-cycle (AggregationVCycle), so the CG iteration
-count grows only slowly with N and the Green's-function ladders stay
-near linear in the number of cells.
+without assembling it (apply_stencil), from whole-grid weight arrays
+in which each face and corner weight is computed once and read by its
+rows as views (_grid_weights).  Both paths evaluate the same formulas
+(_face, _corner, _row) on the same operands, so the applied stencil is
+bit for bit the product with the assembled rows.  Both modes solve by
+preconditioned CG with a preconditioner built once per operator:
+periodic ones with the trace-scaled FFT inverse that the Newton update
+of the Monge-Ampere solve also uses (grid.trace_scaled_inverse),
+Dirichlet ones with one aggregation-multigrid V-cycle
+(AggregationVCycle), so the CG iteration count grows only slowly with N
+and the Green's-function ladders stay near linear in the number of
+cells.
 
 The rows are CSR matrices of scipy.sparse, imported inside _csr, the one
 function that builds them: the time loop and the polar factorization
@@ -52,10 +54,6 @@ from .ma import cofactor
 DEFAULT_CG_TOL = 1e-10
 
 
-def _harmonic(a, b):
-    return 2.0 * a * b / (a + b)
-
-
 # (di, dj) of the nine stencil entries of a row, in their stored order
 _OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1))
@@ -69,24 +67,35 @@ def _neighbours(n, cells):
     return {(di, dj): rows[di] + cols[dj] for di, dj in _OFFSETS}
 
 
-def _weights(grid, coeffs, shifted):
-    """The nine stencil weights of the energy, in _OFFSETS order, for the
-    caller's cells.  Raises IndefiniteOperator unless the coefficient
-    tensor is positive definite in every cell.
+def _face(a, b, h):
+    """Face weight: the harmonic mean of two diagonal coefficients / h^2."""
+    return 2.0 * a * b / (a + b) / h**2
+
+
+def _corner(a, b, c, d, h):
+    """Corner weight: the mean of a 2x2 block's c12 / (2 h^2)."""
+    return (a + b + c + d) / 4.0 / (2.0 * h**2)
+
+
+def _row(wx_0, wx_m, wy_0, wy_m, wc_0, wc_mm, wc_m0, wc_0m):
+    """The nine stencil weights of the energy at cells (i, j), in _OFFSETS
+    order, from wx at (i, j) and (i-1, j), wy at (i, j) and (i, j-1), and
+    wc of the blocks whose first cells are (i, j), (i-1, j-1), (i-1, j)
+    and (i, j-1).
 
     Faces: cells (i,j),(i+1,j) with harmonic c11 weight wx, cells
     (i,j),(i,j+1) with harmonic c22 weight wy.  Corners: cells a=(i,j),
     b=(i+1,j), c=(i,j+1), d=(i+1,j+1) with the averaged c12 weight wc,
     which adds +wc on a-a, d-d, b-c and -wc on b-b, c-c, a-d.
-
-    wx, wy and wc are written here once each, as functions of an accessor
-    at(a, di, dj) that returns the coefficient array a at (i + di, j + dj).
-    A row reads wx and wy at its cell and at the cell before it, and wc at
-    the four blocks that hold its cell: the caller's shifted(w, di, dj)
-    returns the weight w at (i + di, j + dj), di and dj in {-1, 0}, for
-    each of its cells (i, j), from the same formula on the same operands,
-    so every weight has the same bits however the caller evaluates it.
     """
+    diag = wx_0 + wx_m + wy_0 + wy_m + wc_0 + wc_mm - wc_m0 - wc_0m
+    return [-wc_mm, -wx_m, wc_m0, -wy_m, diag, -wy_0, wc_0m, -wx_0, -wc_0]
+
+
+def _check_coefficients(grid, coeffs):
+    """Raise GridMismatch unless every coefficient is N x N, and
+    IndefiniteOperator unless the tensor is positive definite in every
+    cell."""
     c11, c12, c22 = coeffs.c11, coeffs.c12, coeffs.c22
     for c in (c11, c12, c22):
         if c.shape != (grid.n, grid.n):
@@ -98,25 +107,6 @@ def _weights(grid, coeffs, shifted):
             f"(min diag {min(np.min(c11), np.min(c22)):.3e}, "
             f"min det {np.min(det):.3e})"
         )
-    h = grid.spacing
-
-    def wx(at):
-        return _harmonic(at(c11, 0, 0), at(c11, 1, 0)) / h**2
-
-    def wy(at):
-        return _harmonic(at(c22, 0, 0), at(c22, 0, 1)) / h**2
-
-    def wc(at):  # the 2x2 block whose first cell is (i, j)
-        p12c = (at(c12, 0, 0) + at(c12, 1, 0) + at(c12, 0, 1)
-                + at(c12, 1, 1)) / 4.0
-        return p12c / (2.0 * h**2)
-
-    wx_0, wx_m = shifted(wx, 0, 0), shifted(wx, -1, 0)
-    wy_0, wy_m = shifted(wy, 0, 0), shifted(wy, 0, -1)
-    wc_0, wc_mm = shifted(wc, 0, 0), shifted(wc, -1, -1)
-    wc_m0, wc_0m = shifted(wc, -1, 0), shifted(wc, 0, -1)
-    diag = wx_0 + wx_m + wy_0 + wy_m + wc_0 + wc_mm - wc_m0 - wc_0m
-    return [-wc_mm, -wx_m, wc_m0, -wy_m, diag, -wy_0, wc_0m, -wx_0, -wc_0]
 
 
 def _row_sums(weights, values):
@@ -138,22 +128,23 @@ def _csr(arg, shape):
 
 
 def _cell_weights(grid, coeffs, where):
-    """_weights at the cells whose stencil neighbours `where` lists
-    (_neighbours): each weight evaluated at each shift that a row reads,
-    from the coefficients gathered once per neighbour offset, so past the
-    positive-definiteness check the cost is O(cells)."""
-    gathered = {}
-
-    def at(a, di, dj):  # a at (i + di, j + dj), gathered on first use
-        key = id(a), di, dj
-        if key not in gathered:
-            gathered[key] = a.ravel()[where[di, dj]]
-        return gathered[key]
-
-    def shifted(w, di, dj):
-        return w(lambda a, ei, ej: at(a, di + ei, dj + ej))
-
-    return _weights(grid, coeffs, shifted)
+    """_row at the cells whose stencil neighbours `where` lists
+    (_neighbours), from their coefficients gathered once per offset that
+    a row reads: c11 at the three (i + d, j), c22 at the three (i, j + d)
+    and c12 at all nine neighbours, so past _check_coefficients the cost
+    is O(cells)."""
+    _check_coefficients(grid, coeffs)
+    h = grid.spacing
+    c11, c12, c22 = (c.ravel() for c in (coeffs.c11, coeffs.c12, coeffs.c22))
+    a_m, a_0, a_p = (c11[where[d, 0]] for d in (-1, 0, 1))
+    b_m, b_0, b_p = (c22[where[0, d]] for d in (-1, 0, 1))
+    c = {o: c12[where[o]] for o in _OFFSETS}
+    return _row(_face(a_0, a_p, h), _face(a_m, a_0, h),
+                _face(b_0, b_p, h), _face(b_m, b_0, h),
+                _corner(c[0, 0], c[1, 0], c[0, 1], c[1, 1], h),
+                _corner(c[-1, -1], c[0, -1], c[-1, 0], c[0, 0], h),
+                _corner(c[-1, 0], c[0, 0], c[-1, 1], c[0, 1], h),
+                _corner(c[0, -1], c[1, -1], c[0, 0], c[1, 0], h))
 
 
 def _shift(a, n, di, dj):
@@ -163,44 +154,35 @@ def _shift(a, n, di, dj):
 
 
 def _grid_weights(grid, coeffs):
-    """_weights at every cell, as N x N views.  Each of wx, wy and wc is
-    computed once, on the (N+1) x (N+1) cells from -1 to N - 1 of one
-    periodically padded copy of its coefficients, and a row's nine weights
-    are views of these three arrays: wx one row up is the wx of the cell
-    before, and the four corners of a cell are one corner array shifted."""
-    n = grid.n
-    # keyed by identity: _weights hands the accessor the arrays themselves
-    padded = {id(a): gridmod.wrap_pad(a)
-              for a in (coeffs.c11, coeffs.c12, coeffs.c22)}
-
-    def at(a, di, dj):  # a at (i + di, j + dj) for i, j from -1 to n - 1
-        return padded[id(a)][di:n + 1 + di, dj:n + 1 + dj]
-
-    whole = {}
-
-    def shifted(w, di, dj):
-        if w not in whole:
-            whole[w] = w(at)
-        return _shift(whole[w], n, di, dj)
-
-    return _weights(grid, coeffs, shifted)
+    """_row at every cell, as N x N views.  Each coefficient is wrap-padded
+    once, and each of wx, wy and wc is computed once, on the (N+1) x (N+1)
+    cells from -1 to N - 1; a row's nine weights are views of these three
+    arrays: wx one row up is the wx of the cell before, and the four
+    corners of a cell are one corner array shifted."""
+    _check_coefficients(grid, coeffs)
+    n, h = grid.n, grid.spacing
+    p11, p12, p22 = (gridmod.wrap_pad(c)
+                     for c in (coeffs.c11, coeffs.c12, coeffs.c22))
+    lo, hi = slice(0, n + 1), slice(1, n + 2)  # cells -1..N-1 and 0..N
+    wx = _face(p11[lo, lo], p11[hi, lo], h)
+    wy = _face(p22[lo, lo], p22[lo, hi], h)
+    wc = _corner(p12[lo, lo], p12[hi, lo], p12[lo, hi], p12[hi, hi], h)
+    return _row(_shift(wx, n, 0, 0), _shift(wx, n, -1, 0),
+                _shift(wy, n, 0, 0), _shift(wy, n, 0, -1),
+                _shift(wc, n, 0, 0), _shift(wc, n, -1, -1),
+                _shift(wc, n, -1, 0), _shift(wc, n, 0, -1))
 
 
 def stencil_rows(grid, coeffs, cells):
     """Rows `cells` (flat indices) of the periodic 9-point matrix of the
-    energy (_weights), in CSR with global column indices and each row's
-    nine entries in _OFFSETS order.  Every cell in order takes its weights
-    from the whole grid (_grid_weights); any other set of cells computes
-    them from its own coefficients and its stencil neighbours' only
-    (_cell_weights), in O(cells).  Both give the same bits."""
+    energy (_row), in CSR with global column indices and each row's nine
+    entries in _OFFSETS order.  The weights come from the cells' own
+    coefficients and their stencil neighbours' only (_cell_weights), in
+    O(cells) for any set of cells, the whole grid included."""
     n = grid.n
     where = _neighbours(n, cells)
-    every_cell = (cells.size == n * n
-                  and np.array_equal(cells, np.arange(n * n)))
-    weights = (_grid_weights(grid, coeffs) if every_cell
-               else _cell_weights(grid, coeffs, where))
     return _csr(
-        (np.stack(weights, axis=-1).ravel(),
+        (np.stack(_cell_weights(grid, coeffs, where), axis=-1).ravel(),
          np.stack(list(where.values()), axis=-1).ravel(),
          np.arange(0, 9 * cells.size + 1, 9)),
         shape=(cells.size, n * n),
@@ -210,9 +192,10 @@ def stencil_rows(grid, coeffs, cells):
 def apply_stencil(grid, coeffs, u):
     """stencil_rows(grid, coeffs, every cell) @ u bit for bit, as an N x N
     array, without assembling the matrix: the nine weights of every row
-    are views of the three whole-grid weight arrays (_grid_weights), and
-    the nine products are summed in _OFFSETS order, the order of every
-    row's entries.  Raises GridMismatch unless u is N x N."""
+    are views of the three whole-grid weight arrays (_grid_weights), the
+    same formulas on the same operands as the rows', and the nine
+    products are summed in _OFFSETS order, the order of every row's
+    entries.  Raises GridMismatch unless u is N x N."""
     n = grid.n
     u = np.asarray(u, dtype=float)
     if u.shape != (n, n):

@@ -380,6 +380,9 @@ class TestRowAssembly:
 
     @pytest.mark.parametrize("n", [4, 5, 16, 33])
     def test_applied_stencil_is_row_product(self, n):
+        # the bitwise guard between the two weight paths: apply_stencil
+        # reads whole-grid weight views (_grid_weights), stencil_rows
+        # gathers each cell's neighbourhood (_cell_weights)
         rng = np.random.default_rng(n)
         grid = TorusGrid(n)
         c11, c22 = 0.5 + rng.random((2, n, n))
@@ -399,8 +402,8 @@ class TestRowAssembly:
 
     @pytest.mark.parametrize("n", [4, 5, 16, 33])
     def test_every_cell_out_of_order_matches_rolled_oracle(self, n):
-        # only every cell in order reads the whole-grid weight arrays; a
-        # permutation of every cell gathers its rows cell by cell
+        # rows come out in the order the cells are given, each gathered
+        # from its own neighbourhood, seam cells included
         rng = np.random.default_rng(n)
         grid = TorusGrid(n)
         c11, c22 = 0.5 + rng.random((2, n, n))
@@ -416,6 +419,19 @@ class TestRowAssembly:
         grid = TorusGrid(8)
         with pytest.raises(GridMismatch):
             apply_stencil(grid, identity_cofactor(grid), np.ones(shape))
+
+    @pytest.mark.parametrize("wrong", ["c11", "c12", "c22"])
+    @pytest.mark.parametrize("shape", [(10, 10), (8, 9)],
+                             ids=["larger-grid", "rectangle"])
+    def test_coefficients_of_other_shape_are_grid_mismatch(self, wrong,
+                                                           shape):
+        grid = TorusGrid(8)
+        cof = identity_cofactor(grid)
+        setattr(cof, wrong, np.full(shape, 0.5 if wrong != "c12" else 0.0))
+        with pytest.raises(GridMismatch):
+            stencil_rows(grid, cof, np.array([0, 9, 63]))
+        with pytest.raises(GridMismatch):
+            apply_stencil(grid, cof, np.ones((8, 8)))
 
     def test_two_bump_rows_match_rolled_oracle(self, two_bump):
         grid, pot, cof = two_bump
