@@ -5,7 +5,8 @@ numpy's pairwise sum in an order fixed by the array length alone, and no
 vector operation reaches the BLAS, whose threads split a dot product in
 an order that depends on their number.  A solve therefore gives the same
 bits whatever the BLAS thread count.  The operator and the preconditioner
-are callables on 1D arrays.
+are callables on 1D arrays.  GMRES stores the preconditioned Krylov
+vectors of a cycle, so it preconditions once per iteration.
 """
 
 import numpy as np
@@ -28,13 +29,16 @@ def gmres(apply, b, precondition, restart, max_cycles, target):
 
     A caller such as an inexact Newton method sets target to stop as soon
     as the residual is small enough for its own use.  Each cycle builds a
-    modified Gram-Schmidt Arnoldi basis of apply(precondition(.)) and
+    modified Gram-Schmidt Arnoldi basis V of apply(precondition(.)) and
     keeps its least-squares residual with Givens rotations; it stops once
-    that residual meets the target, and then adds precondition(V y) to x,
-    so the preconditioned basis is never stored.  Convergence is decided
-    by the explicit residual |b - apply(x)| at the end of each cycle.
-    Returns (x, iterations, converged), converged False after max_cycles
-    cycles short of the target.
+    that residual meets the target.  The preconditioned basis
+    Z = precondition(V), which the Arnoldi step computes anyway, is
+    stored, as in flexible GMRES (Saad, 1993), and x gains Z y: a
+    k-iteration cycle holds k more vectors of b's size and calls
+    precondition once per iteration.  Convergence is decided by the
+    explicit residual |b - apply(x)| at the end of each cycle.  Returns
+    (x, iterations, converged), converged False after max_cycles cycles
+    short of the target.
     """
     x = np.zeros_like(b)
     r = b
@@ -50,8 +54,10 @@ def gmres(apply, b, precondition, restart, max_cycles, target):
         g = np.zeros(restart + 1)
         g[0] = beta
         basis[0] = r / beta
+        zs = []  # precondition(basis[j]), possibly a view of that row
         for j in range(restart):
-            w = apply(precondition(basis[j]))
+            zs.append(precondition(basis[j]))
+            w = apply(zs[j])
             for i in range(j + 1):
                 hess[i, j] = dot(w, basis[i], scratch)
                 w -= np.multiply(basis[i], hess[i, j], out=scratch)
@@ -74,10 +80,8 @@ def gmres(apply, b, precondition, restart, max_cycles, target):
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):
             y[i] = (g[i] - dot(hess[i, i + 1:k], y[i + 1:k])) / hess[i, i]
-        update = y[0] * basis[0]
-        for i in range(1, k):
-            update += np.multiply(basis[i], y[i], out=scratch)
-        x = x + precondition(update)
+        for i in range(k):
+            x += np.multiply(zs[i], y[i], out=scratch)
         r = b - apply(x)
 
 

@@ -510,7 +510,7 @@ class GreenFunction:
     def gradient_norm(self, kappa):
         """L^(1+kappa) norm of grad g over the mask (zero extension)."""
         g1, g2 = gridmod.periodic_gradient(self.values, self.grid)
-        mag = np.hypot(g1, g2)[self.mask]
+        mag = np.hypot(g1[self.mask], g2[self.mask])
         p = 1.0 + kappa
         return float(np.sum(mag**p) * self.grid.cell_area) ** (1.0 / p)
 

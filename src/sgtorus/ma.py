@@ -367,14 +367,15 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     mu = float(np.mean(det - rho))
 
     iters = linear_iters = 0
-    residual = float(np.max(np.abs(det - rho - mu)))
+    defect = det - rho - mu
+    residual = float(np.max(np.abs(defect)))
     while residual > tol:
         if iters >= MAX_NEWTON_ITERS:
             raise NonConvergence(
                 f"no convergence in {MAX_NEWTON_ITERS} Newton iterations "
                 f"(residual {residual:.3e}, tol {tol:.3e})"
             )
-        rhs = -(det - rho - mu)
+        rhs = -defect
         atol = NEWTON_FORCING * max(
             tol, min(NEWTON_FORCING, residual) * norm(rhs))
         delta, dmu, krylov = _newton_update(p11, p12, p22, rhs, h, atol,
@@ -396,7 +397,8 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         q = q_try
         mu += step * dmu
         iters += 1
-        residual = float(np.max(np.abs(det - rho - mu)))
+        defect = det - rho - mu
+        residual = float(np.max(np.abs(defect)))
 
     diagnostics = {
         "residual": residual,

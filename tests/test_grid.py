@@ -390,6 +390,70 @@ class TestDisplacement:
             PeriodicDisplacement(grid, d1, np.zeros((8, 8)))
         assert exc.value.name == "displacement_bound"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_nonfinite_anywhere_is_typed_error(self, rng, bad, component):
+        grid = TorusGrid(8)
+        d = rng.uniform(-0.5, 0.5, (2, 8, 8))
+        d[component, 5, 1] = bad
+        with pytest.raises(InvariantViolation) as exc, \
+                np.errstate(invalid="ignore"):  # the wrap of inf is NaN
+            PeriodicDisplacement(grid, *d)
+        assert exc.value.name == "displacement_bound"
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 2.0**-30, 1e-12])
+    def test_sup_norm_bits_of_full_hypot(self, scale):
+        grid = TorusGrid(32)
+        for seed in range(4):
+            d1, d2 = np.random.default_rng(seed).uniform(-0.5, 0.5,
+                                                         (2, 32, 32)) * scale
+            d = PeriodicDisplacement(grid, d1, d2)
+            assert same_bits(d.sup_norm(), np.max(np.hypot(d.d1, d.d2)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-150, 1e-160, 1e-170,
+                                       1e-300, 5e-324, 0.0])
+    def test_max_norm_bits_at_every_scale(self, scale):
+        # from about 1e-154 on, the squares are subnormal or zero
+        for seed in range(4):
+            d1, d2 = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                         (2, 16, 16)) * scale
+            assert same_bits(gridmod._max_norm(d1, d2),
+                             np.max(np.hypot(d1, d2)))
+
+    def test_max_norm_bits_with_subnormal_squares_below_the_top(self, rng):
+        d1, d2 = rng.uniform(-1.0, 1.0, (2, 16, 16)) * 1e-160
+        d1[3, 4], d2[3, 4] = 0.3, -0.2
+        assert same_bits(gridmod._max_norm(d1, d2), np.hypot(0.3, -0.2))
+
+    @pytest.mark.parametrize("larger, smaller", [
+        ((0.2999999999999834, 0.3999999999999834),
+         (0.29999999999998345, 0.39999999999998337)),
+        ((5.0000914527397195e-161, 3.8640685412069714e-162),
+         (4.6492540693813e-161, 1.879726841880245e-161))])
+    def test_max_norm_where_rounded_squares_invert_the_order(self, larger,
+                                                            smaller):
+        # the cell of the larger hypot has the smaller rounded square
+        d1, d2 = np.zeros((2, 4, 4))
+        (d1[1, 2], d2[1, 2]), (d1[3, 0], d2[3, 0]) = larger, smaller
+        assert d1[1, 2]**2 + d2[1, 2]**2 < d1[3, 0]**2 + d2[3, 0]**2
+        assert same_bits(gridmod._max_norm(d1, d2), np.hypot(*larger))
+        assert np.hypot(*larger) > np.hypot(*smaller)
+
+    def test_max_norm_bits_on_ties_and_near_ties(self, rng):
+        d1, d2 = rng.uniform(-0.25, 0.25, (2, 16, 16))
+        # equal norms at several cells, and norms a few ulps apart whose
+        # squares round alike
+        top = [(0.3, 0.4), (0.4, 0.3), (-0.3, 0.4), (0.4, -0.3)]
+        for k, (a, b) in enumerate(top):
+            d1[k, 0], d2[k, 0] = a, b
+        for k in range(8):
+            d1[k, 1] = np.nextafter(0.3, 1.0) if k % 2 else 0.3
+            d2[k, 1] = 0.4 + (k - 4) * np.spacing(0.4)
+        assert same_bits(gridmod._max_norm(d1, d2), np.max(np.hypot(d1, d2)))
+        grid = TorusGrid(16)
+        d = PeriodicDisplacement(grid, d1, d2)
+        assert same_bits(d.sup_norm(), np.max(d.norm()))
+
 
 def field_to_csv_string(field):
     """The density-file CSV layout: header i,j,value, then one row per

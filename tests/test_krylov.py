@@ -97,6 +97,88 @@ class TestGmres:
         assert plain[1:] == floored[1:]
 
 
+class Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.fn(v)
+
+
+class TestStoredPreconditionedBasis:
+    """Each cycle keeps precondition(basis[j]) and adds their combination
+    to x, so precondition runs once per iteration and apply once per
+    iteration plus once per cycle, for the explicit residual."""
+
+    @pytest.mark.parametrize("restart, max_cycles", [(3, 4), (5, 2)])
+    def test_counts_when_every_cycle_runs_full(self, rng, restart, max_cycles):
+        a = _nonsymmetric(rng, 60)
+        b = rng.standard_normal(60)
+        apply, precondition = Counted(a.__matmul__), Counted(_jacobi(a))
+        _, iters, converged = krylov.gmres(apply, b, precondition, restart,
+                                           max_cycles, 1e-14 * krylov.norm(b))
+        assert not converged and iters == restart * max_cycles
+        assert precondition.calls == iters
+        assert apply.calls == iters + max_cycles
+
+    def test_counts_of_one_cycle(self, rng):
+        a = _nonsymmetric(rng, 40)
+        b = rng.standard_normal(40)
+        apply, precondition = Counted(a.__matmul__), Counted(_jacobi(a))
+        _, iters, converged = krylov.gmres(apply, b, precondition, 40, 3,
+                                           1e-12 * krylov.norm(b))
+        assert converged and 1 <= iters <= 40
+        assert precondition.calls == iters
+        assert apply.calls == iters + 1
+
+    def test_exact_preconditioner_is_applied_once(self, rng):
+        a = _nonsymmetric(rng, 30)
+        apply, precondition = Counted(a.__matmul__),\
+            Counted(np.linalg.inv(a).__matmul__)
+        b = rng.standard_normal(30)
+        _, iters, converged = krylov.gmres(apply, b, precondition, 10, 3,
+                                           1e-10 * krylov.norm(b))
+        assert converged and iters == 1
+        assert precondition.calls == 1 and apply.calls == 2
+
+    def test_restart_two_over_many_cycles_matches_dense_solve(self, rng):
+        # every restart must start a fresh set of stored vectors
+        a = _nonsymmetric(rng, 40)
+        b = rng.standard_normal(40)
+        apply, precondition = Counted(a.__matmul__), Counted(_jacobi(a))
+        target = 1e-12 * krylov.norm(b)
+        x, iters, converged = krylov.gmres(apply, b, precondition, 2, 200,
+                                           target)
+        assert converged and iters >= 6
+        cycles = apply.calls - iters
+        assert cycles >= 3 and precondition.calls == iters
+        assert krylov.norm(b - a @ x) <= target
+        exact = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+    def test_preconditioner_returning_its_argument(self, rng):
+        # the stored vectors are then views of basis rows
+        a = _nonsymmetric(rng, 40)
+        b = rng.standard_normal(40)
+        seen = []
+
+        def identity(v):
+            seen.append(v)
+            return v
+
+        target = 1e-12 * krylov.norm(b)
+        x, iters, converged = krylov.gmres(a.__matmul__, b, identity, 5, 100,
+                                           target)
+        assert converged and iters > 5
+        assert all(v.base is not None for v in seen)
+        assert krylov.norm(b - a @ x) <= target
+        exact = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
 class TestCg:
     @pytest.mark.parametrize("precondition", ["none", "jacobi"])
     def test_matches_dense_solve(self, rng, precondition):
