@@ -7,12 +7,16 @@ For each N, in a fresh process with one BLAS thread: COLD_REPS cold
 solves of the two-bump preset density, then one untimed time-loop step
 (dt = 2.5e-4) warm-started from the last of them and --steps timed ones
 from there (their median is step_s), then LEGENDRE_REPS
-Legendre transforms of the cold potential, then GREEN_REPS masked Green's
-functions (operator set-up plus CG solve at rtol 1e-12) with the pole at
-the centre of each section S(GREEN_CENTRE, h) of the cold potential, h
-in GREEN_HEIGHTS; the untimed call before each of these timings takes
-the first call's one-time costs (the scipy.sparse import of the first
-masked operator, say) out of the median.  Then
+Legendre transforms of the cold potential, then, for each section
+S(GREEN_CENTRE, h) of the cold potential with h in GREEN_HEIGHTS,
+GREEN_REPS masked Green's functions (operator set-up plus CG solve at
+rtol 1e-12) with the pole at the section's centre, then GREEN_REPS
+builds of its masked DivergenceFormOperator alone (rows, Ritz probes
+and V-cycle hierarchy), after the Green's functions so that they do not
+move the Green timing; the untimed call before each Legendre and Green
+timing takes the first call's one-time costs (the scipy.sparse import
+of the first masked operator, say) out of the median, and the untimed
+Green's function warms the operator builds.  Then
 dynamics.lma_residual on each interior record of the timed steps with its
 centred dP*/dt (their median is lma_residual_s), then
 dynamics.dtp_regularity, the Holder fits alone (the polar series adds
@@ -21,9 +25,9 @@ on the centred dP*/dt of the timed steps: once on the first (holder_first_s,
 which builds any per-centre tables) and HOLDER_REPS times on the next ones
 in turn (their median is holder_s).  Prints one JSON object per N: the
 median cold_s and step_s, legendre_s, lma_residual_s and holder_s,
-holder_first_s, Newton and Krylov iteration counts, green_s and
-green_iters (the median Green time and the CG iterations of one Green
-solve, keyed by h), and the child's peak RSS.
+holder_first_s, Newton and Krylov iteration counts, operator_s, green_s
+and green_iters (the median operator build, the median Green time and the
+CG iterations of one Green solve, keyed by h), and the child's peak RSS.
 With --pinch, each N instead times cold solves of the two-bump density
 mapped onto [P^-1/2, P^1/2] for each pinch P (the pinch Lambda/lambda is
 P before the mass normalization), PINCH_REPS solves each, and then
@@ -98,7 +102,7 @@ def measure(n, steps):
         state = dynamics.step(state, DT)
         step_s.append(time.perf_counter() - t)
         newton += state.pot.newton_iters
-        krylov += state.pot.diagnostics.get("linear_iters", 0)
+        krylov += state.pot.linear_iters
         history.append(state)
     ma.legendre(cold)
     legendre_s = []
@@ -107,7 +111,7 @@ def measure(n, steps):
         ma.legendre(cold)
         legendre_s.append(time.perf_counter() - t)
     cof = ma.cofactor(cold)
-    cg_iters, green_iters, green_s = [], {}, {}
+    cg_iters, green_iters, green_s, operator_s = [], {}, {}, {}
     cg = count_cg(lma, cg_iters)
     for h in GREEN_HEIGHTS:
         sec = sections.extract_section(cold, GREEN_CENTRE, h)
@@ -119,6 +123,12 @@ def measure(n, steps):
             times.append(time.perf_counter() - t)
         green_s[repr(h)] = statistics.median(times)
         green_iters[repr(h)] = cg_iters[-1]
+        times = []
+        for _ in range(GREEN_REPS):
+            t = time.perf_counter()
+            lma.DivergenceFormOperator(grid, cof, mask=sec.mask)
+            times.append(time.perf_counter() - t)
+        operator_s[repr(h)] = statistics.median(times)
     lma.cg = cg
     # (state, dP*/dt) at the interior records, centred as RunResult.dtp_field
     records = [(history[k],
@@ -144,9 +154,10 @@ def measure(n, steps):
         "lma_residual_s": statistics.median(lma_residual_s),
         "holder_first_s": holder_s[0],
         "holder_s": statistics.median(holder_s[1:]),
-        "green_s": green_s, "green_iters": green_iters,
+        "operator_s": operator_s, "green_s": green_s,
+        "green_iters": green_iters,
         "steps": steps, "cold_newton_iters": cold.newton_iters,
-        "cold_linear_iters": cold.diagnostics.get("linear_iters"),
+        "cold_linear_iters": cold.linear_iters,
         "step_newton_iters": newton, "step_linear_iters": krylov or None,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
@@ -170,7 +181,7 @@ def measure_pinch(n, pinch):
         t = time.perf_counter()
         pot = ma.solve_ma_periodic(rho, lam=lam, Lam=Lam)
         cold_s.append(time.perf_counter() - t)
-    newton, krylov = pot.newton_iters, pot.diagnostics["linear_iters"]
+    newton, krylov = pot.newton_iters, pot.linear_iters
     x1, x2 = grid.centers()
     flux = (np.sign(np.sin(2.0 * np.pi * (3.0 * x1 + 2.0 * x2))),
             (x1 + x2 / 2.0 < 0.62).astype(float))

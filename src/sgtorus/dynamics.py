@@ -126,7 +126,7 @@ class SGState:
             "ma_residual": pot.residual,
             "renorm_factor": renorm_factor,
             "newton_iters": pot.newton_iters,
-            "krylov_iters": pot.diagnostics["linear_iters"],
+            "krylov_iters": pot.linear_iters,
             "w2_proxy": w2_proxy(rho, d),
         }
         return cls(grid, t, rho, pot, velocity, certificates, lam, Lam,
@@ -234,6 +234,9 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
         grid, rho0 = rho0.grid, rho0.values
     if grid is None:
         raise ValueError("grid required when rho0 is a bare array")
+    for name, value in (("time step dt", dt), ("end time t_end", t_end)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     state = SGState.from_density(rho0, grid, lam=lam, Lam=Lam, tol=tol)
     n_steps = int(round(t_end / dt))
 

@@ -37,7 +37,7 @@ class SolverStall(SolverError):
 
 
 class IndefiniteOperator(SolverError):
-    """Assembled divergence-form operator is not positive (semi)definite."""
+    """Coefficients or assembled operator not positive (semi)definite."""
 
 
 # --- geometry failures ----------------------------------------------------

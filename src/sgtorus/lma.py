@@ -11,6 +11,8 @@ The matrix is symmetric by construction, has exactly the constants in its
 periodic kernel, and collapses to the standard 5-point Laplacian when
 Phi is the identity.  Dirichlet problems live on a cell mask with the
 one-cell ring outside held at zero (or at supplied boundary values).
+Phi, a CofactorField, is positive definite by construction: assembly
+checks only its N x N shape, and a masked operator costs O(cells).
 Every operator and masked residual assembles only the rows it reads
 (stencil_rows), each row's nine entries in _OFFSETS order and its
 weights computed from the cell's own neighbourhood (_cell_weights); the
@@ -93,20 +95,11 @@ def _row(wx_0, wx_m, wy_0, wy_m, wc_0, wc_mm, wc_m0, wc_0m):
 
 
 def _check_coefficients(grid, coeffs):
-    """Raise GridMismatch unless every coefficient is N x N, and
-    IndefiniteOperator unless the tensor is positive definite in every
-    cell."""
-    c11, c12, c22 = coeffs.c11, coeffs.c12, coeffs.c22
-    for c in (c11, c12, c22):
+    """Raise GridMismatch unless every coefficient is N x N: O(1), since a
+    CofactorField is positive definite by construction."""
+    for c in (coeffs.c11, coeffs.c12, coeffs.c22):
         if c.shape != (grid.n, grid.n):
             raise GridMismatch("coefficient shape does not match grid")
-    det = c11 * c22 - c12**2
-    if min(np.min(c11), np.min(c22)) <= 0.0 or np.min(det) <= 0.0:
-        raise IndefiniteOperator(
-            f"coefficient tensor is not positive definite cellwise "
-            f"(min diag {min(np.min(c11), np.min(c22)):.3e}, "
-            f"min det {np.min(det):.3e})"
-        )
 
 
 def _row_sums(weights, values):
@@ -131,8 +124,8 @@ def _cell_weights(grid, coeffs, where):
     """_row at the cells whose stencil neighbours `where` lists
     (_neighbours), from their coefficients gathered once per offset that
     a row reads: c11 at the three (i + d, j), c22 at the three (i, j + d)
-    and c12 at all nine neighbours, so past _check_coefficients the cost
-    is O(cells)."""
+    and c12 at all nine neighbours; a CofactorField needs no other check
+    than _check_coefficients' O(1) one, so the cost is O(cells)."""
     _check_coefficients(grid, coeffs)
     h = grid.spacing
     c11, c12, c22 = (c.ravel() for c in (coeffs.c11, coeffs.c12, coeffs.c22))
@@ -178,7 +171,8 @@ def stencil_rows(grid, coeffs, cells):
     energy (_row), in CSR with global column indices and each row's nine
     entries in _OFFSETS order.  The weights come from the cells' own
     coefficients and their stencil neighbours' only (_cell_weights), in
-    O(cells) for any set of cells, the whole grid included."""
+    O(cells) for any set of cells: no other coefficient is read, not even
+    to check it (a CofactorField is positive definite by construction)."""
     n = grid.n
     where = _neighbours(n, cells)
     return _csr(

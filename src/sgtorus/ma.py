@@ -5,12 +5,15 @@ P*(x) = |x|^2/2 + q(x); the quadratic growth is handled analytically, so
 discrete Hessians are I + D^2 q and the identity map corresponds to q = 0
 exactly.  A ConvexPotential is discretely convex by construction (P11 > 0
 and det D^2 P* > 0 cellwise, or LostConvexity), so nothing that takes one
-checks again.  Its Legendre transform P need not be discretely convex on
-the grid, so legendre returns it as a LegendrePotential: the periodic
-part of P and the gradient map grad P, with no Hessian.  legendre scans
-only the tiled centres y within sqrt(h^2/2 + 2 osc q) (plus a cell) of
-the queries, where every maximizer lies, so its result is bitwise that
-of the full 3x3 block of periodic copies.
+checks again; a CofactorField, the linearized operator's coefficient, is
+positive definite by construction (or IndefiniteOperator), and a solve's
+certificates are plain attributes of the potential it returns.  Its
+Legendre transform P need not be discretely convex on the grid, so
+legendre returns it as a LegendrePotential: the periodic part of P and
+the gradient map grad P, with no Hessian.  legendre scans only the tiled
+centres y within sqrt(h^2/2 + 2 osc q) (plus a cell) of the queries,
+where every maximizer lies, so its result is bitwise that of the full
+3x3 block of periodic copies.
 
 solve_ma_periodic runs a damped Newton iteration on
 
@@ -58,7 +61,8 @@ import dataclasses
 import numpy as np
 
 from . import grid as gridmod
-from .errors import BadDensity, InvariantViolation, LostConvexity, NonConvergence
+from .errors import (BadDensity, IndefiniteOperator, InvariantViolation,
+                     LostConvexity, NonConvergence)
 from .grid import PeriodicDisplacement, mean_zero, second_differences
 from .krylov import gmres, norm
 
@@ -74,10 +78,6 @@ GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 10
 # cellwise determinant floor used by the Newton damping
 DET_FLOOR = 1e-6
-
-
-def default_tolerance(Lam):
-    return 1e-8 * max(1.0, float(Lam))
 
 
 class _GradientMap:
@@ -105,12 +105,15 @@ class ConvexPotential(_GradientMap):
     """Discretely convex potential P* = |x|^2/2 + q with mean(q) = 0.
 
     Carries its gradient and compact-stencil Hessian samples, the Hessian
-    determinant, and solver diagnostics.  Discrete convexity, P11 > 0 and
-    det D^2 P* > 0 cellwise, is checked on construction (LostConvexity
-    otherwise, also for a q with NaN entries).
+    determinant, and the certificates of the solve that made it: the sup
+    residual, the gauge, and the Newton and GMRES iteration counts (nan,
+    0, 0 and 0 for a potential no solver made).  Discrete convexity,
+    P11 > 0 and det D^2 P* > 0 cellwise, is checked on construction
+    (LostConvexity otherwise, also for a q with NaN entries).
     """
 
-    def __init__(self, grid, q, lam=None, Lam=None, diagnostics=None):
+    def __init__(self, grid, q, lam=None, Lam=None, residual=float("nan"),
+                 gauge=0.0, newton_iters=0, linear_iters=0):
         self.grid = grid
         self.q = mean_zero(np.asarray(q, dtype=float))
         if self.q.shape != (grid.n, grid.n):
@@ -127,32 +130,8 @@ class ConvexPotential(_GradientMap):
             )
         self.lam = float(lam) if lam is not None else float(np.min(self.det))
         self.Lam = float(Lam) if Lam is not None else float(np.max(self.det))
-        self.diagnostics = dict(diagnostics or {})
-
-    # -- solver certificates ------------------------------------------------
-
-    @property
-    def residual(self):
-        return self.diagnostics.get("residual", float("nan"))
-
-    @property
-    def gauge(self):
-        return self.diagnostics.get("gauge", 0.0)
-
-    @property
-    def newton_iters(self):
-        return self.diagnostics.get("newton_iters", 0)
-
-    @property
-    def bound_tolerance(self):
-        """Slack for the det-range certificate: gauge defect plus solver tol."""
-        tol = self.diagnostics.get("tol", default_tolerance(self.Lam))
-        return abs(self.gauge) + 10.0 * tol
-
-    def check_det_bounds(self):
-        lo, hi = float(np.min(self.det)), float(np.max(self.det))
-        s = self.bound_tolerance
-        return (lo >= self.lam - s) and (hi <= self.Lam + s), (lo, hi)
+        self.residual, self.gauge = residual, gauge
+        self.newton_iters, self.linear_iters = newton_iters, linear_iters
 
     def header_dict(self):
         return {
@@ -189,11 +168,26 @@ class CofactorField:
     [[p22, -p12], [-p12, p11]]; it is divergence-free row by row in the
     continuum, shares trace and determinant with the Hessian, and
     satisfies the algebraic identity Phi^{ij} phi_{ij} = 2 det D^2 phi.
+    Positive definite by construction: GridMismatch unless c11, c12 and
+    c22 share one square shape, IndefiniteOperator unless c11 > 0 and
+    c11 c22 - c12^2 > 0 in every cell (NaN fails), so no reader checks.
     """
 
     c11: np.ndarray
     c12: np.ndarray
     c22: np.ndarray
+
+    def __post_init__(self):
+        shape = self.c11.shape
+        if not (len(shape) == 2 and shape[0] == shape[1]
+                and self.c12.shape == shape == self.c22.shape):
+            raise gridmod.GridMismatch("coefficients are not one square grid")
+        det = self.c11 * self.c22 - self.c12**2
+        if not (np.min(self.c11) > 0.0 and np.min(det) > 0.0):
+            raise IndefiniteOperator(
+                f"coefficient tensor is not positive definite cellwise "
+                f"(min c11 {np.min(self.c11):.3e}, min det {np.min(det):.3e})"
+            )
 
     def contract(self, p11, p12, p22):
         """Phi^{ij} phi_{ij} for a symmetric field (p11, p12, p22)."""
@@ -337,8 +331,10 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     Returns
     -------
     ConvexPotential
-        With diagnostics: residual, gauge, newton_iters, linear_iters (the
-        GMRES iterations summed over the Newton iterations), tol.
+        With its certificates residual, gauge, newton_iters and
+        linear_iters (the GMRES iterations summed over the Newton
+        iterations); raises LostConvexity if det D^2 P* leaves
+        [lambda, Lambda] by more than |gauge| + 10 tol.
     """
     if isinstance(rho, gridmod.TorusField):
         grid = rho.grid
@@ -349,7 +345,7 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
     lam = float(lam) if lam is not None else float(np.min(rho))
     Lam = float(Lam) if Lam is not None else float(np.max(rho))
     if tol is None:
-        tol = default_tolerance(Lam)
+        tol = 1e-8 * max(1.0, Lam)
     elif not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
@@ -400,20 +396,14 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         defect = det - rho - mu
         residual = float(np.max(np.abs(defect)))
 
-    diagnostics = {
-        "residual": residual,
-        "gauge": mu,
-        "newton_iters": iters,
-        "linear_iters": linear_iters,
-        "tol": tol,
-    }
-    pot = ConvexPotential(grid, q, lam=lam, Lam=Lam, diagnostics=diagnostics)
-    ok, bounds = pot.check_det_bounds()
-    if not ok:
-        raise LostConvexity(
-            f"solved determinant range {bounds} escapes "
-            f"[{lam}, {Lam}] beyond tolerance {pot.bound_tolerance:.3e}"
-        )
+    pot = ConvexPotential(grid, q, lam=lam, Lam=Lam, residual=residual,
+                          gauge=mu, newton_iters=iters,
+                          linear_iters=linear_iters)
+    lo, hi = float(np.min(pot.det)), float(np.max(pot.det))
+    slack = abs(mu) + 10.0 * tol  # the gauge defect plus ten tolerances
+    if not (lo >= lam - slack and hi <= Lam + slack):
+        raise LostConvexity(f"solved determinant range {(lo, hi)} escapes "
+                            f"[{lam}, {Lam}] beyond tolerance {slack:.3e}")
     return pot
 
 

@@ -201,6 +201,21 @@ class TestRun:
         assert len(res.certificates) == 1
         assert np.isnan(res.certificates[0]["lma_residual"])
 
+    @pytest.mark.parametrize("dt, t_end", [
+        (0.0, 0.1), (-2e-3, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+        (2e-3, 0.0), (2e-3, -0.1), (2e-3, np.nan), (2e-3, np.inf),
+    ])
+    def test_rejects_bad_time_grid_before_solving(self, dt, t_end,
+                                                  monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("cold solve before dt and t_end were checked")
+
+        monkeypatch.setattr(dynamics, "solve_ma_periodic", no_solve)
+        grid = TorusGrid(16)
+        with pytest.raises(ValueError, match="positive and finite"):
+            dynamics.run(presets.uniform_density(grid), grid, dt=dt,
+                         t_end=t_end)
+
     def test_dtp_field_matches_centered_difference(self, short_run):
         res = short_run
         k = 5
@@ -288,13 +303,12 @@ class TestKrylovGuess:
                 == [s.pot.newton_iters for s in plain])
         for a, b in zip(guessed, plain):
             assert np.max(np.abs(a.pot.q - b.pot.q)) <= 1e-10
-        saved = [b.pot.diagnostics["linear_iters"]
-                 - a.pot.diagnostics["linear_iters"]
+        saved = [b.pot.linear_iters - a.pot.linear_iters
                  for a, b in zip(guessed, plain)]
         assert saved[:2] == [0, 0] and min(saved[3:]) > 0
 
     def test_krylov_iterations_from_the_third_step(self, guessed):
-        krylov = [s.pot.diagnostics["linear_iters"] for s in guessed[3:]]
+        krylov = [s.pot.linear_iters for s in guessed[3:]]
         assert max(krylov) <= 3
 
     def test_unequal_steps(self, monkeypatch):
@@ -305,7 +319,7 @@ class TestKrylovGuess:
                 == [s.pot.newton_iters for s in plain])
         for a, b in zip(guessed, plain):
             assert np.max(np.abs(a.pot.q - b.pot.q)) <= 1e-10
-        assert max(s.pot.diagnostics["linear_iters"] for s in guessed[3:]) <= 3
+        assert max(s.pot.linear_iters for s in guessed[3:]) <= 3
 
 
 class TestTimeRegularity:

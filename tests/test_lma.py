@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from sgtorus import grid as gridmod
 from sgtorus import lma, presets
 from sgtorus.errors import GridMismatch, IndefiniteOperator, SolverStall
 from sgtorus.grid import TorusGrid, periodic_gradient
@@ -71,19 +72,30 @@ class TestOperator:
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
     def test_rejects_indefinite_coefficients(self):
-        grid = TorusGrid(16)
+        # positive definiteness is checked where the coefficients are
+        # made, so no operator or residual path checks it again
         c11 = np.ones((16, 16))
         c22 = np.ones((16, 16))
         c12 = np.full((16, 16), 1.5)  # det = 1 - 2.25 < 0
-        cof = CofactorField(c11, c12, c22)
         with pytest.raises(IndefiniteOperator):
-            DivergenceFormOperator(grid, cof)
-        # the residual paths assemble rows, or apply the stencil, without
-        # an operator
+            CofactorField(c11, c12, c22)
+
+    @pytest.mark.parametrize("entry", ["c11", "c12", "c22"])
+    def test_rejects_nan_coefficients(self, entry):
+        one = np.ones((8, 8))
+        coeffs = {"c11": one, "c12": np.zeros((8, 8)), "c22": one.copy()}
+        coeffs[entry] = coeffs[entry].copy()
+        coeffs[entry][3, 5] = np.nan
         with pytest.raises(IndefiniteOperator):
-            stencil_rows(grid, cof, np.arange(16 * 16))
-        with pytest.raises(IndefiniteOperator):
-            apply_stencil(grid, cof, np.ones((16, 16)))
+            CofactorField(**coeffs)
+
+    @pytest.mark.parametrize("shapes", [((8, 8), (8, 8), (8, 9)),
+                                        ((8, 9), (8, 9), (8, 9)),
+                                        ((64,), (64,), (64,))],
+                             ids=["unequal", "rectangle", "flat"])
+    def test_rejects_coefficients_of_no_square_grid(self, shapes):
+        with pytest.raises(GridMismatch):
+            CofactorField(*(np.ones(s) for s in shapes))
 
     def test_divergence_of_rotated_gradient_vanishes(self):
         grid, op = identity_operator(32)
@@ -447,6 +459,18 @@ class TestRowAssembly:
         full = DivergenceFormOperator(grid, cof).matrix
         assert_same_csr(op.rows, full[op.cells])
         assert_same_csr(op.matrix, full[op.cells][:, op.cells])
+
+    def test_masked_operator_reads_only_its_neighbourhood(self, two_bump):
+        # a masked operator is O(cells): a coefficient outside the 3 x 3
+        # dilation of its section is never read, not even to be checked
+        grid, pot, _ = two_bump
+        cof = cofactor(pot)
+        sec = extract_section(pot, (0.3, 0.3), 0.02)
+        first = DivergenceFormOperator(grid, cof, mask=sec.mask).matrix
+        far = np.argwhere(~gridmod.dilate(sec.mask))[0]
+        cof.c11[tuple(far)] = -1.0
+        assert_same_csr(DivergenceFormOperator(grid, cof, mask=sec.mask).matrix,
+                        first)
 
     def test_seam_lift_matches_periodic_rows(self, two_bump):
         grid, pot, cof = two_bump
