@@ -66,8 +66,8 @@ def transport_step(rho, velocity, dt, grid):
     (rho_new, factor); the factor is the caller's to log.
     """
     rho = np.asarray(rho, dtype=float)
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"time step must be positive and finite, got {dt}")
     limit = cfl_limit(velocity, grid)
     if dt > limit * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt:.3e} exceeds the CFL limit {limit:.3e} "
@@ -225,10 +225,11 @@ def _time_difference(q, k, dt):
 def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
     """Integrate the dual system from rho0 until t_end.
 
-    Records every step.  Failed certificates (SGState.check_certificates)
-    are collected into each certificate dict as 'violations', so callers
-    decide hard/soft handling.  Each record's 'lma_residual' comes from
-    its own state once the next record exists (nan in a run of no step).
+    Records every step; q_history holds the potentials' own read-only q.
+    Failed certificates (SGState.check_certificates) are collected into
+    each certificate dict as 'violations', so callers decide hard/soft
+    handling.  Each record's 'lma_residual' comes from its own state once
+    the next record exists (nan in a run of no step).
     """
     if isinstance(rho0, TorusField):
         grid, rho0 = rho0.grid, rho0.values
@@ -245,7 +246,7 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
     def record(state, steps_taken):
         times.append(state.t)
         rho_history.append(state.rho.copy())
-        q_history.append(state.pot.q.copy())
+        q_history.append(state.pot.q)
         certificates.append(dict(state.certificates))
         certificates[-1]["violations"] = state.check_certificates(steps_taken)
         certificates[-1]["lma_residual"] = float("nan")

@@ -95,11 +95,10 @@ def _row(wx_0, wx_m, wy_0, wy_m, wc_0, wc_mm, wc_m0, wc_0m):
 
 
 def _check_coefficients(grid, coeffs):
-    """Raise GridMismatch unless every coefficient is N x N: O(1), since a
-    CofactorField is positive definite by construction."""
-    for c in (coeffs.c11, coeffs.c12, coeffs.c22):
-        if c.shape != (grid.n, grid.n):
-            raise GridMismatch("coefficient shape does not match grid")
+    """Raise GridMismatch unless the coefficients are N x N: one shape, since
+    a CofactorField is frozen, square and positive definite by construction."""
+    if coeffs.c11.shape != (grid.n, grid.n):
+        raise GridMismatch("coefficient shape does not match grid")
 
 
 def _row_sums(weights, values):
@@ -353,11 +352,9 @@ class DivergenceFormOperator:
     # -- actions ---------------------------------------------------------
 
     def apply(self, u):
-        """L u; full-grid array in periodic mode, mask vector otherwise."""
-        if self.mask is None:
-            u = np.asarray(u, dtype=float)
-            return (self.matrix @ u.ravel()).reshape(self.grid.n, self.grid.n)
-        return self.matrix @ np.asarray(u, dtype=float)
+        """L u of a full-grid array; periodic mode only."""
+        u = np.asarray(u, dtype=float)
+        return (self.matrix @ u.ravel()).reshape(self.grid.n, self.grid.n)
 
     def solve(self, rhs, tol=DEFAULT_CG_TOL):
         """Preconditioned conjugate gradients (krylov.cg), at most ten

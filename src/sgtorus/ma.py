@@ -4,10 +4,11 @@ A potential is stored through its periodic part q, with
 P*(x) = |x|^2/2 + q(x); the quadratic growth is handled analytically, so
 discrete Hessians are I + D^2 q and the identity map corresponds to q = 0
 exactly.  A ConvexPotential is discretely convex by construction (P11 > 0
-and det D^2 P* > 0 cellwise, or LostConvexity), so nothing that takes one
-checks again; a CofactorField, the linearized operator's coefficient, is
-positive definite by construction (or IndefiniteOperator), and a solve's
-certificates are plain attributes of the potential it returns.  Its
+and det D^2 P* > 0 cellwise, or LostConvexity) with read-only arrays, so
+nothing that takes one checks or copies them again; its one CofactorField,
+the linearized operator's coefficient, built on first use and shared, is
+frozen and positive definite by construction (or IndefiniteOperator), and
+a solve's certificates are plain attributes of the potential it returns.  Its
 Legendre transform P need not be discretely convex on the grid, so
 legendre returns it as a LegendrePotential: the periodic part of P and
 the gradient map grad P, with no Hessian.  legendre scans only the tiled
@@ -109,7 +110,7 @@ class ConvexPotential(_GradientMap):
     residual, the gauge, and the Newton and GMRES iteration counts (nan,
     0, 0 and 0 for a potential no solver made).  Discrete convexity,
     P11 > 0 and det D^2 P* > 0 cellwise, is checked on construction
-    (LostConvexity otherwise, also for a q with NaN entries).
+    (LostConvexity otherwise, also for a NaN q), and its arrays are read-only.
     """
 
     def __init__(self, grid, q, lam=None, Lam=None, residual=float("nan"),
@@ -128,6 +129,10 @@ class ConvexPotential(_GradientMap):
                 f"potential is not discretely convex "
                 f"(min P11={np.min(self.p11):.3e}, min det={np.min(self.det):.3e})"
             )
+        for a in (self.q, self.g1, self.g2, self.p11, self.p12, self.p22,
+                  self.det):
+            a.flags.writeable = False
+        self._cofactor = None  # built by the first cofactor(self)
         self.lam = float(lam) if lam is not None else float(np.min(self.det))
         self.Lam = float(Lam) if Lam is not None else float(np.max(self.det))
         self.residual, self.gauge = residual, gauge
@@ -159,7 +164,7 @@ class LegendrePotential(_GradientMap):
                              np.asarray(grad_d2, dtype=float))
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class CofactorField:
     """Cofactor matrix of a Hessian field: the coefficient of the
     linearized Monge-Ampere operator.
@@ -168,9 +173,9 @@ class CofactorField:
     [[p22, -p12], [-p12, p11]]; it is divergence-free row by row in the
     continuum, shares trace and determinant with the Hessian, and
     satisfies the algebraic identity Phi^{ij} phi_{ij} = 2 det D^2 phi.
-    Positive definite by construction: GridMismatch unless c11, c12 and
-    c22 share one square shape, IndefiniteOperator unless c11 > 0 and
-    c11 c22 - c12^2 > 0 in every cell (NaN fails), so no reader checks.
+    Frozen and positive definite by construction: GridMismatch unless c11,
+    c12 and c22 share one square shape, IndefiniteOperator unless c11 > 0
+    and c11 c22 - c12^2 > 0 in every cell (NaN fails), so no reader checks.
     """
 
     c11: np.ndarray
@@ -195,8 +200,12 @@ class CofactorField:
 
 
 def cofactor(pot):
-    """Cofactor field of a potential's discrete Hessian."""
-    return CofactorField(pot.p22.copy(), -pot.p12.copy(), pot.p11.copy())
+    """The potential's one cofactor field, built on the first call and then
+    shared: c11, c22 are pot.p22, pot.p11 and c12 a read-only -pot.p12."""
+    if pot._cofactor is None:
+        pot._cofactor = CofactorField(pot.p22, -pot.p12, pot.p11)
+        pot._cofactor.c12.flags.writeable = False
+    return pot._cofactor
 
 
 # --- Newton solver ----------------------------------------------------------
@@ -355,7 +364,6 @@ def solve_ma_periodic(rho, grid=None, lam=None, Lam=None, tol=None,
         p11, p12, p22, det = _hessian_and_det(q, h)
     else:
         gridmod.check_same_grid(initial.grid, grid)
-        # its Hessian has the bits of _hessian_and_det(q); read, never written
         q = initial.q
         p11, p12, p22, det = initial.p11, initial.p12, initial.p22, initial.det
 

@@ -69,6 +69,18 @@ class TestTransport:
         oracle = oracle / oracle.mean()
         assert np.max(np.abs(new - oracle)) <= 1e-13
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("advance", ["transport_step", "step"])
+    def test_rejects_bad_time_step(self, advance, dt):
+        grid = TorusGrid(16)
+        state = dynamics.SGState.from_density(presets.uniform_density(grid),
+                                              grid)
+        with pytest.raises(ValueError, match="positive and finite"):
+            if advance == "step":
+                dynamics.step(state, dt)
+            else:
+                dynamics.transport_step(state.rho, state.velocity, dt, grid)
+
     def test_cfl_violation_raised(self):
         grid = TorusGrid(16)
         vel = PeriodicDisplacement(grid, np.full((16, 16), 0.1),
@@ -215,6 +227,11 @@ class TestRun:
         with pytest.raises(ValueError, match="positive and finite"):
             dynamics.run(presets.uniform_density(grid), grid, dt=dt,
                          t_end=t_end)
+
+    def test_records_are_read_only(self, short_run):
+        # q_history holds each potential's own q, not a copy of it
+        with pytest.raises(ValueError, match="read-only"):
+            short_run.q_history[3][0, 0] = 0.0
 
     def test_dtp_field_matches_centered_difference(self, short_run):
         res = short_run

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -437,9 +439,16 @@ class TestRowAssembly:
                              ids=["larger-grid", "rectangle"])
     def test_coefficients_of_other_shape_are_grid_mismatch(self, wrong,
                                                            shape):
+        # a field holds one square shape: no entry of another shape gets
+        # in, not even through replace, which runs the check again
+        cof = identity_cofactor(TorusGrid(8))
+        with pytest.raises(GridMismatch):
+            dataclasses.replace(
+                cof, **{wrong: np.full(shape, 0.5 if wrong != "c12" else 0.0)})
+
+    def test_field_of_other_grid_is_grid_mismatch(self):
         grid = TorusGrid(8)
-        cof = identity_cofactor(grid)
-        setattr(cof, wrong, np.full(shape, 0.5 if wrong != "c12" else 0.0))
+        cof = identity_cofactor(TorusGrid(10))
         with pytest.raises(GridMismatch):
             stencil_rows(grid, cof, np.array([0, 9, 63]))
         with pytest.raises(GridMismatch):
@@ -463,8 +472,9 @@ class TestRowAssembly:
     def test_masked_operator_reads_only_its_neighbourhood(self, two_bump):
         # a masked operator is O(cells): a coefficient outside the 3 x 3
         # dilation of its section is never read, not even to be checked
-        grid, pot, _ = two_bump
-        cof = cofactor(pot)
+        grid, pot, shared = two_bump
+        # the potential's cofactor is read-only; this one has its own c11
+        cof = CofactorField(shared.c11.copy(), shared.c12, shared.c22)
         sec = extract_section(pot, (0.3, 0.3), 0.02)
         first = DivergenceFormOperator(grid, cof, mask=sec.mask).matrix
         far = np.argwhere(~gridmod.dilate(sec.mask))[0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -128,6 +130,19 @@ class TestConvexPotential:
         q[3, 4] = np.nan
         with pytest.raises(LostConvexity):
             ConvexPotential(TorusGrid(16), q)
+
+    @pytest.mark.parametrize("name", ["q", "g1", "g2", "p11", "p12", "p22",
+                                      "det"])
+    def test_arrays_are_read_only(self, name):
+        # so the certificates of construction hold for its lifetime
+        pot = presets.perturbed_potential(TorusGrid(16))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pot, name)[0, 0] = 1.0
+
+    def test_input_stays_writable(self):
+        q = np.zeros((16, 16))
+        pot = ConvexPotential(TorusGrid(16), q)
+        assert q.flags.writeable and pot.q is not q
 
     def test_manufactured_determinant_is_second_order(self):
         errs = []
@@ -407,6 +422,23 @@ class TestSolver:
 
 
 class TestCofactor:
+    def test_one_shared_cofactor_per_potential(self):
+        # built and checked on the first call, then handed out again; its
+        # diagonal entries are the Hessian's own arrays
+        pot = presets.perturbed_potential(TorusGrid(16))
+        cof = cofactor(pot)
+        assert cofactor(pot) is cof
+        assert cof.c11 is pot.p22 and cof.c22 is pot.p11
+        assert np.array_equal(cof.c12, -pot.p12)
+        with pytest.raises(ValueError, match="read-only"):
+            cof.c12[0, 0] = 0.0
+
+    @pytest.mark.parametrize("name", ["c11", "c12", "c22"])
+    def test_field_is_frozen(self, name):
+        cof = cofactor(presets.quadratic_potential(TorusGrid(8)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cof, name, np.ones((8, 8)))
+
     def test_identity_for_quadratic(self):
         cof = cofactor(presets.quadratic_potential(TorusGrid(16)))
         assert np.array_equal(cof.c11, np.ones((16, 16)))
