@@ -6,7 +6,8 @@ solver's convergence order, the time loop's space-time convergence order,
 the elliptic machinery (Green's functions, section geometry, oscillation
 decay, the maximum principle), the regularity fits, and the polar
 factorization pipeline.  Each check has one grid, one step count and one
-bound.
+bound.  A check reads no clock: run_all times each call and fills its
+result's elapsed (0.0 for a check called directly).
 """
 
 import dataclasses
@@ -35,7 +36,10 @@ class CheckResult:
     name: str
     passed: bool
     details: dict
-    elapsed: float
+    elapsed: float = 0.0
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # a numpy bool is no JSON
 
     def line(self):
         flag = "PASS" if self.passed else "FAIL"
@@ -44,13 +48,8 @@ class CheckResult:
         return f"{flag} {self.name}: {parts}"
 
 
-def _result(name, passed, details, t0):
-    return CheckResult(name, bool(passed), details, time.perf_counter() - t0)
-
-
 def check_steady_state():
     """Uniform density is an exact fixed point of the time loop."""
-    t0 = time.perf_counter()
     n, steps = 64, 100
     dt = 2e-3
     grid = TorusGrid(n)
@@ -59,14 +58,13 @@ def check_steady_state():
     dtp_sup = max(float(np.max(np.abs(res.dtp_field(k))))
                   for k in range(len(res.times)))
     passed = rho_drift <= 1e-6 and dtp_sup <= 1e-6
-    return _result("steady_state_fixed_point", passed,
-                   {"rho_drift": rho_drift, "dtp_sup": dtp_sup,
-                    "steps": steps, "n": n}, t0)
+    return CheckResult("steady_state_fixed_point", passed,
+                       {"rho_drift": rho_drift, "dtp_sup": dtp_sup,
+                        "steps": steps, "n": n})
 
 
 def check_ma_convergence_order():
     """Manufactured cosine solution converges at second order in spacing."""
-    t0 = time.perf_counter()
     sizes = (32, 64, 128)
     errors = []
     for n in sizes:
@@ -77,14 +75,13 @@ def check_ma_convergence_order():
     r1 = errors[0] / errors[1]
     r2 = errors[1] / errors[2]
     passed = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0
-    return _result("ma_solver_order", passed,
-                   {"ratio_coarse": r1, "ratio_fine": r2,
-                    "errors": [f"{e:.3e}" for e in errors]}, t0)
+    return CheckResult("ma_solver_order", passed,
+                       {"ratio_coarse": r1, "ratio_fine": r2,
+                        "errors": [f"{e:.3e}" for e in errors]})
 
 
 def check_conservation():
     """Mass, pinch bounds, and the velocity cap hold along the standard run."""
-    t0 = time.perf_counter()
     n, steps = 128, 200
     dt = 2e-3
     grid = TorusGrid(n)
@@ -103,15 +100,14 @@ def check_conservation():
     passed = (mass_drift <= 1e-8 and renorm <= dynamics.RENORM_DRIFT
               and u_max <= MAX_DISPLACEMENT_NORM and env_ok
               and violations == 0)
-    return _result("conservation_certificates", passed,
-                   {"mass_drift": mass_drift, "renorm_drift": renorm,
-                    "u_inf_max": u_max, "envelope_ok": env_ok,
-                    "violations": violations, "steps": steps, "n": n}, t0)
+    return CheckResult("conservation_certificates", passed,
+                       {"mass_drift": mass_drift, "renorm_drift": renorm,
+                        "u_inf_max": u_max, "envelope_ok": env_ok,
+                        "violations": violations, "steps": steps, "n": n})
 
 
 def check_linearized_identity():
     """Time derivative of the potential solves the linearized equation."""
-    t0 = time.perf_counter()
     levels = ((128, 1e-3), (256, 5e-4))
     bound = 0.15
     residuals = []
@@ -121,9 +117,9 @@ def check_linearized_identity():
         res = dynamics.run(rho0, grid, dt=dt, t_end=4 * dt, lam=lam, Lam=Lam)
         residuals.append(res.certificates[2]["lma_residual"])
     passed = residuals[0] <= bound and residuals[1] < residuals[0]
-    return _result("linearized_identity_residual", passed,
-                   {"residual_coarse": residuals[0],
-                    "residual_fine": residuals[1], "bound": bound}, t0)
+    return CheckResult("linearized_identity_residual", passed,
+                       {"residual_coarse": residuals[0],
+                        "residual_fine": residuals[1], "bound": bound})
 
 
 def _restrict(values):
@@ -135,7 +131,6 @@ def _restrict(values):
 def check_space_time_convergence():
     """The time loop converges at second order in space and time together:
     successive sup differences shrink by 4 when N doubles and dt halves."""
-    t0 = time.perf_counter()
     sizes = (32, 64, 128)
     t_end = 0.1
     finals = []
@@ -153,13 +148,12 @@ def check_space_time_convergence():
                  for coarse, fine in zip(finals, finals[1:])]
         ratios[f"ratio_{name}"] = diffs[0] / diffs[1]
     passed = all(3.0 <= r <= 5.0 for r in ratios.values())
-    return _result("space_time_convergence", passed,
-                   {**ratios, "t_end": t_end, "n_max": sizes[-1]}, t0)
+    return CheckResult("space_time_convergence", passed,
+                       {**ratios, "t_end": t_end, "n_max": sizes[-1]})
 
 
 def check_green_integrability():
     """Green's-function mass scales linearly in height; symmetry, positivity."""
-    t0 = time.perf_counter()
     n = 128
     grid = TorusGrid(n)
     pot = presets.quadratic_potential(grid)
@@ -183,15 +177,14 @@ def check_green_integrability():
               and 0.9 <= grad_ratio <= 1.1
               and report["symmetry_defect"] <= 1e-6
               and report["positivity_floor"] > 0.0)
-    return _result("green_integrability", passed,
-                   {"mass_slope": slope, "grad_norm_ratio": grad_ratio,
-                    "symmetry_defect": report["symmetry_defect"],
-                    "positivity_floor": report["positivity_floor"]}, t0)
+    return CheckResult("green_integrability", passed,
+                       {"mass_slope": slope, "grad_norm_ratio": grad_ratio,
+                        "symmetry_defect": report["symmetry_defect"],
+                        "positivity_floor": report["positivity_floor"]})
 
 
 def check_section_volume():
     """Section area over height stays within one dyadic decade."""
-    t0 = time.perf_counter()
     n = 128
     grid = TorusGrid(n)
     rho0, lam, Lam = presets.perturbed_density(grid)
@@ -201,41 +194,28 @@ def check_section_volume():
     ratios = [sec.area / sec.height for c in centers
               for sec in section_ladder(pot, c, 0.02, 4)]
     spread = max(ratios) / min(ratios)
-    return _result("section_volume_ratio", spread <= 10.0,
-                   {"spread": spread, "ratio_min": min(ratios),
-                    "ratio_max": max(ratios), "n_sections": len(ratios)}, t0)
-
-
-def _decay_report(n):
-    x0, h0 = (0.5, 0.5), 0.08
-    grid = TorusGrid(n)
-    pot = presets.perturbed_potential(grid)
-    cof = cofactor(pot)
-    outer = extract_section(pot, x0, h0)
-    x1, x2 = grid.centers()
-    bdata = np.sin(2.0 * np.pi * x1) + np.cos(4.0 * np.pi * x2)
-    u, _ = solve_dirichlet_lma(cof, outer.mask, grid, boundary_values=bdata,
-                               tol=1e-12)
-    return regularity.oscillation_decay(u, pot, x0, h0)
+    return CheckResult("section_volume_ratio", spread <= 10.0,
+                       {"spread": spread, "ratio_min": min(ratios),
+                        "ratio_max": max(ratios), "n_sections": len(ratios)})
 
 
 def check_oscillation_decay():
     """Oscillation of homogeneous solutions contracts on every half-height."""
-    t0 = time.perf_counter()
     betas, all_ratios = [], []
     for n in (64, 128):
-        rep = _decay_report(n)
+        pot = presets.perturbed_potential(TorusGrid(n))
+        _, rep = regularity.boundary_data_decay(pot, (0.5, 0.5), 0.08)
         betas.append(rep.beta_max)
         all_ratios.extend(rep.ratios())
     spread = abs(betas[0] - betas[1])
-    return _result("oscillation_decay", max(all_ratios) < 1.0 and spread <= 0.1,
-                   {"ratio_max": max(all_ratios), "beta_spread": spread,
-                    "betas": [f"{b:.3f}" for b in betas]}, t0)
+    passed = max(all_ratios) < 1.0 and spread <= 0.1
+    return CheckResult("oscillation_decay", passed,
+                       {"ratio_max": max(all_ratios), "beta_spread": spread,
+                        "betas": [f"{b:.3f}" for b in betas]})
 
 
 def check_holder_calibration():
     """Power-law profiles around a point are recovered at their exponent."""
-    t0 = time.perf_counter()
     n = 128
     grid = TorusGrid(n)
     x0 = (0.31, 0.47)
@@ -248,13 +228,12 @@ def check_holder_calibration():
         [fit] = regularity.holder_fits(dist**gamma, [x0], grid)
         fits[f"gamma_{gamma:g}"] = round(fit.gamma, 4)
         worst = max(worst, abs(fit.gamma - gamma))
-    return _result("holder_fit_calibration", worst <= 0.05,
-                   {"max_error": worst, **fits}, t0)
+    return CheckResult("holder_fit_calibration", worst <= 0.05,
+                       {"max_error": worst, **fits})
 
 
 def check_time_regularity():
     """dP*/dt stays Holder in space with resolution-stable constants."""
-    t0 = time.perf_counter()
     sizes = (64, 128)
     steps = 25
     summaries = []
@@ -269,15 +248,14 @@ def check_time_regularity():
     r2_frac = min(s["r2_ok_fraction"] for s in summaries)
     c_ratio = summaries[0]["c_max"] / summaries[1]["c_max"]
     passed = gamma_min > 0.0 and r2_frac >= 0.8 and 0.7 <= c_ratio <= 1.3
-    return _result("time_regularity", passed,
-                   {"gamma_min": gamma_min, "r2_ok_fraction": r2_frac,
-                    "c_max_ratio": c_ratio}, t0)
+    return CheckResult("time_regularity", passed,
+                       {"gamma_min": gamma_min, "r2_ok_fraction": r2_frac,
+                        "c_max_ratio": c_ratio})
 
 
 def check_polar_factorization():
     """Gradient maps factor back to the identity; the analytic family's
     dP*/dt matches the closed form."""
-    t0 = time.perf_counter()
     n = 64
     grid = TorusGrid(n)
     times = [0.1 + 0.08 * k for k in range(6)]
@@ -298,16 +276,15 @@ def check_polar_factorization():
         track_errs.append(norm(dtp - pred) / norm(pred))
     track = max(track_errs)
     passed = id_ok and track <= 0.10
-    return _result("polar_factorization", passed,
-                   {"g_identity_median_max": max(g_medians),
-                    "tracking_error": track,
-                    "bound": 5.0 * grid.spacing}, t0)
+    return CheckResult("polar_factorization", passed,
+                       {"g_identity_median_max": max(g_medians),
+                        "tracking_error": track,
+                        "bound": 5.0 * grid.spacing})
 
 
 def check_operator_algebra():
     """Adjointness, cofactor trace identity, Laplacian collapse, maximum
     principle: the exact discrete identities."""
-    t0 = time.perf_counter()
     n = 64
     grid = TorusGrid(n)
     rng = np.random.default_rng(3)
@@ -343,11 +320,11 @@ def check_operator_algebra():
 
     passed = (adjoint_defect <= 1e-12 and trace_defect <= 1e-12
               and laplace_defect <= 1e-8 and max_principle_ok)
-    return _result("operator_algebra", passed,
-                   {"adjoint_defect": adjoint_defect,
-                    "trace_defect": trace_defect,
-                    "laplace_defect": laplace_defect,
-                    "max_principle_ok": max_principle_ok}, t0)
+    return CheckResult("operator_algebra", passed,
+                       {"adjoint_defect": adjoint_defect,
+                        "trace_defect": trace_defect,
+                        "laplace_defect": laplace_defect,
+                        "max_principle_ok": max_principle_ok})
 
 
 ALL_CHECKS = (
@@ -367,4 +344,11 @@ ALL_CHECKS = (
 
 
 def run_all():
-    return [check() for check in ALL_CHECKS]
+    """Every check's result, its elapsed the wall time of its call."""
+    results = []
+    for check in ALL_CHECKS:
+        t0 = time.perf_counter()
+        result = check()
+        result.elapsed = time.perf_counter() - t0
+        results.append(result)
+    return results

@@ -330,12 +330,7 @@ def cmd_regularity_report(args, cfg):
 
     grid = TorusGrid(n)
     pot = _resolve_potential(name, grid)
-    sec = extract_section(pot, center, h0)
-    x1, x2 = grid.centers()
-    bdata = np.sin(2 * np.pi * x1) + np.cos(4 * np.pi * x2)
-    u, _ = solve_dirichlet_lma(cofactor(pot), sec.mask, grid,
-                               boundary_values=bdata, tol=1e-12)
-    decay = regularity.oscillation_decay(u, pot, center, h0, rungs=rungs)
+    u, decay = regularity.boundary_data_decay(pot, center, h0, rungs=rungs)
     radius = np.sqrt(2.0 * h0)
     [fit] = regularity.holder_fits(
         u, [center], grid,
@@ -444,23 +439,25 @@ FLAGS = {
                    help="downgrade invariant violations to warnings"),
 }
 
-# command -> (handler, the flags it reads besides --config and --out)
+# command -> (handler, the flags it reads besides --out)
 COMMANDS = {
-    "ma-solve": (cmd_ma_solve, ("--n", "--tol", "--preset")),
-    "sg-run": (cmd_sg_run, ("--n", "--dt", "--t-end", "--tol", "--preset",
-                            "--lambda", "--Lambda", "--report-every",
-                            "--soft")),
-    "lma-dirichlet": (cmd_lma_dirichlet,
-                      ("--n", "--h0", "--center", "--preset", "--seed")),
-    "green-report": (cmd_green_report,
-                     ("--n", "--h0", "--rungs", "--center", "--preset")),
+    "ma-solve": (cmd_ma_solve, ("--config", "--n", "--tol", "--preset")),
+    "sg-run": (cmd_sg_run, ("--config", "--n", "--dt", "--t-end", "--tol",
+                            "--preset", "--lambda", "--Lambda",
+                            "--report-every", "--soft")),
+    "lma-dirichlet": (cmd_lma_dirichlet, ("--config", "--n", "--h0",
+                                          "--center", "--preset", "--seed")),
+    "green-report": (cmd_green_report, ("--config", "--n", "--h0", "--rungs",
+                                        "--center", "--preset")),
     "sections-report": (cmd_sections_report,
-                        ("--n", "--h0", "--rungs", "--centers", "--seed",
-                         "--preset")),
+                        ("--config", "--n", "--h0", "--rungs", "--centers",
+                         "--seed", "--preset")),
     "regularity-report": (cmd_regularity_report,
-                          ("--n", "--h0", "--rungs", "--center", "--preset")),
-    "polar-run": (cmd_polar_run, ("--n", "--seed", "--lambda", "--Lambda",
-                                  "--series", "--steps", "--t-end")),
+                          ("--config", "--n", "--h0", "--rungs", "--center",
+                           "--preset")),
+    "polar-run": (cmd_polar_run, ("--config", "--n", "--seed", "--lambda",
+                                  "--Lambda", "--series", "--steps",
+                                  "--t-end")),
     "verify": (cmd_verify, ("--soft",)),
 }
 
@@ -472,7 +469,7 @@ def build_parser():
                                 parser_class=_Parser)
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        for flag in ("--config", "--out") + flags:
+        for flag in ("--out",) + flags:
             p.add_argument(flag, **FLAGS[flag])
     return parser
 
@@ -481,7 +478,7 @@ def main(argv=None):
     started = time.time()
     try:
         args = build_parser().parse_args(argv)
-        cfg = load_config(args.config) if args.config else {}
+        cfg = load_config(args.config) if getattr(args, "config", None) else {}
         code = COMMANDS[args.command][0](args, cfg)
         _write_metadata(_out_dir(args), args, started,
                         round(time.time() - started, 3))

@@ -225,7 +225,8 @@ def _time_difference(q, k, dt):
 def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
     """Integrate the dual system from rho0 until t_end.
 
-    Records every step; q_history holds the potentials' own read-only q.
+    Records every step, read-only: q_history holds the potentials' own q,
+    rho_history a copy of rho0, then each step's own transported density.
     Failed certificates (SGState.check_certificates) are collected into
     each certificate dict as 'violations', so callers decide hard/soft
     handling.  Each record's 'lma_residual' comes from its own state once
@@ -245,7 +246,10 @@ def run(rho0, grid=None, dt=2e-3, t_end=0.1, lam=None, Lam=None, tol=None):
 
     def record(state, steps_taken):
         times.append(state.t)
-        rho_history.append(state.rho.copy())
+        # a copy of the caller's rho0, then transport_step's fresh outputs
+        rho = state.rho if steps_taken else state.rho.copy()
+        rho.flags.writeable = False
+        rho_history.append(rho)
         q_history.append(state.pot.q)
         certificates.append(dict(state.certificates))
         certificates[-1]["violations"] = state.check_certificates(steps_taken)

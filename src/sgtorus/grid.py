@@ -397,10 +397,10 @@ def sample_vector_bilinear(v1, v2, points, grid):
 
 def dilate(mask):
     """Periodic 3 x 3 dilation of a bool mask: the OR of its shifted
-    copies, one axis after the other."""
-    m = np.asarray(mask, dtype=bool)
-    rows = m | np.roll(m, 1, axis=0) | np.roll(m, -1, axis=0)
-    return rows | np.roll(rows, 1, axis=1) | np.roll(rows, -1, axis=1)
+    copies, one axis after the other, as slices of one wrap_pad copy."""
+    p = wrap_pad(np.asarray(mask, dtype=bool))
+    rows = p[:-2] | p[1:-1] | p[2:]
+    return rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]
 
 
 # --- serialization ----------------------------------------------------------

@@ -14,9 +14,9 @@ import numpy as np
 from .errors import GridMismatch, ResidualTooLarge
 from .fitting import CONSTANT_SENTINEL, loglog_fits
 from .grid import dilate
-from .lma import stencil_rows
+from .lma import solve_dirichlet_lma, stencil_rows
 from .ma import cofactor
-from .sections import section_ladder
+from .sections import extract_section, section_ladder
 
 # fields whose total variation falls below this fraction of machine scale
 # count as constant
@@ -101,6 +101,18 @@ def oscillation_decay(u, pot, x0, h0, rungs=4):
     finite = [r.ratio for r in rows if np.isfinite(r.ratio)]
     beta = max(finite) if finite else CONSTANT_SENTINEL
     return DecayReport(rows, beta, constant)
+
+
+def boundary_data_decay(pot, x0, h0, rungs=4):
+    """u solving L u = 0 on S(x0, h0) with ring data sin 2 pi x1 +
+    cos 4 pi x2 (the Dirichlet solve at tol 1e-12), and its
+    oscillation_decay down rungs sections: (u, DecayReport)."""
+    sec = extract_section(pot, x0, h0)
+    x1, x2 = pot.grid.centers()
+    bdata = np.sin(2.0 * np.pi * x1) + np.cos(4.0 * np.pi * x2)
+    u, _ = solve_dirichlet_lma(cofactor(pot), sec.mask, pot.grid,
+                               boundary_values=bdata, tol=1e-12)
+    return u, oscillation_decay(u, pot, x0, h0, rungs=rungs)
 
 
 @dataclasses.dataclass

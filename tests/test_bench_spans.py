@@ -21,7 +21,6 @@ STALE = {
     ("polar", "holder_fit"),
     ("dynamics", "DivergenceFormOperator"),
     ("regularity", "DivergenceFormOperator"),
-    ("regularity", "extract_section"),
 }
 
 

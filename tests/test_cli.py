@@ -132,13 +132,18 @@ FOREIGN_FLAGS = {
 
 
 class TestFlagTables:
-    # verify --quick: verify has one configuration and no such flag
+    # verify --quick: verify has one configuration and no such flag;
+    # verify --config: verify reads no config, and run.cfg exists and is
+    # valid, so only the flag itself can be the error
     @pytest.mark.parametrize(
         "command, flags",
-        list(FOREIGN_FLAGS.items()) + [("verify", ("--quick",))],
-        ids=list(FOREIGN_FLAGS) + ["verify-quick"])
+        list(FOREIGN_FLAGS.items()) + [("verify", ("--quick",)),
+                                       ("verify", ("--config", "run.cfg"))],
+        ids=list(FOREIGN_FLAGS) + ["verify-quick", "verify-config"])
     def test_foreign_flag_is_config_error(self, command, flags, tmp_path,
-                                          capsys):
+                                          capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("# no keys\n")
         out = tmp_path / "o"
         assert run_cli(command, *flags, "--out", str(out)) == 1
         assert "config error" in capsys.readouterr().err

@@ -233,6 +233,30 @@ class TestRun:
         with pytest.raises(ValueError, match="read-only"):
             short_run.q_history[3][0, 0] = 0.0
 
+    def test_density_records_are_transport_outputs(self, monkeypatch):
+        # rho0 is copied once; each later record is the step's own
+        # transported density, uncopied and read-only
+        outputs = []
+        transport_step = dynamics.transport_step
+
+        def capture(*args):
+            rho, factor = transport_step(*args)
+            outputs.append(rho)
+            return rho, factor
+
+        monkeypatch.setattr(dynamics, "transport_step", capture)
+        grid = TorusGrid(16)
+        field, lam, Lam = presets.two_mode_density(grid)
+        rho0, before = field.values, field.values.copy()
+        res = dynamics.run(rho0, grid, dt=2e-3, t_end=0.01, lam=lam, Lam=Lam)
+        assert len(outputs) == res.n_steps == 5
+        for k, rho in enumerate(outputs, 1):
+            assert res.rho_history[k] is rho
+        assert res.rho_history[0] is not rho0
+        assert np.array_equal(res.rho_history[0], before)
+        assert rho0.flags.writeable and np.array_equal(rho0, before)
+        assert not any(r.flags.writeable for r in res.rho_history)
+
     def test_dtp_field_matches_centered_difference(self, short_run):
         res = short_run
         k = 5

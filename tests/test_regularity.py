@@ -160,6 +160,17 @@ class TestOscillationDecay:
         heights = [row.h for row in report.rows]
         assert heights == [0.08, 0.04, 0.02]
 
+    def test_boundary_data_decay_is_the_written_out_pipeline(
+            self, harmonic_problem):
+        # harmonic_problem is the experiment written out; a fresh
+        # potential shares no cofactor or cache with it
+        grid, pot, sec, u = harmonic_problem
+        ref = regularity.oscillation_decay(u, pot, (0.5, 0.5), 0.08)
+        got_u, got = regularity.boundary_data_decay(
+            presets.perturbed_potential(TorusGrid(64)), (0.5, 0.5), 0.08)
+        assert got_u.tobytes() == u.tobytes()
+        assert got == ref
+
     def test_rejects_inhomogeneous_field(self, harmonic_problem, rng):
         grid, pot, sec, u = harmonic_problem
         with pytest.raises(ResidualTooLarge):
