@@ -35,10 +35,12 @@ PINCH_REPS periodic LMA solves div(Phi grad u) = div F with the cofactor
 Phi of the cold potential and the bounded, discontinuous flux
 F = (sign sin 2 pi (3 x1 + 2 x2), 1{x1 + x2/2 < 0.62}), each the build
 of the periodic operator and its CG solve at the default tolerance, as
-lma.solve_periodic_lma runs them: one JSON object per (N, P) with the
-median cold_s and periodic_s, the Newton, Krylov and periodic CG
-iteration counts (the same in every solve) and the density's actual
-lambda and Lambda.
+lma.solve_periodic_lma runs them, then, after one untimed call,
+PINCH_REPS masked Green's functions on S(GREEN_CENTRE, 0.02) of the
+cold potential as above: one JSON object per (N, P) with the median
+cold_s, periodic_s and green_s, the Newton, Krylov, periodic CG and
+Green CG iteration counts (the same in every solve; green_s and
+green_iters keyed by h) and the density's actual lambda and Lambda.
 --src points at the src/ directory of the checkout to measure (default:
 this one), so two versions can be timed with the same script.
 """
@@ -170,7 +172,7 @@ def measure_pinch(n, pinch):
 
     import numpy as np
 
-    from sgtorus import lma, ma, presets
+    from sgtorus import lma, ma, presets, sections
     from sgtorus.grid import TorusGrid
 
     grid = TorusGrid(n)
@@ -194,13 +196,24 @@ def measure_pinch(n, pinch):
         rhs = -op.divergence_rhs(*flux)
         op.solve(rhs - rhs.mean())
         periodic_s.append(time.perf_counter() - t)
+    periodic_iters = cg_iters[-1]
+    h = GREEN_HEIGHTS[0]
+    sec = sections.extract_section(pot, GREEN_CENTRE, h)
+    lma.green_function(cof, sec.mask, sec.center_index, grid)
+    green_s = []
+    for _ in range(PINCH_REPS):
+        t = time.perf_counter()
+        lma.green_function(cof, sec.mask, sec.center_index, grid)
+        green_s.append(time.perf_counter() - t)
     lma.cg = cg
     return {
         "n": n, "pinch": pinch, "lambda": lam, "Lambda": Lam,
         "cold_s": statistics.median(cold_s), "newton_iters": newton,
         "linear_iters": krylov, "linear_per_newton": krylov / max(newton, 1),
         "periodic_s": statistics.median(periodic_s),
-        "periodic_cg_iters": cg_iters[-1],
+        "periodic_cg_iters": periodic_iters,
+        "green_s": {repr(h): statistics.median(green_s)},
+        "green_iters": {repr(h): cg_iters[-1]},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 

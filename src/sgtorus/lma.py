@@ -28,7 +28,10 @@ of the Monge-Ampere solve also uses (grid.trace_scaled_inverse),
 Dirichlet ones with one aggregation-multigrid V-cycle
 (AggregationVCycle), so the CG iteration count grows only slowly with N
 and the Green's-function ladders stay near linear in the number of
-cells.
+cells.  The V-cycle's damped-Jacobi sweeps have weight SMOOTHING = 1.8
+over each level's Gershgorin bound of D^-1 A, which bounds the top of
+its spectrum: omega lambda <= 1.8 < 2, so every sweep contracts in the
+A-norm and the cycle is symmetric positive definite, as CG needs.
 
 The rows are CSR matrices of scipy.sparse, imported inside _csr, the one
 function that builds them: the time loop and the polar factorization
@@ -38,6 +41,7 @@ assembled operator.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -204,8 +208,14 @@ def apply_stencil(grid, coeffs, u):
 # more levels cost more in fixed per-level overhead than a dense solve of
 # this many cells does
 COARSEST_CELLS = 64
-# damped-Jacobi weight over the Gershgorin bound of D^-1 A
-SMOOTHING = 4.0 / 3.0
+# damped-Jacobi weight over the Gershgorin bound rho_G of D^-1 A: a sweep
+# is x = (SMOOTHING / rho_G) D^-1 b.  rho_G >= lambda_max(D^-1 A), so
+# omega lambda <= SMOOTHING < 2 on every level and each sweep contracts in
+# the A-norm.  Of the weights 4/3, 1.6, 1.7, 1.8 and 1.9, 1.9 took the
+# fewest CG iterations on large sections but more than 4/3 on some of a few
+# hundred cells; 1.8 took the fewest of the rest on sections of a thousand
+# cells or more (BENCH_smoother_weight.json)
+SMOOTHING = 1.8
 # over-corrected coarse step of plain aggregation (Braess, 1995)
 OVERCORRECTION = 1.5
 
@@ -241,9 +251,20 @@ class AggregationVCycle:
     meet its cells, starting from the mask on the N x N grid; the coarse
     operator is the Galerkin T^T A T of the piecewise-constant T, summed
     entry by entry, so it stays a 9-point stencil.  Each level smooths by
-    one damped-Jacobi sweep before and one after the coarse step, which is
-    over-corrected by OVERCORRECTION.  Coarsening stops at COARSEST_CELLS
-    cells, applied through their exact inverse by a fixed-order reduction.
+    one damped-Jacobi sweep x = (SMOOTHING / rho_G) D^-1 b before and one
+    after the coarse step, which is over-corrected by OVERCORRECTION;
+    rho_G is the level's Gershgorin bound of D^-1 A.  Coarsening stops at
+    COARSEST_CELLS cells, applied through their exact inverse by a
+    fixed-order reduction.
+
+    The cycle is SPD.  It is symmetric, since the two sweeps are the same
+    and the coarse operators are Galerkin.  It is positive since
+    rho_G >= lambda_max(D^-1 A) gives omega lambda <= SMOOTHING < 2 for
+    every eigenvalue lambda > 0: each sweep strictly contracts the error
+    in the A-norm, and a coarse step through an SPD coarse cycle, at any
+    positive over-correction, only subtracts from the A-energy of the
+    error.  So <(I - BA) e, e>_A < <e, e>_A for every e != 0, and B is
+    positive definite; CG's breakdown checks still stand behind that.
     No step reaches the BLAS, so the cycle does not depend on its threads.
     Raises IndefiniteOperator on a diagonal entry that is not positive.
     """
@@ -440,6 +461,20 @@ def solve_periodic_lma(coeffs, F, grid, tol=DEFAULT_CG_TOL):
     return u, info
 
 
+def _dirichlet_operator(coeffs, mask, grid, operator):
+    """The Dirichlet operator on a bool mask: `operator` if one is given,
+    else a new DivergenceFormOperator.  Raises GridMismatch unless a
+    given operator was built on this grid and this mask, since a solve
+    reads its right-hand side from the operator's cells and its boundary
+    ring and result mask from `mask`."""
+    if operator is None:
+        return DivergenceFormOperator(grid, coeffs, mask=mask)
+    if operator.grid != grid or not (operator.mask is mask or
+                                     np.array_equal(operator.mask, mask)):
+        raise GridMismatch("operator was built on another grid or mask")
+    return operator
+
+
 def solve_dirichlet_lma(coeffs, mask, grid, F=None, boundary_values=None,
                         tol=DEFAULT_CG_TOL, operator=None):
     """Solve L u = div F (or 0 without F) on a mask, u = ring values.
@@ -448,10 +483,11 @@ def solve_dirichlet_lma(coeffs, mask, grid, F=None, boundary_values=None,
     zero unless boundary_values (a full-grid array) is given.  Returns
     (u_full, info) with u zero-extended outside the mask.  For homogeneous
     interiors with boundary data the discrete maximum principle
-    min b <= u <= max b is asserted.
+    min b <= u <= max b is asserted.  A given operator must be the
+    masked operator of this grid and mask (GridMismatch otherwise).
     """
     mask = np.asarray(mask, dtype=bool)
-    op = operator or DivergenceFormOperator(grid, coeffs, mask=mask)
+    op = _dirichlet_operator(coeffs, mask, grid, operator)
     homogeneous = F is None
     b = (np.zeros(op.cells.size) if homogeneous
          else -op.divergence_rhs(F[0], F[1]))
@@ -498,12 +534,18 @@ class GreenFunction:
         g = self.values[self.mask]
         return float(np.sum(np.abs(g) ** p)) * self.grid.cell_area
 
+    @functools.cached_property
+    def gradient_magnitude(self):
+        """|grad g| at the masked cells (zero extension), computed on first
+        use and shared by every gradient_norm."""
+        g1, g2 = gridmod.periodic_gradient(self.values, self.grid)
+        return np.hypot(g1[self.mask], g2[self.mask])
+
     def gradient_norm(self, kappa):
         """L^(1+kappa) norm of grad g over the mask (zero extension)."""
-        g1, g2 = gridmod.periodic_gradient(self.values, self.grid)
-        mag = np.hypot(g1[self.mask], g2[self.mask])
         p = 1.0 + kappa
-        return float(np.sum(mag**p) * self.grid.cell_area) ** (1.0 / p)
+        return float(np.sum(self.gradient_magnitude**p)
+                     * self.grid.cell_area) ** (1.0 / p)
 
     def min_value(self):
         return float(np.min(self.values[self.mask]))
@@ -517,9 +559,10 @@ class GreenFunction:
 
 def green_function(coeffs, mask, pole_index, grid, operator=None):
     """Green's function with pole at a cell: L g = delta, g = 0 on the ring,
-    solved to a relative residual of 1e-12."""
+    solved to a relative residual of 1e-12.  A given operator must be the
+    masked operator of this grid and mask (GridMismatch otherwise)."""
     mask = np.asarray(mask, dtype=bool)
-    op = operator or DivergenceFormOperator(grid, coeffs, mask=mask)
+    op = _dirichlet_operator(coeffs, mask, grid, operator)
     rhs = op.point_source(pole_index)
     g = op.solve(rhs, tol=1e-12)
     return GreenFunction(grid, mask, op.scatter(g))

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -218,6 +219,50 @@ class TestDirichletSolve:
         assert np.all(u[~sec.mask & ~boundary_ring(sec.mask)] == 0.0)
 
 
+def foreign_operator(pot, sec, case):
+    """A masked operator built on another mask, or on a grid of another N,
+    than S = sec of pot on the N=64 grid."""
+    if case == "mask":
+        other = np.roll(sec.mask, 1, axis=0)
+        return DivergenceFormOperator(pot.grid, cofactor(pot), mask=other)
+    grid = TorusGrid(32)
+    other = extract_section(presets.perturbed_potential(grid), (0.5, 0.5),
+                            0.04)
+    return DivergenceFormOperator(grid, identity_cofactor(grid),
+                                  mask=other.mask)
+
+
+class TestForeignOperator:
+    """A passed operator must be the masked operator of the same grid and
+    mask: its cells give the right-hand side, the mask the ring and the
+    result."""
+
+    @pytest.mark.parametrize("case", ["mask", "n"])
+    def test_dirichlet_solve_rejects_it(self, problem, case):
+        grid, pot, sec = problem
+        op = foreign_operator(pot, sec, case)
+        with pytest.raises(GridMismatch):
+            solve_dirichlet_lma(cofactor(pot), sec.mask, grid,
+                                boundary_values=np.ones((64, 64)),
+                                operator=op)
+
+    @pytest.mark.parametrize("case", ["mask", "n"])
+    def test_green_function_rejects_it(self, problem, case):
+        grid, pot, sec = problem
+        op = foreign_operator(pot, sec, case)
+        with pytest.raises(GridMismatch):
+            green_function(cofactor(pot), sec.mask, sec.center_index, grid,
+                           operator=op)
+
+    def test_equal_mask_copy_is_accepted(self, problem):
+        grid, pot, sec = problem
+        op = DivergenceFormOperator(grid, cofactor(pot), mask=sec.mask.copy())
+        g = green_function(cofactor(pot), sec.mask, sec.center_index, grid,
+                           operator=op)
+        assert g.mask is sec.mask
+        assert g.values[sec.center_index] == g.max_value()
+
+
 class TestGreenFunction:
     def test_positive_inside_zero_outside(self, green):
         _, sec, g = green
@@ -274,6 +319,29 @@ class TestGreenFunction:
         assert rep["positivity_floor"] > 0.0
         grads = [r["norm"] for r in rep["rows"] if r["kappa"] == 0.2]
         assert all(n > 0 for n in grads)
+
+    def test_gradient_norms_are_the_written_out_formula(self, green):
+        grid, sec, g = green
+        g1, g2 = periodic_gradient(g.values, grid)
+        mag = np.hypot(g1[sec.mask], g2[sec.mask])
+        for kappa in (0.1, 0.2):
+            p = 1.0 + kappa
+            assert g.gradient_norm(kappa) == \
+                float(np.sum(mag**p) * grid.cell_area) ** (1.0 / p)
+
+    def test_report_takes_one_gradient_per_green_function(self, monkeypatch):
+        grid = TorusGrid(32)
+        pot = presets.quadratic_potential(grid)
+        calls = []
+
+        def counted_gradient(f, grid):
+            calls.append(f)
+            return periodic_gradient(f, grid)
+
+        monkeypatch.setattr(gridmod, "periodic_gradient", counted_gradient)
+        green_integrability_report(pot, (0.5, 0.5), [0.04, 0.02, 0.01],
+                                   kappas=(0.1, 0.2))
+        assert len(calls) == 3
 
 
 class TestBoundaryRing:
@@ -540,15 +608,34 @@ MULTIGRID_SECTIONS = {"interior": (4.0, (0.3, 0.3)),
                       "pinch2500": (2500.0, (0.99, 0.99))}
 
 
+def rough_section(grid):
+    """A coefficient that jumps by 100 across a circle, and a disc mask that
+    crosses the jump: (a section-like mask and pole, the cofactor field).
+    c11 = c22 = 100 on the disc of radius 0.2 around (0.4, 0.5) and 1
+    outside, c12 = 0; the mask is the disc of radius 0.2 around
+    (0.6, 0.5), with its pole at its middle cell."""
+    x1, x2 = grid.centers()
+    c = np.where(np.hypot(x1 - 0.4, x2 - 0.5) < 0.2, 100.0, 1.0)
+    mask = np.hypot(x1 - 0.6, x2 - 0.5) < 0.2
+    inside = np.argwhere(mask)
+    sec = types.SimpleNamespace(mask=mask,
+                                center_index=tuple(inside[len(inside) // 2]))
+    return sec, CofactorField(c, np.zeros_like(c), c.copy())
+
+
 class TestMultigrid:
     """The Dirichlet CG preconditioner is one aggregation V-cycle."""
 
-    @pytest.fixture(scope="class", params=list(MULTIGRID_SECTIONS))
+    @pytest.fixture(scope="class", params=[*MULTIGRID_SECTIONS, "rough"])
     def section_op(self, request, two_bump_128):
         grid, pots = two_bump_128
-        pinch, center = MULTIGRID_SECTIONS[request.param]
-        sec = extract_section(pots[pinch], center, 0.02)
-        op = DivergenceFormOperator(grid, cofactor(pots[pinch]), mask=sec.mask)
+        if request.param == "rough":
+            sec, coeffs = rough_section(grid)
+        else:
+            pinch, center = MULTIGRID_SECTIONS[request.param]
+            sec = extract_section(pots[pinch], center, 0.02)
+            coeffs = cofactor(pots[pinch])
+        op = DivergenceFormOperator(grid, coeffs, mask=sec.mask)
         return request.param, sec, op
 
     def test_vcycle_symmetric_and_positive(self, section_op):
@@ -557,6 +644,9 @@ class TestMultigrid:
             for axis in (0, 1):
                 edges = np.take(sec.mask, [0, -1], axis=axis)
                 assert edges.any(axis=1 - axis).all()
+        if name == "rough":
+            jump = rough_section(op.grid)[1].c11[sec.mask]
+            assert jump.min() == 1.0 and jump.max() == 100.0
         assert len(op.precondition.levels) >= 2
         rng = np.random.default_rng(1)
         for _ in range(4):
@@ -599,6 +689,20 @@ class TestMultigrid:
             counts.append(solve_iterations(monkeypatch, op, b))
         assert all(b <= 1.3 * a for a, b in zip(counts, counts[1:])), counts
         assert 4 * counts[-1] < jacobi_iterations(op, b)
+
+    def test_weight_saves_iterations(self, two_bump_128, monkeypatch):
+        # the interior h = 0.08 section: 36 CG iterations at (4/3)/rho_G,
+        # 28 at the module's weight
+        grid, pots = two_bump_128
+        sec = extract_section(pots[4.0], (0.3, 0.3), 0.08)
+        counts = []
+        for weight in (lma.SMOOTHING, 4.0 / 3.0):
+            monkeypatch.setattr(lma, "SMOOTHING", weight)
+            op = DivergenceFormOperator(grid, cofactor(pots[4.0]),
+                                        mask=sec.mask)
+            b = op.point_source(sec.center_index)
+            counts.append(solve_iterations(monkeypatch, op, b))
+        assert counts[0] <= 0.85 * counts[1], counts
 
     def test_unreachable_tolerance_stalls(self):
         grid = TorusGrid(32)
