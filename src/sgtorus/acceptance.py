@@ -70,7 +70,7 @@ def check_ma_convergence_order():
     for n in sizes:
         grid = TorusGrid(n)
         q_exact, rho = presets.manufactured_potential(grid)
-        pot = solve_ma_periodic(rho)
+        pot = solve_ma_periodic(rho, grid)
         errors.append(float(np.max(np.abs(pot.q - mean_zero(q_exact)))))
     r1 = errors[0] / errors[1]
     r2 = errors[1] / errors[2]

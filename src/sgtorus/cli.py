@@ -144,11 +144,11 @@ def _resolve_density(name, grid):
                      else gridmod.field_from_csv(name))
         except ValueError as exc:
             raise ConfigError(f"bad density file {name}: {exc}")
-        if field.grid.n != grid.n:
+        if field.shape[0] != grid.n:
             raise ConfigError(
-                f"density file is {field.grid.n}^2 but n={grid.n} requested"
+                f"density file is {field.shape[0]}^2 but n={grid.n} requested"
             )
-        vals = field.values / field.values.mean()
+        vals = field / field.mean()
         return TorusField(grid, vals), float(vals.min()), float(vals.max())
     raise ConfigError(
         f"unknown density {name!r} (presets: {', '.join(presets.DENSITY_PRESETS)})"

@@ -327,9 +327,8 @@ def holder_in_time_report(result, n_centers=5, seed=0):
 
     Each interior record gets its dtp_regularity row and r2_ok, the number
     of fits with R^2 >= 0.8; the summary adds to regularity_summary the
-    largest exponent, the number n_fits of fits that are not constant and
-    the fraction of those with R^2 >= 0.8.  Constant fits are excluded
-    from the fit statistics.
+    fraction r2_ok_fraction of the fits that are not constant with
+    R^2 >= 0.8.  Constant fits are excluded from the fit statistics.
     """
     n_records = len(result.times)
     if n_records < 20:
@@ -349,14 +348,9 @@ def holder_in_time_report(result, n_centers=5, seed=0):
 
     summary = {
         **regularity_summary(rows),
-        "gamma_max": max((r["gamma_hat"] for r in rows
-                          if not r["constant"]), default=float("inf")),
         "r2_ok_fraction": (
             sum(r["r2_ok"] for r in rows) / n_fits if n_fits else 1.0
         ),
-        "n_fits": n_fits,
-        "n_steps": len(rows),
-        "n_centers": n_centers,
     }
     return TimeSeriesDiagnostics(summary)
 

@@ -419,17 +419,19 @@ def field_to_binary(values, path):
 
 
 def field_from_binary(path):
+    """Read what field_to_binary wrote: an (N, N) array."""
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size < 1 or not np.isfinite(raw[0]) or raw[0] != int(raw[0]):
+    if (raw.size < 1 or not np.isfinite(raw[0]) or raw[0] < 0
+            or raw[0] != int(raw[0])):
         raise ValueError(f"{path}: no whole grid size in the header")
     n = int(raw[0])
     if raw.size != 1 + n * n:
         raise ValueError(f"{path}: expected {n * n} values, found {raw.size - 1}")
-    grid = TorusGrid(n)
-    return TorusField(grid, raw[1:].reshape(n, n))
+    return raw[1:].reshape(n, n)
 
 
 def field_from_csv(path):
+    """Read an i,j,value CSV of each cell of an N x N grid once: an (N, N) array."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -444,5 +446,5 @@ def field_from_csv(path):
     values = np.empty((n, n), dtype=float)
     for i, j, v in rows:
         values[i, j] = v
-    return TorusField(TorusGrid(n), values)
+    return values
 

@@ -10,8 +10,8 @@ the linearized operator's coefficient, built on first use and shared, is
 frozen and positive definite by construction (or IndefiniteOperator), and
 a solve's certificates are plain attributes of the potential it returns.  Its
 Legendre transform P need not be discretely convex on the grid, so
-legendre returns it as a LegendrePotential: the periodic part of P and
-the gradient map grad P, with no Hessian.  legendre scans only the tiled
+legendre returns it as a LegendrePotential: the gradient map grad P
+alone, with no values of P and no Hessian.  legendre scans only the tiled
 centres y within sqrt(h^2/2 + 2 osc q) (plus a cell) of the queries,
 where every maximizer lies, so its result is bitwise that of the full
 3x3 block of periodic copies.
@@ -150,16 +150,15 @@ class ConvexPotential(_GradientMap):
 
 
 class LegendrePotential(_GradientMap):
-    """Legendre transform P = |x|^2/2 + q of a ConvexPotential, mean(q) = 0.
+    """Gradient map grad P of the Legendre transform P of a ConvexPotential.
 
-    Its displacement is the refined argmax gradient map (grad P as a
-    displacement from the identity), not a stencil gradient of q.  P need
-    not be discretely convex on the grid, so it carries no Hessian.
+    Its displacement is the refined argmax map (grad P as a displacement
+    from the identity).  P need not be discretely convex on the grid, so
+    it carries no Hessian, nor the values of P, which nothing reads.
     """
 
-    def __init__(self, grid, q, grad_d1, grad_d2):
+    def __init__(self, grid, grad_d1, grad_d2):
         self.grid = grid
-        self.q = mean_zero(np.asarray(q, dtype=float))
         self.displacement = (np.asarray(grad_d1, dtype=float),
                              np.asarray(grad_d2, dtype=float))
 
@@ -487,7 +486,8 @@ def _conjugate_block(x, y, f):
 
 
 def legendre(pot):
-    """Discrete Legendre transform P(x) = sup_y (x.y - P*(y)).
+    """Gradient map of the discrete Legendre transform
+    P(x) = sup_y (x.y - P*(y)).
 
     The sup runs over the tiled centres y_k = (k + 0.5) / n - 1 of the
     3x3 block of periodic copies (enough because optimal displacements
@@ -515,9 +515,8 @@ def legendre(pot):
     y, and every value is the score x_i y_m - P*(y_k, y_m) (stage 1) or
     x_i y_k + H[k, j] (stage 2) at it, so the result is bitwise that of
     the full scan.  The gradient map is the argmax refined by one Newton
-    step on the inner objective.  The result is re-expressed in the
-    quadratic-plus-periodic split and mean-normalized, and returned as a
-    LegendrePotential: q and the gradient map, no Hessian.
+    step on the inner objective, returned as a LegendrePotential: the
+    gradient map alone, with no values of P and no Hessian.
     """
     grid = pot.grid
     n = grid.n
@@ -536,8 +535,7 @@ def legendre(pot):
     p_star += 0.5 * y[:, None] ** 2
     stage1_arg, stage1_vals = _conjugate_rows(x, y, p_star)
     del p_star
-    arg1, p_vals = _conjugate_rows(x, y, -stage1_vals.T)
-    arg1, p_vals = arg1.T, p_vals.T
+    arg1 = _conjugate_rows(x, y, -stage1_vals.T)[0].T
 
     arg2 = stage1_arg[arg1, np.arange(n)[None, :]]
     y1 = y[arg1]
@@ -553,7 +551,6 @@ def legendre(pot):
     y2 = y2 + (-b * r1 + a * r2) / det
 
     x1, x2 = grid.centers()
-    r = mean_zero(p_vals - 0.5 * (x1**2 + x2**2))
     d1 = gridmod.wrap_delta(y1 - x1)
     d2 = gridmod.wrap_delta(y2 - x2)
-    return LegendrePotential(grid, r, d1, d2)
+    return LegendrePotential(grid, d1, d2)

@@ -26,7 +26,7 @@ from .errors import (
     FactorizationResidualTooLarge,
     InsufficientSamples,
 )
-from .grid import PeriodicDisplacement, TorusField, TorusGrid, mean_zero
+from .grid import PeriodicDisplacement, TorusGrid, mean_zero
 from .ma import legendre, solve_ma_periodic
 
 
@@ -36,9 +36,9 @@ def pushforward_density(mapping):
 
     Each source cell deposits its mass onto the four cells around the
     target point with bilinear weights (nearest-cell deposition leaves
-    checkerboard noise that breaks pinch bounds).  Returns (field, factor)
-    where factor is the unit-mass renormalization multiply, within
-    rounding of 1 because bilinear weights sum to one per source.
+    checkerboard noise that breaks pinch bounds).  Returns the (N, N)
+    density, renormalized to unit mass by a factor within rounding of 1,
+    since bilinear weights sum to one per source.
 
     Raises DegenerateMap when some cell receives no mass at all.
     """
@@ -64,8 +64,7 @@ def pushforward_density(mapping):
         raise DegenerateMap(
             f"{np.count_nonzero(accum == 0.0)} cells received no mass"
         )
-    factor = 1.0 / float(np.mean(accum))
-    return TorusField(grid, accum * factor), factor
+    return accum * (1.0 / float(np.mean(accum)))
 
 
 @dataclasses.dataclass
@@ -73,32 +72,32 @@ class PolarFactorization:
     """Factors X = grad P o g together with their quality certificates."""
 
     pot: object  # ConvexPotential P*
-    leg: object  # LegendrePotential P
+    leg: object  # LegendrePotential, grad P
     g: PeriodicDisplacement  # measure-preserving factor as displacement
-    density: TorusField  # pushforward of uniform through X
+    density: np.ndarray  # pushforward of uniform through X
     residual_median: float  # periodic dist(grad P(g(x)), X(x)), median
     defect: float  # L1 distance of (uniform pushed through g) from 1
 
 
-def factorize(mapping, lam=None, Lam=None, tol_fact=None, initial=None):
+# bound on the median factorization residual, in cell widths: twice the
+# 5h that grad P*(grad P(x)) keeps to x
+FACTORIZATION_TOL_CELLS = 10.0
+
+
+def factorize(mapping, lam=None, Lam=None, initial=None):
     """Polar-factor a torus map X given as a PeriodicDisplacement.
 
     The pushforward density must stay within the supplied pinch bounds for
-    the Monge-Ampere solve to certify them.  The factorization residual
-    (does grad P o g return X?) is checked against tol_fact, positive and
-    finite (ValueError otherwise), defaulting to ten cell widths: twice
-    the 5h that grad P*(grad P(x)) keeps to x.  initial, a
-    ConvexPotential on the grid of X, warm-starts the Monge-Ampere solve
+    the Monge-Ampere solve to certify them.  The median factorization
+    residual (does grad P o g return X?) must stay within
+    FACTORIZATION_TOL_CELLS cell widths.  initial, a ConvexPotential on
+    the grid of X, warm-starts the Monge-Ampere solve
     (solve_ma_periodic); the default starts it from q = 0.
     """
     grid = mapping.grid
-    if tol_fact is None:
-        tol_fact = 10.0 * grid.spacing
-    elif not (np.isfinite(tol_fact) and tol_fact > 0):
-        raise ValueError("factorization tolerance must be positive and "
-                         f"finite, got {tol_fact}")
-    density, _ = pushforward_density(mapping)
-    pot = solve_ma_periodic(density, lam=lam, Lam=Lam, initial=initial)
+    tol = FACTORIZATION_TOL_CELLS * grid.spacing
+    density = pushforward_density(mapping)
+    pot = solve_ma_periodic(density, grid, lam=lam, Lam=Lam, initial=initial)
     leg = legendre(pot)
 
     x1, x2 = grid.centers()
@@ -109,13 +108,12 @@ def factorize(mapping, lam=None, Lam=None, tol_fact=None, initial=None):
     back = leg.sample_gradient(gridmod.wrap(g_pts))
     dist = gridmod.periodic_distance(back, targets)
     res_med = float(np.median(dist))
-    if res_med > tol_fact:
+    if res_med > tol:
         raise FactorizationResidualTooLarge(
-            f"median factorization residual {res_med:.3e} > {tol_fact:.3e}"
+            f"median factorization residual {res_med:.3e} > {tol:.3e}"
         )
 
-    g_density, _ = pushforward_density(g)
-    defect = gridmod.integral(np.abs(g_density.values - 1.0), grid)
+    defect = gridmod.integral(np.abs(pushforward_density(g) - 1.0), grid)
     return PolarFactorization(pot, leg, g, density, res_med, defect)
 
 
@@ -132,6 +130,8 @@ class MapTimeSeries:
     def __post_init__(self):
         if len(self.times) != len(self.maps):
             raise ValueError("times and maps differ in length")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError(f"timestamps must be finite, got {self.times}")
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("timestamps must be strictly increasing")
         for m in self.maps:
@@ -167,7 +167,7 @@ def read_series(directory):
     for entry in manifest["entries"]:
         d1 = gridmod.field_from_binary(os.path.join(directory, entry["d1"]))
         d2 = gridmod.field_from_binary(os.path.join(directory, entry["d2"]))
-        maps.append(PeriodicDisplacement(grid, d1.values, d2.values))
+        maps.append(PeriodicDisplacement(grid, d1, d2))
     return MapTimeSeries(grid, [float(e["t"]) for e in manifest["entries"]], maps)
 
 
@@ -209,7 +209,7 @@ def polar_time_regularity(series, lam=None, Lam=None, seed=0):
         span = series.times[k + 1] - series.times[k - 1]
         dtp = mean_zero((facts[k + 1].pot.q - facts[k - 1].pot.q) / span)
         fits, row = dtp_regularity(dtp, centers, grid)
-        rho = facts[k].density.values
+        rho = facts[k].density
         mag = np.hypot(*gridmod.periodic_gradient(dtp, grid))
         rows.append({
             "t": series.times[k],

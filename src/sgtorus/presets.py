@@ -81,8 +81,9 @@ def manufactured_potential(grid):
     """q = a cos(2 pi x1) cos(2 pi x2), a = 0.01, with its exact Hessian
     determinant.
 
-    Returns (q_exact, rho_field): det(I + D^2 q) evaluated in closed form,
-    unit mass exactly (the quadratic cross terms integrate to zero).
+    Returns (q_exact, det), (N, N) arrays: det(I + D^2 q) evaluated in
+    closed form, unit mass exactly (the quadratic cross terms integrate to
+    zero).
     """
     a, k2 = 0.01, TWO_PI**2
     x1, x2 = grid.centers()
@@ -90,7 +91,7 @@ def manufactured_potential(grid):
     ss = np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2)
     q = a * cc
     det = (1.0 - a * k2 * cc) ** 2 - (a * k2 * ss) ** 2
-    return q, TorusField(grid, det)
+    return q, det
 
 
 def perturbed_potential(grid):

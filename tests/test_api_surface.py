@@ -94,7 +94,6 @@ UNSET_ALLOWED = {
     "cg(callback)": "perfbench/spans.py injects it to count CG iterations",
     "main(argv)": "the tests drive the CLI in-process through it",
     "holder_fits(min_points)": "the oracle tests fit with fewer shells",
-    "factorize(tol_fact)": "the error-path test forces a residual failure",
     "shear_map(sigma)": "shear_map is on ALLOWED; its tests vary sigma",
     "solve_periodic_lma(tol)": "solve_periodic_lma is on ALLOWED",
 }
@@ -306,3 +305,25 @@ def test_every_stored_attribute_is_read():
     # a result field nothing reads costs its computation on every call;
     # an allowed one that gains a reader, or is deleted, leaves the list
     assert sorted(set(unread_attributes()) ^ set(STORED_ALLOWED)) == []
+
+
+# the modules that still build a TorusField: the density presets and the
+# density files of the CLI, which wraps a file's values to match them
+TORUS_FIELD_MAKERS = {"presets.py", "cli.py"}
+
+
+def test_torus_field_is_built_only_by_the_density_presets():
+    """perfbench/reference.py reads two_mode_density(grid).values and
+    passes that field to solve_ma_periodic without a grid, and
+    scripts/ma_scaling.py does the same with two_bump_density, so the
+    presets keep returning a TorusField, and cli._resolve_density wraps a
+    density file's values to match them.  Every other module works on
+    plain arrays; ROADMAP item 12 removes the rest once the benchmark no
+    longer reads the presets' fields."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules() if path.name not in TORUS_FIELD_MAKERS
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)) == "TorusField"]
+    assert found == []

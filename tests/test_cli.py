@@ -171,7 +171,7 @@ class TestMaSolve:
                        "--out", str(out)) == 0
         q = field_from_binary(out / "q.bin")
         det = field_from_binary(out / "det.bin")
-        assert q.grid.n == det.grid.n == 32
+        assert q.shape == det.shape == (32, 32)
         head = json.loads((out / "solution.json").read_text())
         assert head["n"] == 32
         assert head["residual"] < 1e-7
@@ -198,6 +198,14 @@ class TestMaSolve:
         # int(4.5) is 4, and 16 values would make a 4x4 field of it
         path = tmp_path / "half.bin"
         path.write_bytes(np.array([4.5] + [1.0] * 16).astype("<f8").tobytes())
+        assert run_cli("ma-solve", "--n", "4", "--preset", str(path),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "no whole grid size" in capsys.readouterr().err
+
+    def test_negative_size_header_is_config_error(self, tmp_path, capsys):
+        # (-2)^2 is 4, and 4 values would make the header look consistent
+        path = tmp_path / "negative.bin"
+        path.write_bytes(np.array([-2.0] + [1.0] * 4).astype("<f8").tobytes())
         assert run_cli("ma-solve", "--n", "4", "--preset", str(path),
                        "--out", str(tmp_path / "o")) == 1
         assert "no whole grid size" in capsys.readouterr().err
@@ -250,7 +258,7 @@ class TestSgRun:
         assert summary["violations"] == []
         assert summary["lma_residual_max"] > 0.0
         final = field_from_binary(out / "final_rho.bin")
-        assert final.values.mean() == pytest.approx(1.0, abs=1e-12)
+        assert final.mean() == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
     def _short_run_csv(out):
@@ -305,7 +313,7 @@ class TestReports:
         assert run_cli("lma-dirichlet", "--n", "32", "--out", str(out)) == 0
         info = json.loads((out / "solve.json").read_text())
         assert info["relative_residual"] <= 1e-10
-        assert field_from_binary(out / "u.bin").grid.n == 32
+        assert field_from_binary(out / "u.bin").shape == (32, 32)
 
     def test_green_report_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -400,6 +408,22 @@ class TestReports:
         assert run_cli("polar-run", "--series", str(sdir),
                        "--out", str(tmp_path / "o")) == 1
         assert "config error: bad series" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, t", [(1, float("nan")),
+                                          (3, float("inf"))],
+                             ids=["nan", "infinity"])
+    def test_polar_run_series_nonfinite_timestamp(self, entry, t, tmp_path,
+                                                  capsys):
+        # json writes them as NaN and Infinity, and reads them back
+        sdir = self.write_bad_series(tmp_path, times=(0.1, 0.4, 0.7, 0.9))
+        manifest = json.loads((sdir / "manifest.json").read_text())
+        manifest["entries"][entry]["t"] = t
+        (sdir / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert run_cli("polar-run", "--series", str(sdir),
+                       "--out", str(out)) == 1
+        assert "config error: bad series" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_polar_run_series_needs_three_timestamps(self, tmp_path, capsys):
         sdir = self.write_bad_series(tmp_path, times=(0.1, 0.2))

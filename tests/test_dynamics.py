@@ -367,14 +367,12 @@ class TestTimeRegularity:
     def test_report_summary(self, short_run):
         rep = dynamics.holder_in_time_report(short_run)
         s = rep.summary
+        # the keys that verify and the benchmark read, and no others
+        assert set(s) == {"constant", "gamma_min", "c_max", "r2_ok_fraction"}
         assert not s["constant"]
-        assert s["n_steps"] == 24
-        assert s["n_centers"] == 5
-        assert 0.0 < s["gamma_min"] <= s["gamma_max"] < 2.0
+        assert 0.0 < s["gamma_min"] < 2.0
         assert s["c_max"] > 0.0
         assert 0.0 <= s["r2_ok_fraction"] <= 1.0
-        # two-mode is not steady: every (record, centre) fit is live
-        assert s["n_fits"] == 24 * 5
 
     def test_needs_enough_records(self):
         grid = TorusGrid(32)

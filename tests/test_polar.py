@@ -27,19 +27,36 @@ def identity_map(grid):
     return PeriodicDisplacement(grid, z, z.copy())
 
 
+def four_pass_deposit(mapping):
+    """The bilinear deposit before renormalization: np.add.at corner by
+    corner, the accumulation order of the one bincount over the
+    concatenated corners."""
+    n = mapping.grid.n
+    coords = mapping.apply() * n - 0.5
+    base = np.floor(coords).astype(int)
+    frac = coords - base
+    accum = np.zeros((n, n))
+    for di in (0, 1):
+        for dj in (0, 1):
+            w1 = frac[..., 0] if di else 1.0 - frac[..., 0]
+            w2 = frac[..., 1] if dj else 1.0 - frac[..., 1]
+            np.add.at(accum, ((base[..., 0] + di) % n,
+                              (base[..., 1] + dj) % n), w1 * w2)
+    return accum
+
+
 class TestPushforward:
     def test_identity_gives_uniform_exactly(self):
         grid = TorusGrid(32)
-        rho, factor = polar.pushforward_density(identity_map(grid))
-        assert np.array_equal(rho.values, np.ones((32, 32)))
-        assert factor == 1.0
+        rho = polar.pushforward_density(identity_map(grid))
+        assert np.array_equal(rho, np.ones((32, 32)))
 
     def test_translation_gives_uniform(self):
         grid = TorusGrid(32)
         d = PeriodicDisplacement(grid, np.full((32, 32), 0.3),
                                  np.full((32, 32), -0.2))
-        rho, _ = polar.pushforward_density(d)
-        assert np.max(np.abs(rho.values - 1.0)) <= 1e-12
+        rho = polar.pushforward_density(d)
+        assert np.max(np.abs(rho - 1.0)) <= 1e-12
 
     def test_gradient_map_matches_change_of_variables(self):
         # X = grad potential pushes uniform to 1/det(D^2 potential) o X^{-1};
@@ -48,20 +65,22 @@ class TestPushforward:
         grid = TorusGrid(64)
         eps = 0.003
         mapping = presets.cosine_gradient_map(grid, eps)
-        rho, _ = polar.pushforward_density(mapping)
+        rho = polar.pushforward_density(mapping)
 
         x1inv = presets.cosine_inverse_first_coordinate(grid, eps)
         det_at_inv = 1.0 - eps * TWO_PI**2 * np.cos(TWO_PI * x1inv)
         oracle = 1.0 / det_at_inv
         oracle = oracle / oracle.mean()
-        rel_l1 = np.mean(np.abs(rho.values - oracle)) / np.mean(np.abs(oracle))
+        rel_l1 = np.mean(np.abs(rho - oracle)) / np.mean(np.abs(oracle))
         assert rel_l1 <= 0.02
 
     def test_mass_renormalization_near_one(self):
         grid = TorusGrid(64)
-        rho, factor = polar.pushforward_density(presets.shear_map(grid, 0.05))
-        assert abs(factor - 1.0) <= 1e-12
-        assert np.mean(rho.values) == pytest.approx(1.0, abs=1e-14)
+        shear = presets.shear_map(grid, 0.05)
+        rho = polar.pushforward_density(shear)
+        # the renormalization multiplies by 1 / mean of the raw deposit
+        assert abs(1.0 / np.mean(four_pass_deposit(shear)) - 1.0) <= 1e-12
+        assert np.mean(rho) == pytest.approx(1.0, abs=1e-14)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(st.integers(8, 48), st.integers(0, 2**32 - 1))
@@ -79,14 +98,13 @@ class TestPushforward:
                 amp = 0.05 * rng.uniform(-1.0, 1.0) / (TWO_PI * max(1, np.abs(k).max()))
                 comp += amp * np.sin(TWO_PI * (k[0] * x1 + k[1] * x2) + TWO_PI * rng.random())
             d.append(comp + rng.uniform(-0.5, 0.5))  # plus a translation
-        rho, factor = polar.pushforward_density(PeriodicDisplacement(grid, *d))
-        assert np.mean(rho.values) == pytest.approx(1.0, abs=1e-13)
-        assert abs(factor - 1.0) <= 1e-12
+        mapping = PeriodicDisplacement(grid, *d)
+        rho = polar.pushforward_density(mapping)
+        assert np.mean(rho) == pytest.approx(1.0, abs=1e-13)
+        assert abs(1.0 / np.mean(four_pass_deposit(mapping)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 33, 64])
     def test_deposit_matches_four_pass_oracle_bitwise(self, n):
-        # np.add.at corner by corner, the accumulation order of the one
-        # bincount over the concatenated corners
         grid = TorusGrid(n)
         shear = presets.shear_map(grid, 0.05)
         maps = [shear, presets.compose_maps(
@@ -101,19 +119,9 @@ class TestPushforward:
                 a * np.sin(TWO_PI * (x1 + 2.0 * x2 + p)) + s
                 for a, p, s in zip(amp, phase, shift))))
         for mapping in maps:
-            coords = mapping.apply() * n - 0.5
-            base = np.floor(coords).astype(int)
-            frac = coords - base
-            accum = np.zeros((n, n))
-            for di in (0, 1):
-                for dj in (0, 1):
-                    w1 = frac[..., 0] if di else 1.0 - frac[..., 0]
-                    w2 = frac[..., 1] if dj else 1.0 - frac[..., 1]
-                    np.add.at(accum, ((base[..., 0] + di) % n,
-                                      (base[..., 1] + dj) % n), w1 * w2)
-            rho, factor = polar.pushforward_density(mapping)
-            assert factor == 1.0 / float(np.mean(accum))
-            assert np.array_equal(rho.values, accum * factor)
+            accum = four_pass_deposit(mapping)
+            assert np.array_equal(polar.pushforward_density(mapping),
+                                  accum * (1.0 / float(np.mean(accum))))
 
     def test_collapsing_map_rejected(self):
         grid = TorusGrid(32)
@@ -154,17 +162,12 @@ class TestFactorize:
         assert float(np.median(err)) <= 5.0 * grid.spacing
         assert fact.defect <= 0.05
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         grid = TorusGrid(32)
         mapping = presets.cosine_gradient_map(grid, 0.01)
+        monkeypatch.setattr(polar, "FACTORIZATION_TOL_CELLS", 1e-12)
         with pytest.raises(FactorizationResidualTooLarge):
-            polar.factorize(mapping, tol_fact=1e-14)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_nonfinite_or_nonpositive_tolerance_rejected(self, tol):
-        # a NaN tolerance would pass every residual, as res > nan is False
-        with pytest.raises(ValueError, match="positive and finite"):
-            polar.factorize(presets.shear_map(TorusGrid(32)), tol_fact=tol)
+            polar.factorize(mapping)
 
 
 class TestSeries:
@@ -175,6 +178,18 @@ class TestSeries:
             polar.MapTimeSeries(grid, [0.0, 0.0], [m, m])
         with pytest.raises(ValueError):
             polar.MapTimeSeries(grid, [0.0], [m, m])
+
+    @pytest.mark.parametrize("times", [
+        [0.0, float("nan"), 1.0], [0.0, 0.5, float("inf")],
+        [-float("inf"), 0.0, 0.5],
+    ], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_timestamp_rejected(self, times):
+        # every comparison with NaN is False, and infinite end timestamps
+        # are still in increasing order
+        grid = TorusGrid(16)
+        m = identity_map(grid)
+        with pytest.raises(ValueError, match="finite"):
+            polar.MapTimeSeries(grid, times, [m, m, m])
 
     def test_write_read_roundtrip(self, tmp_path):
         grid = TorusGrid(16)
@@ -240,7 +255,7 @@ class TestTimeRegularity:
                             / (times[k + 1] - times[k - 1]))
             g1, g2 = periodic_gradient(dtp, grid)
             mag = np.hypot(g1, g2)
-            rho = facts[k].density.values
+            rho = facts[k].density
             for kappa, key in ((0.1, "l1.1_dt_grad"), (0.2, "l1.2_dt_grad")):
                 p = 1.0 + kappa
                 assert row[key] == float(integral(rho * mag ** p, grid)) \
